@@ -270,11 +270,15 @@ def m_out_of_n_percentile_ci(values, statistic: Callable[[np.ndarray], float],
 def popoviciu_check(dist: BootstrapDistribution, alpha: float = 0.05) -> bool:
     """Self-test: a normal-theory interval never out-runs the range bound.
 
-    Compares ``1.96 * sd(replicates)`` against the half-width of
-    :func:`hoeffding_ci`.  Since the standard deviation of values confined
-    to a range ``R`` is at most ``R / 2``, the check holds for every
-    bootstrap distribution; a failure indicates a bookkeeping bug rather
-    than unusual data.
+    Compares ``1.96 * sd(replicates)`` against the half-width
+    ``R * sqrt(log(2/alpha) / 2)`` of :func:`hoeffding_ci`.  The standard
+    deviation of values confined to a range ``R`` is at most ``R / 2``, so
+    the left side is at most ``0.98 R``, and the check holds for every
+    bootstrap distribution when ``sqrt(log(2/alpha) / 2) >= 0.98``, that
+    is for ``alpha <= 2 exp(-2 * 0.98**2) ~ 0.293``.  In that domain a
+    failure indicates a bookkeeping bug rather than unusual data.  For
+    larger alpha it can fail on valid replicates: half at 0 and half at 1
+    give ``0.98 > 0.833`` at ``alpha = 0.5``.
     """
     alpha = check_alpha(alpha)
     sd = float(np.std(dist.replicates))

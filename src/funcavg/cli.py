@@ -19,6 +19,7 @@ default, and an explicit ``--seed`` beats it.
 from __future__ import annotations
 
 import csv
+import functools
 import os
 import sys
 
@@ -29,7 +30,7 @@ from .bootstrap import BootstrapConfig, hoeffding_ci, resample
 from .dataset import Dataset
 from .diagnostics import ecdf, mean_midrange_distance, residual_support_symmetry, sum_symmetry_gap
 from .errors import CsvParseError, DataError, FuncavgError, SchemaError
-from .estimators import TwoArmSample, midrange
+from .estimators import TwoArmSample, midrange, paired_contrast
 from .formula import ModelSpec, Term
 from .intervals import IntervalEstimate
 from .regression import (
@@ -48,6 +49,7 @@ from .simharness import (
     FULL_GRID,
     FULL_ITERATIONS,
     ExperimentSpec,
+    aligned_table,
     report_text,
     run_experiment,
     write_report,
@@ -203,11 +205,7 @@ def _estimate_rows(data: Dataset, outcome: str, treatment: str, covariates,
             labels = data.column(treatment)
             TwoArmSample.from_labels(values, labels)  # validates the arms
             paired = np.column_stack([values, labels])
-
-            def contrast(rows_: np.ndarray) -> float:
-                arms = TwoArmSample.from_labels(rows_[:, 0], rows_[:, 1])
-                return midrange(arms.treated) - midrange(arms.control)
-
+            contrast = functools.partial(paired_contrast, estimator=midrange)
             dist = resample(paired, BootstrapConfig(replicates, stream), contrast)
             ci = hoeffding_ci(dist, alpha)
         rows.append((parameter, method, ci))
@@ -220,11 +218,7 @@ def _estimate_text(rows, alpha: float) -> str:
     for parameter, method, ci in rows:
         lines.append((parameter, method, f"{ci.point:.4f}",
                       f"({ci.lower:.4f}, {ci.upper:.4f})"))
-    widths = [max(len(line[i]) for line in lines) for i in range(len(header))]
-    out = ["  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
-           for line in lines]
-    out.insert(1, "  ".join("-" * w for w in widths))
-    return "\n".join(out) + "\n"
+    return "\n".join(aligned_table(lines)) + "\n"
 
 
 def _estimate_csv(rows) -> str:
@@ -370,10 +364,7 @@ def diagnose(input_path, treatment, outcome, covariates, center, out):
                           f"{mean_midrange_distance(sample):.4f}",
                           f"{curve.area_below():.4f}",
                           f"{curve.area_above():.4f}"))
-        widths = [max(len(line[i]) for line in lines) for i in range(len(lines[0]))]
-        rendered = ["  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
-                    for line in lines]
-        rendered.insert(1, "  ".join("-" * w for w in widths))
+        rendered = aligned_table(lines)
         if covariate_names:
             model = ModelSpec(outcome, (Term((treatment,)),)
                               + tuple(Term((c,)) for c in covariate_names))

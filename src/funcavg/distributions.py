@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 from .errors import ParameterError
 from .rng import RngStream
@@ -100,9 +100,12 @@ def sample_truncated_normal(spec: TruncatedNormalSpec, n, rng: RngStream) -> np.
     """Draw ``n`` values from a truncated normal by CDF inversion.
 
     Uniform variates are mapped through the inverse of the truncated CDF.
-    When both cut points sit in the upper tail the computation runs on
-    survival probabilities instead, which keeps the tail inversion accurate
-    where the plain CDF would lose all precision to cancellation.
+    When the support straddles the parent mean the plain normal CDF is
+    inverted.  When both standardized cut points lie on one side of it,
+    the inversion runs on the log CDF of that tail (mirrored for the upper
+    tail), which keeps full relative precision however deep the tail is:
+    the plain CDF underflows to 0 beyond about 37.5 standard deviations.
+    Standardized cut points must stay below about 1e154 in magnitude.
 
     Returns
     -------
@@ -114,16 +117,18 @@ def sample_truncated_normal(spec: TruncatedNormalSpec, n, rng: RngStream) -> np.
     u = rng.generator().random(n)
     a = (spec.lower - spec.mu) / spec.sigma
     b = (spec.upper - spec.mu) / spec.sigma
-    if a >= 0:
-        # Both endpoints at or above the parent mean: mirror into the lower
-        # tail, where ndtr keeps full relative precision.
-        qa = ndtr(-a)
-        qb = ndtr(-b)
-        z = -ndtri(qa + u * (qb - qa))
-    else:
+    if a < 0 < b:
         pa = ndtr(a)
         pb = ndtr(b)
         z = ndtri(pa + u * (pb - pa))
+    else:
+        # One tail: mirror the upper one onto the lower, then invert
+        # log(Phi(lo) (1-u) + Phi(hi) u), taken as log Phi(hi) plus the log
+        # of a weighted sum of positive terms.
+        sign = -1.0 if a >= 0 else 1.0
+        lo, hi = sorted((sign * a, sign * b))
+        log_lo, log_hi = log_ndtr(lo), log_ndtr(hi)
+        z = sign * ndtri_exp(log_hi + np.log(u + (1.0 - u) * np.exp(log_lo - log_hi)))
     out = spec.mu + spec.sigma * z
     return np.clip(out, spec.lower, spec.upper)
 

@@ -20,6 +20,7 @@ __all__ = [
     "midrange",
     "sample_mean",
     "arm_contrast",
+    "paired_contrast",
     "ESTIMATORS",
 ]
 
@@ -136,3 +137,20 @@ def arm_contrast(two_arm: TwoArmSample, estimator="midrange", **kwargs) -> float
             f"unknown estimator {estimator!r}; expected one of {sorted(ESTIMATORS)} "
             "or a callable")
     return float(fn(two_arm.treated, **kwargs) - fn(two_arm.control, **kwargs))
+
+
+def paired_contrast(rows: np.ndarray, estimator) -> float:
+    """Treated-minus-control ``estimator`` on ``(outcome, label)`` rows.
+
+    Rows with label 1 form the treated arm, all others the control arm.
+    This is the per-replicate kernel for bootstrapping a contrast, so it
+    assumes what :meth:`TwoArmSample.from_labels` checks once on the full
+    columns: 0/1 labels and finite outcomes.  The one fault a resample
+    can introduce, an empty arm, raises :class:`~funcavg.errors.DataError`.
+    """
+    mask = rows[:, 1] == 1
+    treated = rows[mask, 0]
+    control = rows[~mask, 0]
+    if treated.size == 0 or control.size == 0:
+        raise DataError("both treatment arms must be non-empty")
+    return estimator(treated) - estimator(control)

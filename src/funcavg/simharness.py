@@ -7,7 +7,7 @@ arithmetic average over iterations, including the confidence interval
 endpoints, alongside empirical coverage of the true target and
 empirical power against zero.
 
-The experiments:
+The experiments, one definitions-table entry each, all run by one loop:
 
 * ``table2``: midrange estimation for three truncated normal laws,
   contrasting the full-sample Hoeffding interval with Hoeffding and
@@ -32,6 +32,7 @@ the report object but deliberately left out of emitted files.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import time
@@ -58,8 +59,8 @@ from .distributions import (
     sample_binomial,
     sample_truncated_normal,
 )
-from .errors import ParameterError
-from .estimators import TwoArmSample, discrete_plugin_average, midrange
+from .errors import CsvParseError, ParameterError, SchemaError
+from .estimators import discrete_plugin_average, midrange, paired_contrast
 from .intervals import IntervalEstimate, check_alpha
 from .regression import DesignMatrix, ols_fit, t_ci, u_concentration_ci
 from .rng import RngStream
@@ -72,38 +73,46 @@ FULL_ITERATIONS = 1000
 FULL_GRID = (500, 2500, 5000, 10000)
 DEFAULT_REPLICATES = 500
 
-# Generating laws, with the target each estimator is judged against.
-_TABLE2_LAWS = (
-    ("TN(0,20,10,5)", TruncatedNormalSpec(0.0, 20.0, 10.0, 5.0), 10.0),
-    ("TN(0,15,10,3)", TruncatedNormalSpec(0.0, 15.0, 10.0, 3.0), 7.5),
-    ("TN(0,15,5,3)", TruncatedNormalSpec(0.0, 15.0, 5.0, 3.0), 7.5),
-)
-_TABLE3_LAWS = (
-    ("round(TN(0,40,20,5))", TruncatedNormalSpec(0.0, 40.0, 20.0, 5.0), 20.0),
-    ("round(TN(0,40,25,8))", TruncatedNormalSpec(0.0, 40.0, 25.0, 8.0), 20.0),
-    ("round(TN(0,40,15,8))", TruncatedNormalSpec(0.0, 40.0, 15.0, 8.0), 20.0),
-)
-_TABLE4_NOISE = (("tau=5", 5.0), ("tau=25", 25.0))
-_TABLE5_NOISE = (("tau=30", 30), ("tau=50", 50))
-_TABLE6_VARIANTS = ("slope",)
 
-_EXPERIMENT_NUMBER = {name: int(name[-1]) for name in EXPERIMENTS}
+@dataclass(frozen=True)
+class _Bootstrap:
+    """One bootstrap per iteration and the intervals read off its replicates.
+
+    ``child`` picks the iteration stream's child for the index draws;
+    ``recipes`` pairs report method labels with ``recipe(dist, alpha)``.
+    """
+
+    estimator: str
+    statistic: Callable[[np.ndarray], float]
+    child: int
+    resample_size: str
+    recipes: tuple[tuple[str, Callable], ...]
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    """One experiment: its variants, its data draw and what it estimates.
+
+    ``variants`` holds ``(label, parameter, target)`` in stream-key order.
+    ``draw(parameter, n, stream)`` returns the data to resample and, for
+    two-arm designs, the OLS fit of outcome on treatment, whose slope is
+    reported as the ``ols`` estimate.  ``fit_recipes`` pairs method labels
+    with ``recipe(fit, coefficient, alpha)`` intervals read off that fit.
+    """
+
+    number: int
+    variants: tuple[tuple[str, object, float], ...]
+    draw: Callable
+    bootstraps: tuple[_Bootstrap, ...]
+    fit_recipes: tuple[tuple[str, Callable], ...] = ()
 
 
 def variant_labels(experiment: str) -> tuple[str, ...]:
     """All variant labels an experiment can run, in stream-key order."""
-    if experiment == "table2":
-        return tuple(label for label, _, _ in _TABLE2_LAWS)
-    if experiment == "table3":
-        return tuple(label for label, _, _ in _TABLE3_LAWS)
-    if experiment == "table4":
-        return tuple(label for label, _ in _TABLE4_NOISE)
-    if experiment == "table5":
-        return tuple(label for label, _ in _TABLE5_NOISE)
-    if experiment == "table6":
-        return _TABLE6_VARIANTS
-    raise ParameterError(
-        f"unknown experiment {experiment!r}; expected one of {', '.join(EXPERIMENTS)}")
+    if experiment not in EXPERIMENTS:
+        raise ParameterError(
+            f"unknown experiment {experiment!r}; expected one of {', '.join(EXPERIMENTS)}")
+    return _VARIANT_LABELS[experiment]
 
 
 @dataclass(frozen=True)
@@ -219,9 +228,9 @@ class ReportRow:
 class ExperimentReport:
     """Everything a finished run knows, plus self-check tallies.
 
-    ``range_checks_passed`` counts bootstrap distributions whose replicate
-    spread stayed within the variance bound implied by their range (a
-    sanity check that can only fail on a bookkeeping bug).
+    ``range_checks_passed`` counts bootstrap distributions that pass
+    :func:`~funcavg.bootstrap.popoviciu_check` (for alpha up to about
+    0.293 a failure means a bookkeeping bug, not unusual data).
     ``wall_time`` is in seconds and is never written to report files, so
     emitted artifacts stay byte-identical across reruns.
     """
@@ -263,27 +272,23 @@ class _CellTally:
         self.intervals: dict[tuple[str, str], list] = {}
 
     def record_point(self, estimator: str, iteration: int, value: float) -> None:
-        slots = self.points.setdefault(estimator, [None] * self.iterations)
-        slots[iteration] = value
+        self.points.setdefault(estimator, [None] * self.iterations)[iteration] = value
 
     def record_interval(self, estimator: str, method: str, iteration: int,
                         ci: IntervalEstimate) -> None:
         key = (estimator, method)
-        slots = self.intervals.setdefault(key, [None] * self.iterations)
-        slots[iteration] = ci
+        self.intervals.setdefault(key, [None] * self.iterations)[iteration] = ci
 
-    def rows(self, experiment: str, variant: str, n: int, target: float,
-             point_only: tuple[str, ...] = ()) -> list[ReportRow]:
-        out = []
-        for estimator in point_only:
-            out.append(ReportRow(
-                experiment=experiment, variant=variant, n=n,
-                estimator=estimator, method="none", target=target,
-                mean_estimate=float(np.mean(self.points[estimator]))))
+    def rows(self, experiment: str, variant: str, n: int, target: float) -> list[ReportRow]:
+        """Point-only rows (estimators without an interval) first, then intervals."""
+        cell = dict(experiment=experiment, variant=variant, n=n, target=target)
+        with_interval = {estimator for estimator, _ in self.intervals}
+        out = [ReportRow(**cell, estimator=name, method="none",
+                         mean_estimate=float(np.mean(points)))
+               for name, points in self.points.items() if name not in with_interval]
         for (estimator, method), cis in self.intervals.items():
             out.append(ReportRow(
-                experiment=experiment, variant=variant, n=n,
-                estimator=estimator, method=method, target=target,
+                **cell, estimator=estimator, method=method,
                 mean_estimate=float(np.mean(self.points[estimator])),
                 mean_lower=float(np.mean([ci.lower for ci in cis])),
                 mean_upper=float(np.mean([ci.upper for ci in cis])),
@@ -292,25 +297,12 @@ class _CellTally:
         return out
 
 
-class _RangeCheckCounter:
-    def __init__(self, alpha: float):
-        self.alpha = alpha
-        self.passed = 0
-        self.total = 0
-
-    def check(self, dist) -> None:
-        self.total += 1
-        if popoviciu_check(dist, self.alpha):
-            self.passed += 1
-
-
-def _audited_streams(spec: ExperimentSpec) -> dict[tuple[int, int, int], RngStream]:
+def _audited_streams(spec: ExperimentSpec, number: int) -> dict[tuple, RngStream]:
     """One stream per (variant index, n index, iteration), checked unique.
 
     The key tuple carries the experiment number as well, so streams stay
     distinct across experiments run under one base seed.
     """
-    number = _EXPERIMENT_NUMBER[spec.experiment]
     streams: dict[tuple[int, int, int], RngStream] = {}
     for vi, _label in spec.selected_variants():
         for ni in range(len(spec.n_grid)):
@@ -322,97 +314,16 @@ def _audited_streams(spec: ExperimentSpec) -> dict[tuple[int, int, int], RngStre
     return streams
 
 
-def _require(spec: ExperimentSpec, experiment: str) -> None:
-    if spec.experiment != experiment:
-        raise ParameterError(
-            f"spec is for {spec.experiment!r}, runner expects {experiment!r}")
+def _draw_law(law, n, stream):
+    return sample_truncated_normal(law, n, stream.child(0)), None
 
 
-def run_table2(spec: ExperimentSpec) -> ExperimentReport:
-    """Midrange for three truncated normal laws, three interval recipes.
-
-    Per iteration: draw the sample, take the midrange, then build one
-    full-size bootstrap (Hoeffding interval) and one sqrt(n)-out-of-n
-    bootstrap shared by the subsampled Hoeffding and percentile
-    intervals; both subsampled intervals read off the same replicates.
-    """
-    _require(spec, "table2")
-    start = time.perf_counter()
-    streams = _audited_streams(spec)
-    checks = _RangeCheckCounter(spec.alpha)
-    rows: list[ReportRow] = []
-    for vi, label in spec.selected_variants():
-        law, theta = next((l, t) for lab, l, t in _TABLE2_LAWS if lab == label)
-        for ni, n in enumerate(spec.n_grid):
-            tally = _CellTally(spec.iterations)
-            for it in range(spec.iterations):
-                stream = streams[(vi, ni, it)]
-                values = sample_truncated_normal(law, n, stream.child(0))
-                full = resample(
-                    values, BootstrapConfig(spec.replicates, stream.child(1)), midrange)
-                sub = resample(
-                    values,
-                    BootstrapConfig(spec.replicates, stream.child(2), resample_size="sqrt"),
-                    midrange)
-                checks.check(full)
-                checks.check(sub)
-                tally.record_point("midrange", it, full.statistic)
-                tally.record_interval("midrange", "hoeffding", it,
-                                      hoeffding_ci(full, spec.alpha))
-                tally.record_interval("midrange", "hoeffding-m", it,
-                                      hoeffding_ci(sub, spec.alpha))
-                tally.record_interval("midrange", "percentile-m", it,
-                                      percentile_ci(sub, spec.alpha))
-            rows.extend(tally.rows(spec.experiment, label, n, theta))
-    return ExperimentReport(
-        spec=spec, rows=tuple(rows),
-        range_checks_passed=checks.passed, range_checks_total=checks.total,
-        streams_used=len(streams), wall_time=time.perf_counter() - start)
+def _draw_rounded_law(law, n, stream):
+    return round_to_integers(_draw_law(law, n, stream)[0]).astype(float), None
 
 
-def run_table3(spec: ExperimentSpec) -> ExperimentReport:
-    """Integer-rounded laws: distinct-value plug-in vs midrange.
-
-    Both estimators get intervals from the doubled replicate range, in the
-    concentrated form (the statistic of a bounded symmetric-support sample
-    sits near the centre of its range) and the general form, each read off
-    the same full-size bootstrap per estimator.
-    """
-    _require(spec, "table3")
-    start = time.perf_counter()
-    streams = _audited_streams(spec)
-    checks = _RangeCheckCounter(spec.alpha)
-    rows: list[ReportRow] = []
-    for vi, label in spec.selected_variants():
-        law, theta = next((l, t) for lab, l, t in _TABLE3_LAWS if lab == label)
-        for ni, n in enumerate(spec.n_grid):
-            tally = _CellTally(spec.iterations)
-            for it in range(spec.iterations):
-                stream = streams[(vi, ni, it)]
-                draws = sample_truncated_normal(law, n, stream.child(0))
-                values = round_to_integers(draws).astype(float)
-                for ei, (estimator, fn) in enumerate(
-                        (("plugin", discrete_plugin_average), ("midrange", midrange))):
-                    dist = resample(
-                        values,
-                        BootstrapConfig(spec.replicates, stream.child(1 + ei)), fn)
-                    checks.check(dist)
-                    tally.record_point(estimator, it, dist.statistic)
-                    tally.record_interval(estimator, "hoeffding-u", it,
-                                          hoeffding_u_ci(dist, spec.alpha, centered=True))
-                    tally.record_interval(estimator, "hoeffding-u2", it,
-                                          hoeffding_u_ci(dist, spec.alpha, centered=False))
-            rows.extend(tally.rows(spec.experiment, label, n, theta))
-    return ExperimentReport(
-        spec=spec, rows=tuple(rows),
-        range_checks_passed=checks.passed, range_checks_total=checks.total,
-        streams_used=len(streams), wall_time=time.perf_counter() - start)
-
-
-def _draw_two_arm(
-        n: int, stream: RngStream,
-        noise_fn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Confounded design shared by table4 and table5.
+def _confounded_treatment(n: int, stream: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """Confounder and treatment of the design shared by table4 and table5.
 
     A Bernoulli(.5) confounder shifts both the outcome and the treatment
     probability (.3 + .5 C).  The treatment vector alone is redrawn until
@@ -420,121 +331,41 @@ def _draw_two_arm(
     fixed so the redraw cannot tilt the outcome law.
     """
     confounder = sample_bernoulli(BernoulliSpec(0.5), n, stream.child(0, 0))
-    noise = noise_fn(n, stream.child(0, 1))
     probs = 0.3 + 0.5 * confounder
     attempt = 0
     while True:
         treated = sample_bernoulli_probs(probs, stream.child(0, 2, attempt))
-        n_treated = int(treated.sum())
-        if 2 <= n_treated <= n - 2:
-            break
+        if 2 <= int(treated.sum()) <= n - 2:
+            return confounder, treated
         attempt += 1
-    return confounder, noise, treated
 
 
-def _contrast_statistic(estimator_fn) -> Callable[[np.ndarray], float]:
-    def statistic(rows: np.ndarray) -> float:
-        arms = TwoArmSample.from_labels(rows[:, 0], rows[:, 1])
-        return estimator_fn(arms.treated) - estimator_fn(arms.control)
-    return statistic
+def _paired_with_fit(outcome: np.ndarray, treated: np.ndarray):
+    """``(outcome, treatment)`` rows and the OLS fit of outcome on treatment."""
+    design = DesignMatrix(
+        np.column_stack([np.ones(outcome.size), treated]), ("intercept", "t"))
+    return np.column_stack([outcome, treated]), ols_fit(design, outcome)
 
 
-def run_table4(spec: ExperimentSpec) -> ExperimentReport:
-    """Confounded continuous outcome: midrange contrast vs naive slope.
-
-    Outcomes are 100 + 10 T + 50 C + e with e truncated normal on
-    [-50, 50]; the confounder C inflates the unadjusted regression slope
-    to roughly 35 while the midrange contrast stays consistent for the
-    true gap of 10.  Outcome and treatment rows are resampled jointly for
-    the bootstrap interval.
-    """
-    _require(spec, "table4")
-    start = time.perf_counter()
-    streams = _audited_streams(spec)
-    checks = _RangeCheckCounter(spec.alpha)
-    delta = 10.0
-    rows: list[ReportRow] = []
-    mr_statistic = _contrast_statistic(midrange)
-    for vi, label in spec.selected_variants():
-        tau = next(t for lab, t in _TABLE4_NOISE if lab == label)
-        noise_law = TruncatedNormalSpec(-50.0, 50.0, 0.0, tau)
-
-        def noise_fn(n, child, law=noise_law):
-            return sample_truncated_normal(law, n, child)
-
-        for ni, n in enumerate(spec.n_grid):
-            tally = _CellTally(spec.iterations)
-            for it in range(spec.iterations):
-                stream = streams[(vi, ni, it)]
-                confounder, noise, treated = _draw_two_arm(n, stream, noise_fn)
-                outcome = 100.0 + 10.0 * treated + 50.0 * confounder + noise
-                design = DesignMatrix(
-                    np.column_stack([np.ones(n), treated]), ("intercept", "t"))
-                tally.record_point("ols", it, ols_fit(design, outcome).coefficient(1))
-                paired = np.column_stack([outcome, treated])
-                dist = resample(
-                    paired, BootstrapConfig(spec.replicates, stream.child(1)),
-                    mr_statistic)
-                checks.check(dist)
-                tally.record_point("midrange", it, dist.statistic)
-                tally.record_interval("midrange", "hoeffding", it,
-                                      hoeffding_ci(dist, spec.alpha))
-            rows.extend(tally.rows(spec.experiment, label, n, delta,
-                                   point_only=("ols",)))
-    return ExperimentReport(
-        spec=spec, rows=tuple(rows),
-        range_checks_passed=checks.passed, range_checks_total=checks.total,
-        streams_used=len(streams), wall_time=time.perf_counter() - start)
+def _draw_confounded_continuous(noise_law, n, stream):
+    """Outcomes 100 + 10 T + 50 C + e, e truncated normal on [-50, 50]."""
+    confounder, treated = _confounded_treatment(n, stream)
+    noise = sample_truncated_normal(noise_law, n, stream.child(0, 1))
+    return _paired_with_fit(100.0 + 10.0 * treated + 50.0 * confounder + noise, treated)
 
 
-def run_table5(spec: ExperimentSpec) -> ExperimentReport:
-    """Confounded integer outcome: plug-in and midrange contrasts.
+def _draw_confounded_discrete(noise_law, n, stream):
+    """Outcomes 10 C + e + 5 T with binomial noise: a run of integers."""
+    confounder, treated = _confounded_treatment(n, stream)
+    noise = sample_binomial(noise_law, n, stream.child(0, 1)).astype(float)
+    return _paired_with_fit(10.0 * confounder + noise + 5.0 * treated, treated)
 
-    Outcomes are 10 C + e + 5 T with binomial(tau, 1/2) noise, so the
-    support is a run of integers and the distinct-value plug-in applies.
-    Intervals use the doubled replicate range as in table3.
-    """
-    _require(spec, "table5")
-    start = time.perf_counter()
-    streams = _audited_streams(spec)
-    checks = _RangeCheckCounter(spec.alpha)
-    delta = 5.0
-    rows: list[ReportRow] = []
-    statistics = (("plugin", _contrast_statistic(discrete_plugin_average)),
-                  ("midrange", _contrast_statistic(midrange)))
-    for vi, label in spec.selected_variants():
-        tau = next(t for lab, t in _TABLE5_NOISE if lab == label)
-        noise_law = BinomialSpec(tau, 0.5)
 
-        def noise_fn(n, child, law=noise_law):
-            return sample_binomial(law, n, child).astype(float)
-
-        for ni, n in enumerate(spec.n_grid):
-            tally = _CellTally(spec.iterations)
-            for it in range(spec.iterations):
-                stream = streams[(vi, ni, it)]
-                confounder, noise, treated = _draw_two_arm(n, stream, noise_fn)
-                outcome = 10.0 * confounder + noise + 5.0 * treated
-                design = DesignMatrix(
-                    np.column_stack([np.ones(n), treated]), ("intercept", "t"))
-                tally.record_point("ols", it, ols_fit(design, outcome).coefficient(1))
-                paired = np.column_stack([outcome, treated])
-                for ei, (estimator, fn) in enumerate(statistics):
-                    dist = resample(
-                        paired,
-                        BootstrapConfig(spec.replicates, stream.child(1 + ei)), fn)
-                    checks.check(dist)
-                    tally.record_point(estimator, it, dist.statistic)
-                    tally.record_interval(estimator, "hoeffding-u", it,
-                                          hoeffding_u_ci(dist, spec.alpha, centered=True))
-                    tally.record_interval(estimator, "hoeffding-u2", it,
-                                          hoeffding_u_ci(dist, spec.alpha, centered=False))
-            rows.extend(tally.rows(spec.experiment, label, n, delta,
-                                   point_only=("ols",)))
-    return ExperimentReport(
-        spec=spec, rows=tuple(rows),
-        range_checks_passed=checks.passed, range_checks_total=checks.total,
-        streams_used=len(streams), wall_time=time.perf_counter() - start)
+def _draw_slope(error_law, n, stream):
+    """Outcomes 100 + 20 T + U, T Bernoulli(.3), U bounded and symmetric."""
+    treated = sample_bernoulli(BernoulliSpec(0.3), n, stream.child(0, 0))
+    noise = sample_truncated_normal(error_law, n, stream.child(0, 1))
+    return _paired_with_fit(100.0 + 20.0 * treated + noise, treated)
 
 
 def _slope_statistic(rows: np.ndarray) -> float:
@@ -543,62 +374,101 @@ def _slope_statistic(rows: np.ndarray) -> float:
     return ols_fit(design, rows[:, 0]).coefficient(1)
 
 
-def run_table6(spec: ExperimentSpec) -> ExperimentReport:
-    """Slope intervals under a bounded symmetric error.
+def _experiments() -> dict[str, _Experiment]:
+    """The five experiments by name, built on each call so the functions
+    they hold are whatever this module's names are bound to at run time."""
+    u_recipes = (("hoeffding-u", hoeffding_u_ci),
+                 ("hoeffding-u2", functools.partial(hoeffding_u_ci, centered=False)))
+    hoeffding = (("hoeffding", hoeffding_ci),)
 
-    Outcomes are 100 + 20 T + U with U truncated normal on [-10, 10], so
-    the unadjusted slope targets 20.  Three intervals per fit: Student t,
-    the residual-range concentration interval, and the bootstrap range
-    interval from joint row resampling.
+    def contrast(estimator):
+        return functools.partial(paired_contrast, estimator=estimator)
+
+    return {
+        "table2": _Experiment(2, (
+            ("TN(0,20,10,5)", TruncatedNormalSpec(0.0, 20.0, 10.0, 5.0), 10.0),
+            ("TN(0,15,10,3)", TruncatedNormalSpec(0.0, 15.0, 10.0, 3.0), 7.5),
+            ("TN(0,15,5,3)", TruncatedNormalSpec(0.0, 15.0, 5.0, 3.0), 7.5),
+        ), _draw_law, (
+            _Bootstrap("midrange", midrange, 1, "full", hoeffding),
+            _Bootstrap("midrange", midrange, 2, "sqrt", (("hoeffding-m", hoeffding_ci),
+                                                         ("percentile-m", percentile_ci))),
+        )),
+        "table3": _Experiment(3, (
+            ("round(TN(0,40,20,5))", TruncatedNormalSpec(0.0, 40.0, 20.0, 5.0), 20.0),
+            ("round(TN(0,40,25,8))", TruncatedNormalSpec(0.0, 40.0, 25.0, 8.0), 20.0),
+            ("round(TN(0,40,15,8))", TruncatedNormalSpec(0.0, 40.0, 15.0, 8.0), 20.0),
+        ), _draw_rounded_law, (
+            _Bootstrap("plugin", discrete_plugin_average, 1, "full", u_recipes),
+            _Bootstrap("midrange", midrange, 2, "full", u_recipes),
+        )),
+        "table4": _Experiment(4, (
+            ("tau=5", TruncatedNormalSpec(-50.0, 50.0, 0.0, 5.0), 10.0),
+            ("tau=25", TruncatedNormalSpec(-50.0, 50.0, 0.0, 25.0), 10.0),
+        ), _draw_confounded_continuous, (
+            _Bootstrap("midrange", contrast(midrange), 1, "full", hoeffding),
+        )),
+        "table5": _Experiment(5, (
+            ("tau=30", BinomialSpec(30, 0.5), 5.0),
+            ("tau=50", BinomialSpec(50, 0.5), 5.0),
+        ), _draw_confounded_discrete, (
+            _Bootstrap("plugin", contrast(discrete_plugin_average), 1, "full", u_recipes),
+            _Bootstrap("midrange", contrast(midrange), 2, "full", u_recipes),
+        )),
+        "table6": _Experiment(6, (
+            ("slope", TruncatedNormalSpec(-10.0, 10.0, 0.0, 2.0), 20.0),
+        ), _draw_slope, (
+            _Bootstrap("ols", _slope_statistic, 1, "full", hoeffding),
+        ), fit_recipes=(("t-dist", t_ci), ("u-concentration", u_concentration_ci))),
+    }
+
+
+# Labels are plain data, so they are read once; callables are bound per run.
+_VARIANT_LABELS = {name: tuple(v[0] for v in e.variants)
+                   for name, e in _experiments().items()}
+
+
+def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
+    """Run every selected (variant, n) cell of ``spec`` and aggregate it.
+
+    Per iteration: draw the data; when the draw carries a fit, record its
+    slope as the ``ols`` estimate along with the fit's intervals; then run
+    each bootstrap and read all of its recipes off the same replicates.
     """
-    _require(spec, "table6")
     start = time.perf_counter()
-    streams = _audited_streams(spec)
-    checks = _RangeCheckCounter(spec.alpha)
-    delta = 20.0
-    error_law = TruncatedNormalSpec(-10.0, 10.0, 0.0, 2.0)
+    experiment = _experiments()[spec.experiment]
+    streams = _audited_streams(spec, experiment.number)
+    passed = 0
     rows: list[ReportRow] = []
     for vi, label in spec.selected_variants():
+        _, parameter, target = experiment.variants[vi]
         for ni, n in enumerate(spec.n_grid):
             tally = _CellTally(spec.iterations)
             for it in range(spec.iterations):
                 stream = streams[(vi, ni, it)]
-                treated = sample_bernoulli(BernoulliSpec(0.3), n, stream.child(0, 0))
-                noise = sample_truncated_normal(error_law, n, stream.child(0, 1))
-                outcome = 100.0 + 20.0 * treated + noise
-                design = DesignMatrix(
-                    np.column_stack([np.ones(n), treated]), ("intercept", "t"))
-                fit = ols_fit(design, outcome)
-                tally.record_point("ols", it, fit.coefficient(1))
-                tally.record_interval("ols", "t-dist", it, t_ci(fit, 1, spec.alpha))
-                tally.record_interval("ols", "u-concentration", it,
-                                      u_concentration_ci(fit, 1, spec.alpha))
-                paired = np.column_stack([outcome, treated])
-                dist = resample(
-                    paired, BootstrapConfig(spec.replicates, stream.child(1)),
-                    _slope_statistic)
-                checks.check(dist)
-                tally.record_interval("ols", "hoeffding", it,
-                                      hoeffding_ci(dist, spec.alpha))
-            rows.extend(tally.rows(spec.experiment, label, n, delta))
+                data, fit = experiment.draw(parameter, n, stream)
+                if fit is not None:
+                    tally.record_point("ols", it, fit.coefficient(1))
+                    for method, recipe in experiment.fit_recipes:
+                        tally.record_interval("ols", method, it, recipe(fit, 1, spec.alpha))
+                for boot in experiment.bootstraps:
+                    config = BootstrapConfig(
+                        spec.replicates, stream.child(boot.child), boot.resample_size)
+                    dist = resample(data, config, boot.statistic)
+                    passed += popoviciu_check(dist, spec.alpha)
+                    # The ols point stays the fit's: the slope recomputed on
+                    # the strided resample input differs in the last bits.
+                    if boot.estimator != "ols":
+                        tally.record_point(boot.estimator, it, dist.statistic)
+                    for method, recipe in boot.recipes:
+                        tally.record_interval(boot.estimator, method, it,
+                                              recipe(dist, spec.alpha))
+            rows.extend(tally.rows(spec.experiment, label, n, target))
     return ExperimentReport(
         spec=spec, rows=tuple(rows),
-        range_checks_passed=checks.passed, range_checks_total=checks.total,
+        range_checks_passed=passed,
+        range_checks_total=len(streams) * len(experiment.bootstraps),
         streams_used=len(streams), wall_time=time.perf_counter() - start)
-
-
-_RUNNERS = {
-    "table2": run_table2,
-    "table3": run_table3,
-    "table4": run_table4,
-    "table5": run_table5,
-    "table6": run_table6,
-}
-
-
-def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
-    """Dispatch a spec to its runner."""
-    return _RUNNERS[spec.experiment](spec)
 
 
 # Emission.  CSV carries exact shortest-round-trip floats so a report can
@@ -625,6 +495,16 @@ def report_csv(report: ExperimentReport) -> str:
     return buf.getvalue()
 
 
+def aligned_table(lines) -> list[str]:
+    """Rows of cells as left-aligned columns two spaces apart, trailing blanks
+    stripped; the first row is the header, with a dashed rule under it."""
+    widths = [max(len(line[i]) for line in lines) for i in range(len(lines[0]))]
+    rendered = ["  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
+                for line in lines]
+    rendered.insert(1, "  ".join("-" * w for w in widths))
+    return rendered
+
+
 def report_text(report: ExperimentReport) -> str:
     """Aligned table plus the run's parameters and self-check tallies.
 
@@ -643,11 +523,7 @@ def report_text(report: ExperimentReport) -> str:
             ep = f"{row.power:.3f}"
         lines.append((row.variant, str(row.n), row.estimator, row.method,
                       f"{row.mean_estimate:.3f}", interval, ec, ep))
-    widths = [max(len(line[i]) for line in lines) for i in range(len(header))]
-    rendered = []
-    for line in lines:
-        rendered.append("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip())
-    rendered.insert(1, "  ".join("-" * w for w in widths))
+    rendered = aligned_table(lines)
     spec = report.spec
     rendered.append("")
     rendered.append(f"experiment={spec.experiment}  iterations={spec.iterations}  "
@@ -675,8 +551,6 @@ def read_report_csv(path: str) -> tuple[ReportRow, ...]:
     Floats are emitted in shortest round-trip form, so the rows read back
     compare equal to the ones the report was written from.
     """
-    from .errors import CsvParseError, SchemaError
-
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:

@@ -188,6 +188,16 @@ def test_popoviciu_check_hand_instance_and_random_sweep():
         assert popoviciu_check(dist(float(reps[0]), reps))
 
 
+def test_popoviciu_check_can_fail_above_its_alpha_domain():
+    # Replicates half 0 and half 1 have sd 0.5, so 1.96 * sd = 0.98, while
+    # the range bound sqrt(log(2/alpha)/2) falls below 0.98 once alpha
+    # exceeds 2 exp(-2 * 0.98^2) ~ 0.293: 0.833 at alpha = 0.5.
+    d = dist(0.5, [0.0, 1.0] * 20)
+    assert popoviciu_check(d, alpha=0.29)
+    assert not popoviciu_check(d, alpha=0.3)
+    assert not popoviciu_check(d, alpha=0.5)
+
+
 def test_hoeffding_coverage_for_midrange_symmetric_law():
     """Range-based intervals cover the support midpoint essentially always."""
     law = TruncatedNormalSpec(0, 20, 10, 5)

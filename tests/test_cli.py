@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -240,6 +241,21 @@ def test_estimate_csv_matches_direct_library_call(tmp_path):
     assert float(record[3]) == expected.lower
     assert float(record[4]) == expected.upper
     assert record[6] == expected.method
+
+
+def test_estimate_av_bytes_match_pinned_digest(tmp_path):
+    # sha256 of the written CSV then TXT, taken with numpy 2.4.6 and scipy
+    # 1.17.1; pins the Av bootstrap's bytes across commits.
+    path = two_arm_csv(tmp_path / "d.csv", seed=9)
+    out = str(tmp_path / "est")
+    result = CliRunner().invoke(main, [
+        "estimate", path, "--outcome", "y", "--treatment", "t",
+        "--method", "Av", "--b", "80", "--seed", "13", "--out", out])
+    assert result.exit_code == 0
+    with open(out + ".csv", "rb") as fh_csv, open(out + ".txt", "rb") as fh_txt:
+        body = fh_csv.read() + fh_txt.read()
+    assert hashlib.sha256(body).hexdigest() == \
+        "386487114451fca02b889c536b847e5283d2200748c019e7e83de14f7458dcec"
 
 
 def test_estimate_streams_do_not_shift_when_methods_are_added(tmp_path):

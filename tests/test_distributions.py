@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from funcavg.distributions import (
@@ -61,6 +63,32 @@ def test_truncated_normal_matches_reference_cdf(law):
     for q in points:
         empirical = np.searchsorted(x, q, side="right") / n
         assert abs(empirical - ref.cdf(q)) < band
+
+
+ENDPOINT = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ENDPOINT, ENDPOINT)
+@example(-100.0, -99.0)   # support [0, 1] under mu=100: mass next to 1
+@example(50.0, 51.0)      # support [0, 1] under mu=-50: mass next to 0
+@example(-1e3, -999.0)
+@example(999.0, 1e3)
+def test_truncated_normal_mean_matches_scipy_over_deep_tails(x, y):
+    """Draws stay in the support and their mean matches scipy's truncnorm."""
+    a, b = min(x, y), max(x, y)
+    assume(b - a > 1e-6)
+    n = 2000
+    draws = sample_truncated_normal(TruncatedNormalSpec(a, b, 0.0, 1.0), n,
+                                    RngStream(21))
+    assert draws.min() >= a and draws.max() <= b
+    # scipy's variance cancels to nan deep in a tail, so bound the sd
+    # instead: by 1, by half the width, and by 1/c for a one-sided
+    # support whose nearer endpoint sits c > 0 from the parent mean.
+    c = max(a, -b, 0.0)
+    sd = min(1.0, (b - a) / 2.0, 1.0 / c if c > 0 else 1.0)
+    tolerance = 6.0 * sd / math.sqrt(n) + 1e-9 * max(1.0, abs(a), abs(b))
+    assert abs(draws.mean() - stats.truncnorm(a, b).mean()) <= tolerance
 
 
 def test_symmetric_spec_mean_agrees_with_midrange():

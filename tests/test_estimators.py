@@ -3,13 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from funcavg.errors import DataError, ParameterError
+from funcavg.bootstrap import BootstrapConfig, resample
+from funcavg.errors import DataError, ParameterError, ResampleError
+from funcavg.rng import RngStream
 from funcavg.estimators import (
     TwoArmSample,
     arm_contrast,
     as_sample,
     discrete_plugin_average,
     midrange,
+    paired_contrast,
     sample_mean,
 )
 
@@ -94,3 +97,18 @@ def test_arm_contrast_forwards_tolerance():
     two = TwoArmSample(treated=np.array([1.0, 1.004]), control=np.array([0.0]))
     merged = arm_contrast(two, "plugin", tolerance=0.01)
     assert merged == pytest.approx(1.002)
+
+
+def test_paired_contrast_matches_arm_contrast_and_rejects_an_empty_arm():
+    rows = np.array([[5.0, 1], [1.0, 0], [7.0, 1], [3.0, 0], [2.0, 0]])
+    two = TwoArmSample.from_labels(rows[:, 0], rows[:, 1])
+    for est in (midrange, discrete_plugin_average):
+        assert paired_contrast(rows, est) == arm_contrast(two, est)
+    with pytest.raises(DataError, match="non-empty"):
+        paired_contrast(rows[rows[:, 1] == 0], midrange)
+    # One treated row among 40: some resample leaves the arm empty, and
+    # resample names that replicate.
+    lone = np.column_stack([np.arange(40.0), np.eye(40)[0]])
+    with pytest.raises(ResampleError, match="replicate"):
+        resample(lone, BootstrapConfig(50, RngStream(3)),
+                 lambda r: paired_contrast(r, midrange))
