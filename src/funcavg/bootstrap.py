@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DataError, ParameterError, ResampleError
+from .errors import DataError, FuncavgError, ParameterError, ResampleError
 from .intervals import IntervalEstimate, check_alpha
 from .rng import RngStream
 
@@ -66,45 +66,34 @@ class BootstrapConfig:
         Number of bootstrap replicates ``B``.
     rng : RngStream
         Stream all index draws come from.
-    resample_size : {"full", "sqrt"} or int
-        ``"full"`` draws ``n`` per replicate, ``"sqrt"`` draws
-        ``round(sqrt(n))``, an explicit integer draws exactly that many.
-    with_replacement : bool
-        Ordinary bootstrap when true; subsampling when false.
+    resample_size : {"full", "sqrt"}
+        ``"full"`` draws ``n`` rows per replicate, ``"sqrt"`` draws
+        ``round(sqrt(n))``.
+    max_failure_share : float
+        Share of replicates, in ``[0, 1)``, whose statistic may raise a
+        :class:`~funcavg.errors.FuncavgError` and be dropped.  At the
+        default of 0 every failure is an error.
     """
 
     replicates: int
     rng: RngStream
-    resample_size: int | str = "full"
-    with_replacement: bool = True
+    resample_size: str = "full"
+    max_failure_share: float = 0.0
 
     def __post_init__(self):
         if not (isinstance(self.replicates, (int, np.integer)) and self.replicates >= 1):
             raise ParameterError(
                 f"replicates must be a positive integer, got {self.replicates!r}")
-        if isinstance(self.resample_size, str):
-            if self.resample_size not in ("full", "sqrt"):
-                raise ParameterError(
-                    f"resample_size must be 'full', 'sqrt', or an integer, "
-                    f"got {self.resample_size!r}")
-        elif not (isinstance(self.resample_size, (int, np.integer))
-                  and self.resample_size >= 1):
+        if self.resample_size not in ("full", "sqrt"):
             raise ParameterError(
-                f"explicit resample_size must be a positive integer, "
-                f"got {self.resample_size!r}")
+                f"resample_size must be 'full' or 'sqrt', got {self.resample_size!r}")
+        if not 0.0 <= self.max_failure_share < 1.0:
+            raise ParameterError(f"max_failure_share must lie in [0, 1), "
+                                 f"got {self.max_failure_share!r}")
 
     def size_for(self, n: int) -> int:
         """Resolve the per-replicate draw count for a sample of size ``n``."""
-        if self.resample_size == "full":
-            m = n
-        elif self.resample_size == "sqrt":
-            m = sqrt_resample_size(n)
-        else:
-            m = int(self.resample_size)
-        if not 1 <= m <= n:
-            raise ParameterError(
-                f"resample size {m} must lie in [1, {n}] for a sample of size {n}")
-        return m
+        return n if self.resample_size == "full" else sqrt_resample_size(n)
 
 
 @dataclass(frozen=True)
@@ -121,10 +110,6 @@ class BootstrapDistribution:
             raise DataError("replicates must form a non-empty 1-D array")
         if not (np.isfinite(self.statistic) and np.all(np.isfinite(reps))):
             raise DataError("statistic and replicates must all be finite")
-
-    @property
-    def n_replicates(self) -> int:
-        return self.replicates.size
 
     @property
     def pooled_min(self) -> float:
@@ -161,15 +146,24 @@ def resample(values, config: BootstrapConfig,
     """Evaluate ``statistic`` on the sample and on bootstrap resamples of it.
 
     ``values`` may be 1-D (a plain sample) or 2-D (rows resampled jointly,
-    for paired outcome/treatment data).  Replicate ``k`` consumes a fixed
-    slice of the index stream, so results do not depend on internal chunk
-    sizes and replicate values can be aggregated by index.
+    for paired outcome/treatment data); rows are drawn with replacement.
+    For the original sample a float array is passed to the statistic as
+    itself.  Replicate ``k`` consumes a fixed slice of the index stream,
+    so results do not depend on internal chunk sizes and replicate values
+    can be aggregated by index.
+
+    A replicate whose statistic raises a
+    :class:`~funcavg.errors.FuncavgError` is dropped while no more than
+    ``config.max_failure_share`` of the replicates fail.
 
     Raises
     ------
     ResampleError
-        If the statistic raises, or returns a non-finite value, on any
-        replicate; the replicate index is reported.
+        If the statistic raises on a replicate that may not be dropped,
+        raises anything other than a ``FuncavgError``, or returns a
+        non-finite value; the replicate index is reported.
+    DataError
+        If more replicates fail than ``config.max_failure_share`` allows.
     """
     arr = _as_resample_input(values)
     n = arr.shape[0]
@@ -179,32 +173,28 @@ def resample(values, config: BootstrapConfig,
     t0 = float(statistic(arr))
     gen = config.rng.generator()
     reps = np.empty(b, dtype=float)
-
-    if config.with_replacement:
-        chunk = max(1, min(b, _CHUNK_CELLS // m))
-        done = 0
-        while done < b:
-            rows = min(chunk, b - done)
-            idx = gen.integers(0, n, size=(rows, m))
-            for j in range(rows):
-                k = done + j
-                try:
-                    reps[k] = statistic(arr[idx[j]])
-                except Exception as exc:
-                    raise ResampleError(k, str(exc)) from exc
-            done += rows
-    else:
-        for k in range(b):
-            idx = gen.choice(n, size=m, replace=False)
+    dropped = np.zeros(b, dtype=bool)
+    chunk = max(1, min(b, _CHUNK_CELLS // m))
+    for start in range(0, b, chunk):
+        idx = gen.integers(0, n, size=(min(chunk, b - start), m))
+        for k, rows in enumerate(idx, start):
             try:
-                reps[k] = statistic(arr[idx])
+                reps[k] = statistic(arr[rows])
             except Exception as exc:
-                raise ResampleError(k, str(exc)) from exc
+                if not (config.max_failure_share and isinstance(exc, FuncavgError)):
+                    raise ResampleError(k, str(exc)) from exc
+                dropped[k] = True
 
-    bad = np.flatnonzero(~np.isfinite(reps))
+    bad = np.flatnonzero(~(np.isfinite(reps) | dropped))
     if bad.size:
         raise ResampleError(int(bad[0]), "statistic returned a non-finite value")
-    return BootstrapDistribution(statistic=t0, replicates=reps)
+    failed = int(dropped.sum())
+    if failed > config.max_failure_share * b:
+        raise DataError(
+            f"{failed} of {b} bootstrap replicates failed, more than the "
+            f"{config.max_failure_share:.0%} tolerated; the statistic is too "
+            "fragile on this data to bootstrap")
+    return BootstrapDistribution(statistic=t0, replicates=reps[~dropped])
 
 
 def hoeffding_ci(dist: BootstrapDistribution, alpha: float = 0.05) -> IntervalEstimate:
@@ -267,20 +257,19 @@ def m_out_of_n_percentile_ci(values, statistic: Callable[[np.ndarray], float],
     return percentile_ci(resample(arr, config, statistic), alpha=alpha)
 
 
-def popoviciu_check(dist: BootstrapDistribution, alpha: float = 0.05) -> bool:
-    """Self-test: a normal-theory interval never out-runs the range bound.
+def popoviciu_check(dist: BootstrapDistribution) -> bool:
+    """Self-test of Popoviciu's inequality: ``sd(replicates) <= R / 2``.
 
-    Compares ``1.96 * sd(replicates)`` against the half-width
-    ``R * sqrt(log(2/alpha) / 2)`` of :func:`hoeffding_ci`.  The standard
-    deviation of values confined to a range ``R`` is at most ``R / 2``, so
-    the left side is at most ``0.98 R``, and the check holds for every
-    bootstrap distribution when ``sqrt(log(2/alpha) / 2) >= 0.98``, that
-    is for ``alpha <= 2 exp(-2 * 0.98**2) ~ 0.293``.  In that domain a
-    failure indicates a bookkeeping bug rather than unusual data.  For
-    larger alpha it can fail on valid replicates: half at 0 and half at 1
-    give ``0.98 > 0.833`` at ``alpha = 0.5``.
+    Values confined to an interval of length ``R`` have a standard
+    deviation of at most ``R / 2``, and the replicates lie inside their
+    pooled range ``R``, so the check holds for every bootstrap
+    distribution at every alpha; a failure indicates a bookkeeping bug
+    rather than unusual data.  The comparison allows a slack of ``1e-12``
+    times the largest magnitude among the pooled values, which absorbs the
+    rounding of ``np.std``: two-point replicates sit on the bound and
+    constant ones have ``R = 0``, and for both the computed standard
+    deviation can exceed ``R / 2`` by a few ulps of the values.
     """
-    alpha = check_alpha(alpha)
     sd = float(np.std(dist.replicates))
-    bound = dist.pooled_range * math.sqrt(math.log(2.0 / alpha) / 2.0)
-    return bool(1.96 * sd <= bound)
+    scale = max(abs(dist.pooled_min), abs(dist.pooled_max))
+    return bool(sd <= dist.pooled_range / 2.0 + 1e-12 * scale)

@@ -38,7 +38,6 @@ from .regression import (
     ols_fit,
     ps_stratified_contrast,
     standardization_bootstrap_se,
-    standardization_contrast,
     t_ci,
 )
 from .rng import RngStream
@@ -57,6 +56,7 @@ from .simharness import (
 
 _MISSING_MARKERS = {"", "na", "nan"}
 METHOD_NAMES = ("LR", "MR", "S", "PS", "Av")
+_COVARIATE_METHODS = ("MR", "S", "PS")
 
 
 def ingest_csv(path: str, columns=None) -> tuple[Dataset, int]:
@@ -163,6 +163,11 @@ def _fail(exc: FuncavgError) -> None:
     sys.exit(1)
 
 
+def _adjusted_model(outcome: str, treatment: str, covariates) -> ModelSpec:
+    """``outcome ~ treatment + covariates``, the model LR, MR, S and diagnose fit."""
+    return ModelSpec(outcome, tuple(Term((name,)) for name in (treatment, *covariates)))
+
+
 def _estimate_rows(data: Dataset, outcome: str, treatment: str, covariates,
                    methods, alpha: float, replicates: int,
                    seed: int) -> list[tuple[str, str, IntervalEstimate]]:
@@ -172,31 +177,23 @@ def _estimate_rows(data: Dataset, outcome: str, treatment: str, covariates,
     seed keyed by the method's position in the canonical method tuple,
     so adding one method to a run never shifts another method's numbers.
     """
+    needs_covariates = [m for m in methods if m in _COVARIATE_METHODS]
+    if needs_covariates and not covariates:
+        raise click.UsageError(f"method {needs_covariates[0]} needs --covariates")
     parameter = f"{outcome}: {treatment}=1 vs {treatment}=0"
+    model = _adjusted_model(outcome, treatment, covariates)
     base = RngStream(seed)
     rows = []
     for method in methods:
         stream = base.child(METHOD_NAMES.index(method))
-        if method == "LR":
-            design, y = build_design(data, ModelSpec(outcome, (Term((treatment,)),)))
-            ci = t_ci(ols_fit(design, y), treatment, alpha)
-        elif method == "MR":
-            if not covariates:
-                raise click.UsageError("method MR needs --covariates")
-            model = ModelSpec(outcome, (Term((treatment,)),)
-                              + tuple(Term((c,)) for c in covariates))
-            design, y = build_design(data, model)
+        if method in ("LR", "MR"):
+            fitted = model if method == "MR" else _adjusted_model(outcome, treatment, ())
+            design, y = build_design(data, fitted)
             ci = t_ci(ols_fit(design, y), treatment, alpha)
         elif method == "S":
-            if not covariates:
-                raise click.UsageError("method S needs --covariates")
-            model = ModelSpec(outcome, (Term((treatment,)),)
-                              + tuple(Term((c,)) for c in covariates))
             ci = standardization_bootstrap_se(
                 data, model, treatment, stream, replicates=replicates, alpha=alpha)
         elif method == "PS":
-            if not covariates:
-                raise click.UsageError("method PS needs --covariates")
             ci = ps_stratified_contrast(
                 data, outcome, treatment, covariates, stream,
                 replicates=replicates, alpha=alpha)
@@ -366,9 +363,8 @@ def diagnose(input_path, treatment, outcome, covariates, center, out):
                           f"{curve.area_above():.4f}"))
         rendered = aligned_table(lines)
         if covariate_names:
-            model = ModelSpec(outcome, (Term((treatment,)),)
-                              + tuple(Term((c,)) for c in covariate_names))
-            design, y = build_design(data, model)
+            design, y = build_design(
+                data, _adjusted_model(outcome, treatment, covariate_names))
             fit = ols_fit(design, y)
             sym = residual_support_symmetry(fit)
             rendered.append("")

@@ -29,6 +29,11 @@ __all__ = [
 ]
 
 
+# Farthest a one-sided support's nearer cut point may lie from mu, in
+# standard deviations, for inversion to resolve the draws.
+_MAX_TAIL_CUT = 1e6
+
+
 @dataclass(frozen=True)
 class TruncatedNormalSpec:
     """Normal distribution restricted to the closed interval [lower, upper].
@@ -39,6 +44,12 @@ class TruncatedNormalSpec:
         Support endpoints, ``lower < upper``.
     mu, sigma : float
         Location and scale of the parent normal before truncation.
+
+    When the support lies on one side of ``mu``, its nearer standardized
+    cut point ``|cut - mu| / sigma`` may be at most ``1e6``.  Further out
+    ``mu + sigma * z`` cancels: with [0, 1] and sigma 1, ``mu = 1e8`` gives
+    a handful of distinct draws, ``mu = 1e16`` only the wrong bound and
+    ``mu = 1e160`` NaN, so such laws raise :class:`ParameterError`.
     """
 
     lower: float
@@ -55,6 +66,12 @@ class TruncatedNormalSpec:
                 f"truncation requires lower < upper, got [{self.lower}, {self.upper}]")
         if self.sigma <= 0:
             raise ParameterError(f"sigma must be positive, got {self.sigma}")
+        a = (self.lower - self.mu) / self.sigma
+        b = (self.upper - self.mu) / self.sigma
+        if (a >= 0 or b <= 0) and min(abs(a), abs(b)) > _MAX_TAIL_CUT:
+            raise ParameterError(
+                f"support [{self.lower}, {self.upper}] lies {min(abs(a), abs(b)):.7g} "
+                f"standard deviations from mu; at most {_MAX_TAIL_CUT:g} can be sampled")
 
     @property
     def support(self) -> tuple[float, float]:
@@ -105,7 +122,7 @@ def sample_truncated_normal(spec: TruncatedNormalSpec, n, rng: RngStream) -> np.
     the inversion runs on the log CDF of that tail (mirrored for the upper
     tail), which keeps full relative precision however deep the tail is:
     the plain CDF underflows to 0 beyond about 37.5 standard deviations.
-    Standardized cut points must stay below about 1e154 in magnitude.
+    The spec keeps such a tail within 1e6 standard deviations of the mean.
 
     Returns
     -------

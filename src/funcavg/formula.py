@@ -77,17 +77,6 @@ class ModelSpec:
             terms.append(parse_term(token))
         return cls(outcome=left, terms=tuple(terms))
 
-    @property
-    def referenced_columns(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {self.outcome: None}
-        for term in self.terms:
-            for f in term.factors:
-                seen.setdefault(f, None)
-        return tuple(seen)
-
-    def with_terms(self, terms) -> "ModelSpec":
-        return ModelSpec(outcome=self.outcome, terms=tuple(terms))
-
 
 def parse_term(token: str) -> Term:
     square = _SQUARE_RE.match(token)

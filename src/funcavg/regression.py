@@ -23,9 +23,10 @@ from scipy.linalg import solve_triangular
 from scipy.special import expit
 from scipy.stats import t as student_t
 
+from .bootstrap import BootstrapConfig, percentile_ci, resample
 from .dataset import Dataset
-from .errors import (ConvergenceError, DataError, FuncavgError, ParameterError,
-                     SingularDesignError, StratificationError)
+from .errors import (ConvergenceError, DataError, ParameterError, SingularDesignError,
+                     StratificationError)
 from .formula import ModelSpec, Term
 from .intervals import IntervalEstimate, check_alpha
 from .rng import RngStream
@@ -67,14 +68,6 @@ class DesignMatrix:
             raise DataError(f"{len(self.column_names)} names for {m.shape[1]} columns")
         if not np.all(np.isfinite(m)):
             raise DataError("design matrix contains non-finite values")
-
-    @property
-    def n_rows(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n_columns(self) -> int:
-        return self.matrix.shape[1]
 
 
 def _evaluate_terms(dataset: Dataset, model: ModelSpec) -> DesignMatrix:
@@ -358,32 +351,25 @@ def standardization_contrast(fit: RegressionFit, dataset: Dataset, model: ModelS
 
 
 def _percentile_over_refits(dataset: Dataset, rng: RngStream, replicates: int,
-                            alpha: float, point_fn: Callable[[Dataset], float],
-                            max_failure_share: float = 0.05) -> IntervalEstimate:
+                            alpha: float, point_fn: Callable[[Dataset], float]
+                            ) -> IntervalEstimate:
+    """Percentile interval of ``point_fn`` over bootstrap row resamples,
+    dropping refits that fail as long as no more than 5% of them do."""
     alpha = check_alpha(alpha)
     if replicates < 2:
         raise ParameterError(f"need at least 2 replicates, got {replicates}")
-    point = float(point_fn(dataset))
-    n = dataset.n_rows
-    gen = rng.generator()
-    values = np.empty(replicates)
-    failed = 0
-    for k in range(replicates):
-        idx = gen.integers(0, n, size=n)
-        try:
-            values[k] = point_fn(dataset.take(idx))
-        except FuncavgError:
-            values[k] = np.nan
-            failed += 1
-    if failed > max_failure_share * replicates:
-        raise DataError(
-            f"{failed} of {replicates} bootstrap refits failed, more than the "
-            f"{max_failure_share:.0%} tolerated; the pipeline is too fragile "
-            "on this data to bootstrap")
-    good = values[~np.isnan(values)]
-    lo, hi = np.quantile(good, [alpha / 2.0, 1.0 - alpha / 2.0])
-    return IntervalEstimate(point=point, lower=float(lo), upper=float(hi),
-                            alpha=alpha, method="percentile")
+    every_row = np.arange(dataset.n_rows, dtype=float)
+
+    def refit(rows: np.ndarray) -> float:
+        # resample passes ``every_row`` itself for the original sample, which
+        # is fitted on the dataset as given: a row copy makes strided CSV
+        # columns contiguous, and that can move a fit in the last bits.
+        if rows is every_row:
+            return point_fn(dataset)
+        return point_fn(dataset.take(rows.astype(np.intp)))
+
+    config = BootstrapConfig(replicates, rng, max_failure_share=0.05)
+    return percentile_ci(resample(every_row, config, refit), alpha)
 
 
 def standardization_bootstrap_se(dataset: Dataset, model: ModelSpec, treatment: str,
@@ -392,8 +378,9 @@ def standardization_bootstrap_se(dataset: Dataset, model: ModelSpec, treatment: 
                                  alpha: float = 0.05) -> IntervalEstimate:
     """Percentile interval for the standardized contrast under row resampling.
 
-    Each replicate refits the model from scratch on a resampled dataset.
-    Replicates whose refit fails are dropped; more than 5% of them failing
+    Each replicate refits the model from scratch on a resampled dataset,
+    through :func:`~funcavg.bootstrap.resample`.  Replicates whose refit
+    raises a package error are dropped; more than 5% of them failing
     aborts with an error instead of quietly reporting a fragile interval.
     """
 

@@ -79,14 +79,16 @@ class _Bootstrap:
     """One bootstrap per iteration and the intervals read off its replicates.
 
     ``child`` picks the iteration stream's child for the index draws;
-    ``recipes`` pairs report method labels with ``recipe(dist, alpha)``.
+    each ``recipe(dist, alpha)`` gives one interval, reported under its
+    own ``IntervalEstimate.method``, with ``-m`` appended when the
+    bootstrap resamples ``round(sqrt(n))`` rows.
     """
 
     estimator: str
     statistic: Callable[[np.ndarray], float]
     child: int
     resample_size: str
-    recipes: tuple[tuple[str, Callable], ...]
+    recipes: tuple[Callable, ...]
 
 
 @dataclass(frozen=True)
@@ -96,15 +98,15 @@ class _Experiment:
     ``variants`` holds ``(label, parameter, target)`` in stream-key order.
     ``draw(parameter, n, stream)`` returns the data to resample and, for
     two-arm designs, the OLS fit of outcome on treatment, whose slope is
-    reported as the ``ols`` estimate.  ``fit_recipes`` pairs method labels
-    with ``recipe(fit, coefficient, alpha)`` intervals read off that fit.
+    reported as the ``ols`` estimate.  ``fit_recipes`` are the
+    ``recipe(fit, coefficient, alpha)`` intervals read off that fit.
     """
 
     number: int
     variants: tuple[tuple[str, object, float], ...]
     draw: Callable
     bootstraps: tuple[_Bootstrap, ...]
-    fit_recipes: tuple[tuple[str, Callable], ...] = ()
+    fit_recipes: tuple[Callable, ...] = ()
 
 
 def variant_labels(experiment: str) -> tuple[str, ...]:
@@ -229,8 +231,9 @@ class ExperimentReport:
     """Everything a finished run knows, plus self-check tallies.
 
     ``range_checks_passed`` counts bootstrap distributions that pass
-    :func:`~funcavg.bootstrap.popoviciu_check` (for alpha up to about
-    0.293 a failure means a bookkeeping bug, not unusual data).
+    :func:`~funcavg.bootstrap.popoviciu_check`, which holds for every valid
+    distribution at every alpha, so a failure means a bookkeeping bug, not
+    unusual data.
     ``wall_time`` is in seconds and is never written to report files, so
     emitted artifacts stay byte-identical across reruns.
     """
@@ -274,9 +277,10 @@ class _CellTally:
     def record_point(self, estimator: str, iteration: int, value: float) -> None:
         self.points.setdefault(estimator, [None] * self.iterations)[iteration] = value
 
-    def record_interval(self, estimator: str, method: str, iteration: int,
-                        ci: IntervalEstimate) -> None:
-        key = (estimator, method)
+    def record_interval(self, estimator: str, iteration: int, ci: IntervalEstimate,
+                        suffix: str = "") -> None:
+        """File ``ci`` under its own method name plus ``suffix``."""
+        key = (estimator, ci.method + suffix)
         self.intervals.setdefault(key, [None] * self.iterations)[iteration] = ci
 
     def rows(self, experiment: str, variant: str, n: int, target: float) -> list[ReportRow]:
@@ -377,9 +381,8 @@ def _slope_statistic(rows: np.ndarray) -> float:
 def _experiments() -> dict[str, _Experiment]:
     """The five experiments by name, built on each call so the functions
     they hold are whatever this module's names are bound to at run time."""
-    u_recipes = (("hoeffding-u", hoeffding_u_ci),
-                 ("hoeffding-u2", functools.partial(hoeffding_u_ci, centered=False)))
-    hoeffding = (("hoeffding", hoeffding_ci),)
+    u_recipes = (hoeffding_u_ci, functools.partial(hoeffding_u_ci, centered=False))
+    hoeffding = (hoeffding_ci,)
 
     def contrast(estimator):
         return functools.partial(paired_contrast, estimator=estimator)
@@ -391,8 +394,7 @@ def _experiments() -> dict[str, _Experiment]:
             ("TN(0,15,5,3)", TruncatedNormalSpec(0.0, 15.0, 5.0, 3.0), 7.5),
         ), _draw_law, (
             _Bootstrap("midrange", midrange, 1, "full", hoeffding),
-            _Bootstrap("midrange", midrange, 2, "sqrt", (("hoeffding-m", hoeffding_ci),
-                                                         ("percentile-m", percentile_ci))),
+            _Bootstrap("midrange", midrange, 2, "sqrt", (hoeffding_ci, percentile_ci)),
         )),
         "table3": _Experiment(3, (
             ("round(TN(0,40,20,5))", TruncatedNormalSpec(0.0, 40.0, 20.0, 5.0), 20.0),
@@ -419,7 +421,7 @@ def _experiments() -> dict[str, _Experiment]:
             ("slope", TruncatedNormalSpec(-10.0, 10.0, 0.0, 2.0), 20.0),
         ), _draw_slope, (
             _Bootstrap("ols", _slope_statistic, 1, "full", hoeffding),
-        ), fit_recipes=(("t-dist", t_ci), ("u-concentration", u_concentration_ci))),
+        ), fit_recipes=(t_ci, u_concentration_ci)),
     }
 
 
@@ -449,20 +451,21 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
                 data, fit = experiment.draw(parameter, n, stream)
                 if fit is not None:
                     tally.record_point("ols", it, fit.coefficient(1))
-                    for method, recipe in experiment.fit_recipes:
-                        tally.record_interval("ols", method, it, recipe(fit, 1, spec.alpha))
+                    for recipe in experiment.fit_recipes:
+                        tally.record_interval("ols", it, recipe(fit, 1, spec.alpha))
                 for boot in experiment.bootstraps:
                     config = BootstrapConfig(
                         spec.replicates, stream.child(boot.child), boot.resample_size)
                     dist = resample(data, config, boot.statistic)
-                    passed += popoviciu_check(dist, spec.alpha)
+                    passed += popoviciu_check(dist)
                     # The ols point stays the fit's: the slope recomputed on
                     # the strided resample input differs in the last bits.
                     if boot.estimator != "ols":
                         tally.record_point(boot.estimator, it, dist.statistic)
-                    for method, recipe in boot.recipes:
-                        tally.record_interval(boot.estimator, method, it,
-                                              recipe(dist, spec.alpha))
+                    suffix = "-m" if boot.resample_size == "sqrt" else ""
+                    for recipe in boot.recipes:
+                        tally.record_interval(boot.estimator, it,
+                                              recipe(dist, spec.alpha), suffix)
             rows.extend(tally.rows(spec.experiment, label, n, target))
     return ExperimentReport(
         spec=spec, rows=tuple(rows),

@@ -128,14 +128,6 @@ def test_resample_chunking_does_not_change_results(monkeypatch):
     assert np.array_equal(whole.replicates, split.replicates)
 
 
-def test_resample_without_replacement_full_size_is_degenerate():
-    x = np.arange(10.0)
-    cfg = BootstrapConfig(replicates=20, rng=RngStream(1, (0,)),
-                          resample_size=10, with_replacement=False)
-    d = resample(x, cfg, midrange)
-    assert np.all(d.replicates == midrange(x))
-
-
 def test_resample_rows_jointly_for_two_column_data():
     rows = np.column_stack([np.arange(50.0), np.arange(50.0) * 2.0])
     cfg = BootstrapConfig(replicates=30, rng=RngStream(2, (0,)))
@@ -167,14 +159,76 @@ def test_resample_rejects_non_finite_statistic():
                  lambda s: float("nan"))
 
 
+def test_resample_row_draws_match_one_draw_per_replicate():
+    # The reference loop: one integers(0, n, size=n) call per replicate.
+    # Philox spends one 32-bit word per index for n < 2**32, so the
+    # engine's (rows, n) blocks give the same indices.
+    n, b = 37, 25
+    drawn = []
+    resample(np.arange(float(n)), BootstrapConfig(b, RngStream(5, (2,))),
+             lambda rows: drawn.append(rows.astype(np.intp)) or 0.0)
+    gen = RngStream(5, (2,)).generator()
+    expected = [gen.integers(0, n, size=n) for _ in range(b)]
+    assert np.array_equal(np.array(drawn[1:]), np.array(expected))
+
+
+def fails_on(replicates, error):
+    """Sample mean that raises ``error`` on the given replicate indices, or
+    returns NaN there when ``error`` is None."""
+    calls = {"n": -1}  # the first call is the original sample
+
+    def statistic(sample):
+        k = calls["n"]
+        calls["n"] += 1
+        if k in replicates:
+            if error is None:
+                return float("nan")
+            raise error
+        return float(sample.mean())
+
+    return statistic
+
+
+def test_resample_drops_package_errors_within_the_failure_share():
+    x = np.arange(20.0)
+    plain = resample(x, BootstrapConfig(40, RngStream(3)), fails_on((), None))
+    tolerant = BootstrapConfig(40, RngStream(3), max_failure_share=0.05)
+    d = resample(x, tolerant, fails_on((3, 17), DataError("degenerate")))
+    assert np.array_equal(d.replicates, np.delete(plain.replicates, [3, 17]))
+    assert d.statistic == plain.statistic
+    # At the default share of 0 the same failure names its replicate.
+    with pytest.raises(ResampleError) as err:
+        resample(x, BootstrapConfig(40, RngStream(3)),
+                 fails_on((3,), DataError("degenerate")))
+    assert err.value.replicate == 3
+
+
+def test_resample_failure_share_limits():
+    x = np.arange(20.0)
+    tolerant = BootstrapConfig(40, RngStream(3), max_failure_share=0.05)
+    with pytest.raises(DataError, match="3 of 40"):
+        resample(x, tolerant, fails_on((1, 2, 30), DataError("degenerate")))
+    # Anything but a package error is a bug, never dropped.
+    with pytest.raises(ResampleError) as err:
+        resample(x, tolerant, fails_on((6,), ZeroDivisionError("bug")))
+    assert err.value.replicate == 6
+    assert isinstance(err.value.__cause__, ZeroDivisionError)
+    # A non-finite value is not a failure the share covers.
+    with pytest.raises(ResampleError, match="non-finite") as err:
+        resample(x, tolerant, fails_on((5,), None))
+    assert err.value.replicate == 5
+    for share in (-0.1, 1.0, float("nan")):
+        with pytest.raises(ParameterError):
+            BootstrapConfig(40, RngStream(3), max_failure_share=share)
+
+
 def test_config_validation():
     with pytest.raises(ParameterError):
         BootstrapConfig(replicates=0, rng=RngStream(0))
     with pytest.raises(ParameterError):
         BootstrapConfig(replicates=10, rng=RngStream(0), resample_size="half")
-    cfg = BootstrapConfig(replicates=10, rng=RngStream(0), resample_size=700)
     with pytest.raises(ParameterError):
-        cfg.size_for(500)
+        BootstrapConfig(replicates=10, rng=RngStream(0), resample_size=700)
     with pytest.raises(DataError):
         m_out_of_n_percentile_ci(np.arange(3.0), midrange, RngStream(0))
 
@@ -188,14 +242,23 @@ def test_popoviciu_check_hand_instance_and_random_sweep():
         assert popoviciu_check(dist(float(reps[0]), reps))
 
 
-def test_popoviciu_check_can_fail_above_its_alpha_domain():
-    # Replicates half 0 and half 1 have sd 0.5, so 1.96 * sd = 0.98, while
-    # the range bound sqrt(log(2/alpha)/2) falls below 0.98 once alpha
-    # exceeds 2 exp(-2 * 0.98^2) ~ 0.293: 0.833 at alpha = 0.5.
+def test_popoviciu_check_holds_on_two_point_replicates_at_any_alpha():
+    # Half 0 and half 1: sd = 0.5 = R / 2, Popoviciu's bound with equality.
+    # A normal-theory comparison, 1.96 * sd against the alpha = 0.5
+    # Hoeffding half-width 0.833, rejected this valid distribution; the
+    # check reads no alpha.
     d = dist(0.5, [0.0, 1.0] * 20)
-    assert popoviciu_check(d, alpha=0.29)
-    assert not popoviciu_check(d, alpha=0.3)
-    assert not popoviciu_check(d, alpha=0.5)
+    assert popoviciu_check(d)
+    with pytest.raises(TypeError):
+        popoviciu_check(d, alpha=0.5)
+    # Two-point and constant replicates sit on the bound, where np.std
+    # can exceed R / 2 by a few ulps; the slack absorbs that.
+    gen = np.random.Generator(np.random.Philox(7))
+    for _ in range(2000):
+        a, b = gen.normal(size=2) * 10.0 ** gen.uniform(-3, 3)
+        k = int(gen.integers(1, 40))
+        assert popoviciu_check(dist(a, [a, b] * k))
+        assert popoviciu_check(dist(a, [a] * k))
 
 
 def test_hoeffding_coverage_for_midrange_symmetric_law():

@@ -258,6 +258,25 @@ def test_estimate_av_bytes_match_pinned_digest(tmp_path):
         "386487114451fca02b889c536b847e5283d2200748c019e7e83de14f7458dcec"
 
 
+@pytest.mark.parametrize("method, digest", [
+    ("S", "774057f19a3b299b513feea1a4a47b85673e0dad722995675e30b00efafc7e4e"),
+    ("PS", "b7a19e161247a7c757ca19da5d693c61b4a5c23fd496ef7dd20c1e29d1ce6a1b"),
+])
+def test_estimate_refit_bytes_match_pinned_digest(tmp_path, method, digest):
+    # As the Av digest above, for the bootstraps that refit a model on
+    # every replicate.
+    path = two_arm_csv(tmp_path / "d.csv", seed=9)
+    out = str(tmp_path / "est")
+    result = CliRunner().invoke(main, [
+        "estimate", path, "--outcome", "y", "--treatment", "t",
+        "--covariates", "x", "--method", method, "--b", "80", "--seed", "13",
+        "--out", out])
+    assert result.exit_code == 0
+    with open(out + ".csv", "rb") as fh_csv, open(out + ".txt", "rb") as fh_txt:
+        body = fh_csv.read() + fh_txt.read()
+    assert hashlib.sha256(body).hexdigest() == digest
+
+
 def test_estimate_streams_do_not_shift_when_methods_are_added(tmp_path):
     path = two_arm_csv(tmp_path / "d.csv", seed=9)
     runner = CliRunner()

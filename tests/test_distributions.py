@@ -33,6 +33,15 @@ def test_truncated_normal_spec_validation():
     assert TruncatedNormalSpec(0, 20, 10, 5).support == (0, 20)
 
 
+@pytest.mark.parametrize("mu", [1e8, 1e15, 1e16, -1e16, 1e160])
+def test_truncated_normal_rejects_tails_inversion_cannot_resolve(mu):
+    # mu + sigma * z cancels this far out: a few distinct draws at 1e8,
+    # only 0.875 at 1e15, only the wrong bound at +-1e16, NaN at 1e160.
+    with pytest.raises(ParameterError, match="standard deviations"):
+        TruncatedNormalSpec(0, 1, mu, 1)
+    TruncatedNormalSpec(0, 1, math.copysign(1e6, mu), 1)  # the bound is allowed
+
+
 def test_truncated_normal_sample_bounds_and_mean():
     spec = TruncatedNormalSpec(0, 20, 10, 5)
     x = sample_truncated_normal(spec, 100_000, RngStream(42, (1,)))

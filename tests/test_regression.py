@@ -312,6 +312,27 @@ def test_ps_stratified_requires_covariates():
         ps_stratified_contrast(ds, "y", "t", [], RngStream(0))
 
 
+def test_ps_refits_drop_failures_within_the_budget(monkeypatch):
+    # Coarse covariate values tie the propensity scores, so some resamples
+    # cannot fill five strata: 2 of these 100 refits fail, within the 5%
+    # budget, and the interval is read off the other 98.
+    import funcavg.regression as regression
+
+    g = np.random.default_rng([4, 40, 1])
+    x = np.round(g.normal(size=40), 1)
+    t = (g.random(40) < 1 / (1 + np.exp(-2 * x))).astype(float)
+    y = 1 + 2 * t + x + g.normal(size=40)
+    completed = []
+    contrast = regression.standardization_contrast
+    monkeypatch.setattr(regression, "standardization_contrast",
+                        lambda *a, **k: completed.append(1) or contrast(*a, **k))
+    ci = ps_stratified_contrast(Dataset({"y": y, "t": t, "x": x}), "y", "t", ["x"],
+                                RngStream(4, (1,)), replicates=100)
+    assert len(completed) == 1 + 98  # the point estimate, then the refits
+    assert (ci.point, ci.lower, ci.upper) == \
+        (1.7220673047341317, 0.679108841891804, 3.0211546612886235)
+
+
 def test_bootstrap_se_errors_when_refits_keep_failing():
     # A two-valued covariate makes propensity quintiles degenerate in every
     # replicate, so the failure budget is blown immediately.
@@ -323,3 +344,21 @@ def test_bootstrap_se_errors_when_refits_keep_failing():
     with pytest.raises((DataError, StratificationError)):
         ps_stratified_contrast(ds, "y", "t", ["c"], RngStream(92, (0,)),
                                replicates=40)
+
+
+def test_refit_point_is_the_fit_on_the_dataset_as_given():
+    # CSV ingest hands over columns that are strided views of one array.
+    # BLAS takes another path for those than for contiguous row copies,
+    # which can move a fit in the last bits; the reported point must be
+    # the plain fit on the dataset as given.
+    g = np.random.default_rng(5)
+    n = 20_000
+    t = (g.uniform(size=n) < 0.5).astype(float)
+    x = g.normal(size=n)
+    block = np.column_stack([5.0 + 3.0 * t + 1.5 * x + g.normal(scale=0.7, size=n),
+                             t, x])
+    ds = Dataset({"y": block[:, 0], "t": block[:, 1], "x": block[:, 2]})
+    model = ModelSpec.parse("y ~ t + x")
+    expected = standardization_contrast(ols_fit(*build_design(ds, model)), ds, model, "t")
+    ci = standardization_bootstrap_se(ds, model, "t", RngStream(13, (2,)), replicates=2)
+    assert ci.point == expected

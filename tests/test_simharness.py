@@ -197,6 +197,13 @@ def test_report_bytes_match_pinned_digest(experiment):
     assert hashlib.sha256(body).hexdigest() == PINNED_DIGESTS[experiment]
 
 
+def test_range_checks_all_pass_at_alpha_half():
+    # The self-check is Popoviciu's inequality, which no valid bootstrap
+    # distribution breaks; a normal-theory form failed 1 of these 36.
+    report = tiny("table3", alpha=0.5)
+    assert report.range_checks_passed == report.range_checks_total == 36
+
+
 def test_seed_changes_results():
     a = tiny("table2")
     b = tiny("table2", seed=TINY["seed"] + 1)
