@@ -14,10 +14,7 @@ Interval recipes, for a statistic ``T0`` and replicate values ``T*``:
   ``R*`` is the replicate-only range, ``c = 6`` when the statistic
   concentrates symmetrically about the centre of its range and ``c = 2``
   in general;
-* ``percentile_ci``: empirical quantiles of the replicates;
-* ``m_out_of_n_percentile_ci``: percentile interval from resamples of
-  size ``round(sqrt(n))``, the rescaling that makes the percentile method
-  work for extremes.
+* ``percentile_ci``: empirical quantiles of the replicates.
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ __all__ = [
     "hoeffding_ci",
     "hoeffding_u_ci",
     "percentile_ci",
-    "m_out_of_n_percentile_ci",
     "popoviciu_check",
 ]
 
@@ -239,22 +235,6 @@ def percentile_ci(dist: BootstrapDistribution, alpha: float = 0.05) -> IntervalE
     lo, hi = np.quantile(dist.replicates, [alpha / 2.0, 1.0 - alpha / 2.0])
     return IntervalEstimate(point=dist.statistic, lower=float(lo), upper=float(hi),
                             alpha=alpha, method="percentile")
-
-
-def m_out_of_n_percentile_ci(values, statistic: Callable[[np.ndarray], float],
-                             rng: RngStream, alpha: float = 0.05,
-                             replicates: int = 500) -> IntervalEstimate:
-    """Percentile interval from resamples of size ``round(sqrt(n))``.
-
-    Resampling fewer than ``n`` observations restores the percentile
-    method for statistics driven by sample extremes, where the full-size
-    bootstrap puts mass on too few distinct values.
-    """
-    arr = _as_resample_input(values)
-    if arr.shape[0] < 4:
-        raise DataError(f"need at least 4 observations, got {arr.shape[0]}")
-    config = BootstrapConfig(replicates=replicates, rng=rng, resample_size="sqrt")
-    return percentile_ci(resample(arr, config, statistic), alpha=alpha)
 
 
 def popoviciu_check(dist: BootstrapDistribution) -> bool:

@@ -19,9 +19,7 @@ __all__ = [
     "discrete_plugin_average",
     "midrange",
     "sample_mean",
-    "arm_contrast",
     "paired_contrast",
-    "ESTIMATORS",
 ]
 
 
@@ -83,13 +81,6 @@ def sample_mean(values) -> float:
     return float(as_sample(values).mean())
 
 
-ESTIMATORS = {
-    "plugin": discrete_plugin_average,
-    "midrange": midrange,
-    "mean": sample_mean,
-}
-
-
 @dataclass(frozen=True)
 class TwoArmSample:
     """Outcomes split by a binary treatment label."""
@@ -116,28 +107,6 @@ class TwoArmSample:
             raise DataError("both treatment arms must be non-empty")
         return cls(treated=y[mask], control=y[~mask])
 
-    @property
-    def n_treated(self) -> int:
-        return self.treated.size
-
-    @property
-    def n_control(self) -> int:
-        return self.control.size
-
-
-def arm_contrast(two_arm: TwoArmSample, estimator="midrange", **kwargs) -> float:
-    """Treatment-arm estimate minus control-arm estimate.
-
-    ``estimator`` is a key of :data:`ESTIMATORS` or any callable mapping a
-    sample to a float; keyword arguments are forwarded to it per arm.
-    """
-    fn = ESTIMATORS.get(estimator, estimator) if isinstance(estimator, str) else estimator
-    if not callable(fn):
-        raise ParameterError(
-            f"unknown estimator {estimator!r}; expected one of {sorted(ESTIMATORS)} "
-            "or a callable")
-    return float(fn(two_arm.treated, **kwargs) - fn(two_arm.control, **kwargs))
-
 
 def paired_contrast(rows: np.ndarray, estimator) -> float:
     """Treated-minus-control ``estimator`` on ``(outcome, label)`` rows.
@@ -147,6 +116,8 @@ def paired_contrast(rows: np.ndarray, estimator) -> float:
     assumes what :meth:`TwoArmSample.from_labels` checks once on the full
     columns: 0/1 labels and finite outcomes.  The one fault a resample
     can introduce, an empty arm, raises :class:`~funcavg.errors.DataError`.
+    With :func:`sample_mean` it is the least-squares slope of outcome on
+    an intercept and the label.
     """
     mask = rows[:, 1] == 1
     treated = rows[mask, 0]

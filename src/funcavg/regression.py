@@ -103,9 +103,7 @@ class RegressionFit:
     """Least-squares fit with the response-weight rows kept for intervals."""
 
     design: DesignMatrix
-    response: np.ndarray = field(repr=False)
     coefficients: np.ndarray
-    fitted: np.ndarray = field(repr=False)
     residuals: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)   # (p, n); coefficients = weights @ y
     residual_variance: float
@@ -160,13 +158,12 @@ def ols_fit(design: DesignMatrix, response) -> RegressionFit:
     q, r = _qr_or_raise(x, design.column_names)
     beta = solve_triangular(r, q.T @ y)
     weights = solve_triangular(r, q.T)
-    fitted = x @ beta
-    residuals = y - fitted
+    residuals = y - x @ beta
     df = n - p
     s2 = float(residuals @ residuals) / df
     se = np.sqrt(s2 * np.sum(weights * weights, axis=1))
-    return RegressionFit(design=design, response=y, coefficients=beta,
-                         fitted=fitted, residuals=residuals, weights=weights,
+    return RegressionFit(design=design, coefficients=beta,
+                         residuals=residuals, weights=weights,
                          residual_variance=s2, standard_errors=se, df_residual=df)
 
 

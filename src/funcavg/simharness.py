@@ -18,7 +18,9 @@ The experiments, one definitions-table entry each, all run by one loop:
   stays consistent while the unadjusted regression slope does not.
 * ``table5``: the discrete analogue of table4 with binomial noise.
 * ``table6``: regression slope intervals (t, residual-range, bootstrap)
-  under a bounded symmetric error.
+  under a bounded symmetric error; with a binary treatment the slope is
+  the difference of arm means, so its bootstrap runs the same two-arm
+  contrast as tables 4 and 5.
 
 Determinism contract: every iteration draws from its own child stream
 keyed by (experiment number, variant index, sample-size index, iteration
@@ -60,7 +62,7 @@ from .distributions import (
     sample_truncated_normal,
 )
 from .errors import CsvParseError, ParameterError, SchemaError
-from .estimators import discrete_plugin_average, midrange, paired_contrast
+from .estimators import discrete_plugin_average, midrange, paired_contrast, sample_mean
 from .intervals import IntervalEstimate, check_alpha
 from .regression import DesignMatrix, ols_fit, t_ci, u_concentration_ci
 from .rng import RngStream
@@ -372,12 +374,6 @@ def _draw_slope(error_law, n, stream):
     return _paired_with_fit(100.0 + 20.0 * treated + noise, treated)
 
 
-def _slope_statistic(rows: np.ndarray) -> float:
-    design = DesignMatrix(
-        np.column_stack([np.ones(rows.shape[0]), rows[:, 1]]), ("intercept", "t"))
-    return ols_fit(design, rows[:, 0]).coefficient(1)
-
-
 def _experiments() -> dict[str, _Experiment]:
     """The five experiments by name, built on each call so the functions
     they hold are whatever this module's names are bound to at run time."""
@@ -420,7 +416,7 @@ def _experiments() -> dict[str, _Experiment]:
         "table6": _Experiment(6, (
             ("slope", TruncatedNormalSpec(-10.0, 10.0, 0.0, 2.0), 20.0),
         ), _draw_slope, (
-            _Bootstrap("ols", _slope_statistic, 1, "full", hoeffding),
+            _Bootstrap("ols", contrast(sample_mean), 1, "full", hoeffding),
         ), fit_recipes=(t_ci, u_concentration_ci)),
     }
 
@@ -435,7 +431,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
 
     Per iteration: draw the data; when the draw carries a fit, record its
     slope as the ``ols`` estimate along with the fit's intervals; then run
-    each bootstrap and read all of its recipes off the same replicates.
+    each bootstrap, record its statistic as its estimator's point (table6's
+    ``ols`` bootstrap thus restates the slope as the difference of arm
+    means) and read all of its recipes off the same replicates.
     """
     start = time.perf_counter()
     experiment = _experiments()[spec.experiment]
@@ -458,10 +456,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
                         spec.replicates, stream.child(boot.child), boot.resample_size)
                     dist = resample(data, config, boot.statistic)
                     passed += popoviciu_check(dist)
-                    # The ols point stays the fit's: the slope recomputed on
-                    # the strided resample input differs in the last bits.
-                    if boot.estimator != "ols":
-                        tally.record_point(boot.estimator, it, dist.statistic)
+                    tally.record_point(boot.estimator, it, dist.statistic)
                     suffix = "-m" if boot.resample_size == "sqrt" else ""
                     for recipe in boot.recipes:
                         tally.record_interval(boot.estimator, it,

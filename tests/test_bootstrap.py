@@ -8,7 +8,6 @@ from funcavg.bootstrap import (
     BootstrapDistribution,
     hoeffding_ci,
     hoeffding_u_ci,
-    m_out_of_n_percentile_ci,
     percentile_ci,
     popoviciu_check,
     resample,
@@ -229,8 +228,6 @@ def test_config_validation():
         BootstrapConfig(replicates=10, rng=RngStream(0), resample_size="half")
     with pytest.raises(ParameterError):
         BootstrapConfig(replicates=10, rng=RngStream(0), resample_size=700)
-    with pytest.raises(DataError):
-        m_out_of_n_percentile_ci(np.arange(3.0), midrange, RngStream(0))
 
 
 def test_popoviciu_check_hand_instance_and_random_sweep():
@@ -283,7 +280,7 @@ def test_small_resample_percentile_underscovers_asymmetric_midpoint():
     reps = 200
     for i in range(reps):
         x = sample_truncated_normal(law, 10_000, RngStream(707, (i, 0)))
-        ci = m_out_of_n_percentile_ci(x, midrange, RngStream(707, (i, 1)),
-                                      alpha=0.05, replicates=500)
+        config = BootstrapConfig(500, RngStream(707, (i, 1)), "sqrt")
+        ci = percentile_ci(resample(x, config, midrange), alpha=0.05)
         covered += ci.contains(theta)
     assert covered / reps <= 0.35

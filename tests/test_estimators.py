@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,6 @@ from funcavg.errors import DataError, ParameterError, ResampleError
 from funcavg.rng import RngStream
 from funcavg.estimators import (
     TwoArmSample,
-    arm_contrast,
     as_sample,
     discrete_plugin_average,
     midrange,
@@ -69,7 +70,7 @@ def test_two_arm_from_labels():
     two = TwoArmSample.from_labels([5.0, 1.0, 7.0, 3.0], [1, 0, 1, 0])
     assert two.treated.tolist() == [5.0, 7.0]
     assert two.control.tolist() == [1.0, 3.0]
-    assert two.n_treated == 2 and two.n_control == 2
+    assert two.treated.size == 2 and two.control.size == 2
 
 
 def test_two_arm_rejects_empty_or_bad_labels():
@@ -83,32 +84,23 @@ def test_two_arm_rejects_empty_or_bad_labels():
         TwoArmSample.from_labels([1.0, 2.0], [0])
 
 
-def test_arm_contrast_by_estimator():
-    two = TwoArmSample(treated=np.array([4.0, 6.0]), control=np.array([1.0, 3.0]))
-    assert arm_contrast(two, "plugin") == 3.0
-    assert arm_contrast(two, "midrange") == 3.0
-    assert arm_contrast(two, "mean") == 3.0
-    assert arm_contrast(two, sample_mean) == 3.0
-    with pytest.raises(ParameterError):
-        arm_contrast(two, "kernel")
-
-
 def test_arm_contrast_forwards_tolerance():
-    two = TwoArmSample(treated=np.array([1.0, 1.004]), control=np.array([0.0]))
-    merged = arm_contrast(two, "plugin", tolerance=0.01)
-    assert merged == pytest.approx(1.002)
+    rows = np.array([[1.0, 1], [1.004, 1], [0.0, 0]])
+    plugin = functools.partial(discrete_plugin_average, tolerance=0.01)
+    assert paired_contrast(rows, plugin) == pytest.approx(1.002)
 
 
 def test_paired_contrast_matches_arm_contrast_and_rejects_an_empty_arm():
     rows = np.array([[5.0, 1], [1.0, 0], [7.0, 1], [3.0, 0], [2.0, 0]])
     two = TwoArmSample.from_labels(rows[:, 0], rows[:, 1])
-    for est in (midrange, discrete_plugin_average):
-        assert paired_contrast(rows, est) == arm_contrast(two, est)
+    for est in (midrange, discrete_plugin_average, sample_mean):
+        assert paired_contrast(rows, est) == est(two.treated) - est(two.control)
     with pytest.raises(DataError, match="non-empty"):
         paired_contrast(rows[rows[:, 1] == 0], midrange)
     # One treated row among 40: some resample leaves the arm empty, and
     # resample names that replicate.
     lone = np.column_stack([np.arange(40.0), np.eye(40)[0]])
-    with pytest.raises(ResampleError, match="replicate"):
-        resample(lone, BootstrapConfig(50, RngStream(3)),
-                 lambda r: paired_contrast(r, midrange))
+    for est in (midrange, sample_mean):
+        with pytest.raises(ResampleError, match="replicate"):
+            resample(lone, BootstrapConfig(50, RngStream(3)),
+                     functools.partial(paired_contrast, estimator=est))

@@ -1,10 +1,16 @@
+import functools
 import hashlib
 
 import numpy as np
 import pytest
 
+from funcavg.bootstrap import BootstrapConfig, resample
+from funcavg.distributions import TruncatedNormalSpec
 from funcavg.errors import ParameterError
+from funcavg.estimators import paired_contrast, sample_mean
 from funcavg.intervals import IntervalEstimate
+from funcavg.regression import DesignMatrix, ols_fit
+from funcavg.rng import RngStream
 from funcavg.simharness import (
     DESK_GRID,
     DESK_ITERATIONS,
@@ -12,6 +18,7 @@ from funcavg.simharness import (
     FULL_ITERATIONS,
     ExperimentSpec,
     ReportRow,
+    _draw_slope,
     desk_spec,
     empirical_coverage,
     empirical_power,
@@ -186,7 +193,7 @@ PINNED_DIGESTS = {
     "table3": "6d0ceccb1c47963a7e3b5f8dc90b0da82da6a8521418a86d8e5ebba3a636c976",
     "table4": "f2584392d962c840b961d0488fc1cfc8ebbf43efc527ddbf4476e95681bd007b",
     "table5": "73b0c7a0cd69408a7ad2f6418d208710d08194db0a762d7e40c6947e0081ad71",
-    "table6": "63c944ff12f7a0beda9fb621e7d30feb425fc645e28ce1d6fb24b2a1bacea7af",
+    "table6": "fe2db39b671e720cde4b627924321f220408907f7fe41e3184150dd9eff8702f",
 }
 
 
@@ -202,6 +209,35 @@ def test_range_checks_all_pass_at_alpha_half():
     # distribution breaks; a normal-theory form failed 1 of these 36.
     report = tiny("table3", alpha=0.5)
     assert report.range_checks_passed == report.range_checks_total == 36
+
+
+def _qr_slope(rows):
+    """QR least-squares slope of outcome on an intercept and the treatment
+    label, the reference for table 6's bootstrap statistic."""
+    design = DesignMatrix(
+        np.column_stack([np.ones(rows.shape[0]), rows[:, 1]]), ("intercept", "t"))
+    return ols_fit(design, rows[:, 0]).coefficient(1)
+
+
+def test_slope_bootstrap_is_the_difference_of_arm_means():
+    # With a binary treatment and an intercept the OLS slope is the
+    # treated mean minus the control mean, so table 6 bootstraps it with
+    # the shared two-arm kernel.
+    slope = functools.partial(paired_contrast, estimator=sample_mean)
+    lone = np.array([[3.0, 0], [12.0, 1], [5.0, 0], [9.0, 0]])
+    assert slope(lone) == pytest.approx(19.0 / 3.0, abs=1e-12)
+    assert _qr_slope(lone) == pytest.approx(19.0 / 3.0, abs=1e-12)
+    law = TruncatedNormalSpec(-10.0, 10.0, 0.0, 2.0)
+    for n in (60, 500):
+        for it in range(3):
+            stream = RngStream(17, (6, 0, n, it))
+            rows, fit = _draw_slope(law, n, stream)
+            config = BootstrapConfig(200, stream.child(1))
+            ref = resample(rows, config, _qr_slope)
+            got = resample(rows, config, slope)
+            assert got.statistic == pytest.approx(fit.coefficient(1), abs=1e-12, rel=0)
+            assert got.statistic == pytest.approx(ref.statistic, abs=1e-12, rel=0)
+            np.testing.assert_allclose(got.replicates, ref.replicates, rtol=0, atol=1e-12)
 
 
 def test_seed_changes_results():
