@@ -40,9 +40,9 @@ __all__ = [
     "popoviciu_check",
 ]
 
-# Cap on index cells drawn per chunk; keeps peak memory near 32 MB even for
-# n = 10^4, B in the thousands.
-_CHUNK_CELLS = 4_000_000
+# Cap on index cells drawn per chunk: the int64 index block, and each gather
+# a batch kernel makes from it, stay near 2 MB for any n and B.
+_CHUNK_CELLS = 1 << 18
 
 
 def sqrt_resample_size(n: int) -> int:
@@ -152,6 +152,22 @@ def resample(values, config: BootstrapConfig,
     :class:`~funcavg.errors.FuncavgError` is dropped while no more than
     ``config.max_failure_share`` of the replicates fail.
 
+    A statistic may carry a ``batch`` attribute to skip the per-replicate
+    calls.  With ``config.max_failure_share == 0``, ``resample`` calls
+    ``statistic.batch(arr)`` once, after the statistic succeeded on the
+    sample, with the float array it draws rows from.  It returns ``None``
+    when the data do not qualify, and the loop runs as usual, or a kernel
+    ``kernel(idx, first) -> (k,)`` that is called once per chunk with the
+    chunk's ``(k, m)`` index block and the index of its first replicate.
+    The kernel returns the ``k`` replicate values, bit-identical to
+    calling the statistic row by row, so the draws and the results do not
+    depend on which path runs.  Where the statistic would raise, the
+    kernel raises :class:`~funcavg.errors.ResampleError` with the first
+    failing replicate's index and the statistic's message.  The batched
+    statistics are ``midrange``, the integer-valued
+    ``discrete_plugin_average`` and their :func:`~funcavg.estimators.contrast`
+    forms; any other statistic keeps the loop.
+
     Raises
     ------
     ResampleError
@@ -167,12 +183,17 @@ def resample(values, config: BootstrapConfig,
     b = config.replicates
 
     t0 = float(statistic(arr))
+    batch = getattr(statistic, "batch", None)
+    kernel = batch(arr) if batch is not None and not config.max_failure_share else None
     gen = config.rng.generator()
     reps = np.empty(b, dtype=float)
     dropped = np.zeros(b, dtype=bool)
     chunk = max(1, min(b, _CHUNK_CELLS // m))
     for start in range(0, b, chunk):
         idx = gen.integers(0, n, size=(min(chunk, b - start), m))
+        if kernel is not None:
+            reps[start:start + len(idx)] = kernel(idx, start)
+            continue
         for k, rows in enumerate(idx, start):
             try:
                 reps[k] = statistic(arr[rows])

@@ -19,7 +19,6 @@ default, and an explicit ``--seed`` beats it.
 from __future__ import annotations
 
 import csv
-import functools
 import os
 import sys
 
@@ -30,7 +29,7 @@ from .bootstrap import BootstrapConfig, hoeffding_ci, resample
 from .dataset import Dataset
 from .diagnostics import ecdf, mean_midrange_distance, residual_support_symmetry, sum_symmetry_gap
 from .errors import CsvParseError, DataError, FuncavgError, SchemaError
-from .estimators import TwoArmSample, midrange, paired_contrast
+from .estimators import TwoArmSample, contrast, midrange
 from .formula import ModelSpec, Term
 from .intervals import IntervalEstimate
 from .regression import (
@@ -202,8 +201,7 @@ def _estimate_rows(data: Dataset, outcome: str, treatment: str, covariates,
             labels = data.column(treatment)
             TwoArmSample.from_labels(values, labels)  # validates the arms
             paired = np.column_stack([values, labels])
-            contrast = functools.partial(paired_contrast, estimator=midrange)
-            dist = resample(paired, BootstrapConfig(replicates, stream), contrast)
+            dist = resample(paired, BootstrapConfig(replicates, stream), contrast(midrange))
             ci = hoeffding_ci(dist, alpha)
         rows.append((parameter, method, ci))
     return rows

@@ -62,7 +62,7 @@ from .distributions import (
     sample_truncated_normal,
 )
 from .errors import CsvParseError, ParameterError, SchemaError
-from .estimators import discrete_plugin_average, midrange, paired_contrast, sample_mean
+from .estimators import contrast, discrete_plugin_average, midrange, sample_mean
 from .intervals import IntervalEstimate, check_alpha
 from .regression import DesignMatrix, ols_fit, t_ci, u_concentration_ci
 from .rng import RngStream
@@ -379,9 +379,6 @@ def _experiments() -> dict[str, _Experiment]:
     they hold are whatever this module's names are bound to at run time."""
     u_recipes = (hoeffding_u_ci, functools.partial(hoeffding_u_ci, centered=False))
     hoeffding = (hoeffding_ci,)
-
-    def contrast(estimator):
-        return functools.partial(paired_contrast, estimator=estimator)
 
     return {
         "table2": _Experiment(2, (

@@ -11,6 +11,7 @@ from funcavg.rng import RngStream
 from funcavg.estimators import (
     TwoArmSample,
     as_sample,
+    contrast,
     discrete_plugin_average,
     midrange,
     paired_contrast,
@@ -84,13 +85,13 @@ def test_two_arm_rejects_empty_or_bad_labels():
         TwoArmSample.from_labels([1.0, 2.0], [0])
 
 
-def test_arm_contrast_forwards_tolerance():
+def test_paired_contrast_forwards_tolerance():
     rows = np.array([[1.0, 1], [1.004, 1], [0.0, 0]])
     plugin = functools.partial(discrete_plugin_average, tolerance=0.01)
     assert paired_contrast(rows, plugin) == pytest.approx(1.002)
 
 
-def test_paired_contrast_matches_arm_contrast_and_rejects_an_empty_arm():
+def test_paired_contrast_matches_the_arm_split_and_rejects_an_empty_arm():
     rows = np.array([[5.0, 1], [1.0, 0], [7.0, 1], [3.0, 0], [2.0, 0]])
     two = TwoArmSample.from_labels(rows[:, 0], rows[:, 1])
     for est in (midrange, discrete_plugin_average, sample_mean):
@@ -104,3 +105,103 @@ def test_paired_contrast_matches_arm_contrast_and_rejects_an_empty_arm():
         with pytest.raises(ResampleError, match="replicate"):
             resample(lone, BootstrapConfig(50, RngStream(3)),
                      functools.partial(paired_contrast, estimator=est))
+
+
+# Batch kernels: ``resample`` must give the same replicates, bit for bit,
+# whether it evaluates a statistic's index block at once or row by row.
+
+def _per_row_replicates(values, config, statistic):
+    """The replicates ``resample`` should return, one statistic call per row.
+
+    Draws the whole index block at once, which gives the same indices as
+    ``resample``'s chunked draws (see test_resample_chunking_does_not_change_results).
+    """
+    arr = np.asarray(values, dtype=float)
+    n = arr.shape[0]
+    idx = config.rng.generator().integers(0, n, size=(config.replicates, config.size_for(n)))
+    return np.array([statistic(arr[rows]) for rows in idx])
+
+
+def _loop_only(statistic):
+    """``statistic`` without its ``batch`` attribute."""
+    return lambda rows: statistic(rows)
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(11)
+    n = 400
+    continuous = rng.normal(5.0, 3.0, n)
+    integers = rng.binomial(30, 0.4, n) + 10.0 * rng.integers(0, 2, n)
+    # Any label other than 1 counts as control, as in paired_contrast.
+    labels = rng.integers(0, 3, n).astype(float)
+    return [
+        pytest.param(continuous, midrange, id="midrange"),
+        pytest.param(integers, discrete_plugin_average, id="plugin"),
+        pytest.param(np.column_stack([continuous, labels]), contrast(midrange),
+                     id="midrange-contrast"),
+        pytest.param(np.column_stack([integers, labels]),
+                     contrast(discrete_plugin_average), id="plugin-contrast"),
+    ]
+
+
+@pytest.mark.parametrize("cells", [1 << 18, 900, 5])  # 5 is less than one row
+@pytest.mark.parametrize("size", ["full", "sqrt"])
+@pytest.mark.parametrize("values,statistic", _kernel_cases())
+def test_batch_kernels_match_the_per_row_loop(monkeypatch, cells, size, values, statistic):
+    import funcavg.bootstrap as bs
+    monkeypatch.setattr(bs, "_CHUNK_CELLS", cells)
+    assert statistic.batch(values) is not None
+    config = BootstrapConfig(60, RngStream(4), size)
+    got = resample(values, config, statistic).replicates
+    assert np.array_equal(got, _per_row_replicates(values, config, statistic))
+
+
+@pytest.mark.parametrize("estimator", [midrange, discrete_plugin_average])
+@pytest.mark.parametrize("lone_label", [1.0, 0.0])
+def test_batched_contrast_reports_an_empty_arm_like_the_loop(estimator, lone_label):
+    labels = np.full(40, 1.0 - lone_label)
+    labels[0] = lone_label
+    rows = np.column_stack([np.arange(40.0), labels])
+    config = BootstrapConfig(50, RngStream(3))
+    statistic = contrast(estimator)
+    assert statistic.batch(rows) is not None
+    with pytest.raises(ResampleError) as batched:
+        resample(rows, config, statistic)
+    with pytest.raises(ResampleError) as looped:
+        resample(rows, config, _loop_only(statistic))
+    assert batched.value.replicate == looped.value.replicate
+    assert str(batched.value) == str(looped.value)
+    assert "non-empty" in str(batched.value)
+
+
+@pytest.mark.parametrize("estimator", [midrange, discrete_plugin_average])
+def test_contrast_with_a_failure_share_still_drops_replicates(estimator):
+    labels = np.zeros(40)
+    labels[:2] = 1.0
+    rows = np.column_stack([np.arange(40.0), labels])
+    config = BootstrapConfig(50, RngStream(3), max_failure_share=0.5)
+    got = resample(rows, config, contrast(estimator)).replicates
+    assert 0 < got.size < 50  # some replicates lost the treated arm
+    assert np.array_equal(got, resample(rows, config, _loop_only(contrast(estimator))).replicates)
+
+
+def test_plugin_kernels_decline_data_they_cannot_reproduce_exactly():
+    rng = np.random.default_rng(5)
+    non_integer = rng.normal(size=200)
+    labels = (np.arange(200) % 2).astype(float)
+    assert discrete_plugin_average.batch(non_integer) is None
+    assert contrast(discrete_plugin_average).batch(
+        np.column_stack([non_integer, labels])) is None
+    assert discrete_plugin_average.batch(np.array([2.0**60, 1.0])) is None
+    assert midrange.batch(np.array([-0.0, 0.0, 1.0])) is None
+    config = BootstrapConfig(40, RngStream(6))
+    got = resample(non_integer, config, discrete_plugin_average).replicates
+    assert np.array_equal(got, _per_row_replicates(non_integer, config,
+                                                   discrete_plugin_average))
+
+    # A tolerance has no kernel: the partial carries no batch.
+    rounded = np.round(non_integer, 1)
+    merged = functools.partial(discrete_plugin_average, tolerance=0.15)
+    assert not hasattr(merged, "batch") and not hasattr(contrast(merged), "batch")
+    got = resample(rounded, config, merged).replicates
+    assert np.array_equal(got, _per_row_replicates(rounded, config, merged))
