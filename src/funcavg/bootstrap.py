@@ -163,10 +163,11 @@ def resample(values, config: BootstrapConfig,
     calling the statistic row by row, so the draws and the results do not
     depend on which path runs.  Where the statistic would raise, the
     kernel raises :class:`~funcavg.errors.ResampleError` with the first
-    failing replicate's index and the statistic's message.  The batched
-    statistics are ``midrange``, the integer-valued
-    ``discrete_plugin_average`` and their :func:`~funcavg.estimators.contrast`
-    forms; any other statistic keeps the loop.
+    failing replicate's index and the statistic's message.  ``midrange``
+    and ``discrete_plugin_average`` (on integer values) each carry one
+    ``batch``, which reads a plain sample or ``(outcome, label)`` rows,
+    and :func:`~funcavg.estimators.contrast` forwards it; any other
+    statistic keeps the loop.
 
     Raises
     ------

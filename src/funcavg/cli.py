@@ -10,10 +10,10 @@ Three subcommands:
   is given, the residual support-symmetry report.
 
 Exit codes are a stable contract: 0 on success, 2 for usage errors
-(unknown flags, bad table ids, unknown method names), 1 when the data or
-a numerical procedure is at fault.  The active seed is echoed to stderr
-on every run; the ``FUNCAVG_SEED`` environment variable supplies a
-default, and an explicit ``--seed`` beats it.
+(unknown flags, out-of-range flag values, bad table ids, unknown method
+names), 1 when the data or a numerical procedure is at fault.  The active
+seed is echoed to stderr on every run; the ``FUNCAVG_SEED`` environment
+variable supplies a default, and an explicit ``--seed`` beats it.
 """
 
 from __future__ import annotations
@@ -42,12 +42,12 @@ from .regression import (
 from .rng import RngStream
 from .simharness import (
     DEFAULT_REPLICATES,
-    DESK_GRID,
     DESK_ITERATIONS,
     FULL_GRID,
     FULL_ITERATIONS,
-    ExperimentSpec,
     aligned_table,
+    desk_spec,
+    full_spec,
     report_text,
     run_experiment,
     write_report,
@@ -56,6 +56,12 @@ from .simharness import (
 _MISSING_MARKERS = {"", "na", "nan"}
 METHOD_NAMES = ("LR", "MR", "S", "PS", "Av")
 _COVARIATE_METHODS = ("MR", "S", "PS")
+
+# Flag ranges, checked by click so that an out-of-range value is a usage
+# error (exit 2) before any work starts.
+_REPLICATES = click.IntRange(min=1)
+_ALPHA = click.FloatRange(0.0, 1.0, min_open=True, max_open=True)
+_SEED = click.IntRange(min=0)
 
 
 def ingest_csv(path: str, columns=None) -> tuple[Dataset, int]:
@@ -128,14 +134,15 @@ def center_continuous(data: Dataset, names) -> tuple[Dataset, list[str]]:
 def _resolve_seed(flag_value) -> int:
     if flag_value is not None:
         return flag_value
-    env = os.environ.get("FUNCAVG_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise click.UsageError(
-                f"FUNCAVG_SEED must be an integer, got {env!r}") from None
-    return 0
+    env = os.environ.get("FUNCAVG_SEED", "0")
+    try:
+        seed = int(env)
+    except ValueError:
+        seed = -1  # rejected below, with the text as given
+    if seed < 0:
+        raise click.UsageError(
+            f"FUNCAVG_SEED must be a non-negative integer, got {env!r}")
+    return seed
 
 
 def _normalize_methods(ctx, param, values):
@@ -160,6 +167,20 @@ def main():
 def _fail(exc: FuncavgError) -> None:
     click.echo(f"error: {exc}", err=True)
     sys.exit(1)
+
+
+def _load_csv(input_path: str, outcome: str, treatment: str, covariates: str,
+              center: bool) -> tuple[Dataset, tuple[str, ...], list[str]]:
+    """Ingest the referenced columns, noting dropped rows on stderr:
+    ``(data, covariate names, names --center mean-centered)``."""
+    names = tuple(c.strip() for c in covariates.split(",") if c.strip())
+    data, dropped = ingest_csv(input_path, tuple(dict.fromkeys((outcome, treatment) + names)))
+    if dropped:
+        click.echo(f"dropped {dropped} incomplete rows", err=True)
+    centered = []
+    if center:
+        data, centered = center_continuous(data, names)
+    return data, names, centered
 
 
 def _adjusted_model(outcome: str, treatment: str, covariates) -> ModelSpec:
@@ -236,12 +257,12 @@ def _estimate_csv(rows) -> str:
 @click.option("--covariates", default="", help="Comma-separated covariate columns.")
 @click.option("--method", "methods", multiple=True, callback=_normalize_methods,
               help="LR, MR, S, PS, or Av; repeatable. Default Av.")
-@click.option("--alpha", type=float, default=0.05, show_default=True)
-@click.option("--b", "replicates", type=int, default=DEFAULT_REPLICATES,
+@click.option("--alpha", type=_ALPHA, default=0.05, show_default=True)
+@click.option("--b", "replicates", type=_REPLICATES, default=DEFAULT_REPLICATES,
               show_default=True, help="Bootstrap replicates for S, PS, Av.")
 @click.option("--center", is_flag=True,
               help="Mean-center continuous covariates first.")
-@click.option("--seed", type=int, default=None, help="Base seed (default 0 "
+@click.option("--seed", type=_SEED, default=None, help="Base seed (default 0 "
               "or FUNCAVG_SEED).")
 @click.option("--out", default=None, help="Prefix: write {out}.csv and {out}.txt.")
 def estimate(input_path, outcome, treatment, covariates, methods, alpha,
@@ -249,16 +270,11 @@ def estimate(input_path, outcome, treatment, covariates, methods, alpha,
     """Estimate the treatment contrast in INPUT_PATH by each method."""
     seed = _resolve_seed(seed)
     click.echo(f"seed: {seed}", err=True)
-    covariate_names = tuple(c.strip() for c in covariates.split(",") if c.strip())
-    referenced = dict.fromkeys((outcome, treatment) + covariate_names)
     try:
-        data, dropped = ingest_csv(input_path, tuple(referenced))
-        if dropped:
-            click.echo(f"dropped {dropped} incomplete rows", err=True)
-        if center:
-            data, centered = center_continuous(data, covariate_names)
-            if centered:
-                click.echo(f"centered: {', '.join(centered)}", err=True)
+        data, covariate_names, centered = _load_csv(
+            input_path, outcome, treatment, covariates, center)
+        if centered:
+            click.echo(f"centered: {', '.join(centered)}", err=True)
         rows = _estimate_rows(data, outcome, treatment, covariate_names,
                               methods, alpha, replicates, seed)
     except FuncavgError as exc:
@@ -275,30 +291,27 @@ def estimate(input_path, outcome, treatment, covariates, methods, alpha,
 @main.command()
 @click.option("--table", type=click.IntRange(2, 6), required=True,
               help="Which benchmark experiment to run (2 to 6).")
-@click.option("--m-iterations", "--m", "iterations", type=int, default=None,
-              help=f"Monte Carlo iterations (default {DESK_ITERATIONS}, "
-                   f"{FULL_ITERATIONS} with --full).")
-@click.option("--b", "replicates", type=int, default=DEFAULT_REPLICATES,
+@click.option("--m-iterations", "--m", "iterations", type=click.IntRange(min=1),
+              default=None, help=f"Monte Carlo iterations (default {DESK_ITERATIONS}, "
+                                 f"{FULL_ITERATIONS} with --full).")
+@click.option("--b", "replicates", type=_REPLICATES, default=DEFAULT_REPLICATES,
               show_default=True, help="Bootstrap replicates per iteration.")
-@click.option("--alpha", type=float, default=0.05, show_default=True)
+@click.option("--alpha", type=_ALPHA, default=0.05, show_default=True)
 @click.option("--full", is_flag=True,
               help=f"Full-scale profile: sample sizes {FULL_GRID}, "
                    f"M={FULL_ITERATIONS}.")
-@click.option("--seed", type=int, default=None, help="Base seed (default 0 "
+@click.option("--seed", type=_SEED, default=None, help="Base seed (default 0 "
               "or FUNCAVG_SEED).")
 @click.option("--out", default=None, help="Prefix: write {out}.csv and {out}.txt.")
 def simulate(table, iterations, replicates, alpha, full, seed, out):
     """Run one benchmark experiment and emit its report."""
     seed = _resolve_seed(seed)
     click.echo(f"seed: {seed}", err=True)
-    if iterations is None:
-        iterations = FULL_ITERATIONS if full else DESK_ITERATIONS
+    overrides = dict(replicates=replicates, alpha=alpha)
+    if iterations is not None:
+        overrides["iterations"] = iterations
     try:
-        spec = ExperimentSpec(
-            experiment=f"table{table}",
-            n_grid=FULL_GRID if full else DESK_GRID,
-            iterations=iterations, replicates=replicates,
-            alpha=alpha, seed=seed)
+        spec = (full_spec if full else desk_spec)(f"table{table}", seed, **overrides)
         report = run_experiment(spec)
     except FuncavgError as exc:
         _fail(exc)
@@ -327,14 +340,9 @@ def _group_label(value: float) -> str:
               help="Prefix: write {out}.txt and {out}_ecdf_{group}.csv files.")
 def diagnose(input_path, treatment, outcome, covariates, center, out):
     """Shape diagnostics per treatment group of INPUT_PATH."""
-    covariate_names = tuple(c.strip() for c in covariates.split(",") if c.strip())
-    referenced = dict.fromkeys((outcome, treatment) + covariate_names)
     try:
-        data, dropped = ingest_csv(input_path, tuple(referenced))
-        if dropped:
-            click.echo(f"dropped {dropped} incomplete rows", err=True)
-        if center:
-            data, _ = center_continuous(data, covariate_names)
+        data, covariate_names, _ = _load_csv(
+            input_path, outcome, treatment, covariates, center)
         values = data.column(outcome)
         groups = data.column(treatment)
         distinct = np.unique(groups)

@@ -44,10 +44,6 @@ class Dataset:
     def n_rows(self) -> int:
         return next(iter(self.columns.values())).size
 
-    @property
-    def column_names(self) -> tuple[str, ...]:
-        return tuple(self.columns)
-
     def column(self, name: str) -> np.ndarray:
         try:
             return self.columns[name]

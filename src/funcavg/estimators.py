@@ -62,7 +62,7 @@ def discrete_plugin_average(values, tolerance: float = 0.0) -> float:
         duplicates as equal, the right choice for integer outcomes.
     """
     x = as_sample(values)
-    if tolerance < 0:
+    if not tolerance >= 0:  # also rejects NaN, which would merge every value
         raise ParameterError(f"tolerance must be non-negative, got {tolerance}")
     if tolerance == 0.0:
         return float(np.unique(x).mean())
@@ -134,51 +134,43 @@ def paired_contrast(rows: np.ndarray, estimator) -> float:
 def contrast(estimator):
     """:func:`paired_contrast` bound to ``estimator``, as a resample statistic.
 
-    When ``estimator`` carries a two-arm kernel factory (``midrange`` and
-    ``discrete_plugin_average`` do), the statistic's ``batch`` attribute
-    exposes it to :func:`~funcavg.bootstrap.resample`; any other estimator
-    keeps the per-replicate loop.
+    It forwards ``estimator.batch`` when there is one, so
+    :func:`~funcavg.bootstrap.resample` can batch the contrast.
     """
     statistic = functools.partial(paired_contrast, estimator=estimator)
-    two_arm = getattr(estimator, "contrast_batch", None)
-    if two_arm is not None:
-        statistic.batch = two_arm
+    batch = getattr(estimator, "batch", None)
+    if batch is not None:
+        statistic.batch = batch
     return statistic
 
 
 # Batch kernels.  Each factory takes the array ``resample`` draws rows from
-# (after the statistic has succeeded on it) and returns either a kernel
-# ``kernel(idx, first) -> (k,)`` that evaluates replicates ``first ..
-# first + k - 1`` from their ``(k, m)`` index block, bit-identical to the
-# per-replicate call, or ``None`` when the data do not qualify.
+# (after the statistic has succeeded on it), a 1-D sample or ``(outcome,
+# label)`` rows, and returns either a kernel ``kernel(idx, first) -> (k,)``
+# that evaluates replicates ``first .. first + k - 1`` from their ``(k, m)``
+# index block, bit-identical to the per-replicate call, or ``None`` when the
+# data do not qualify.
 
-def _has_negative_zero(y: np.ndarray) -> bool:
-    # A -0.0 can tie with 0.0 in a min, max or np.unique, and which of the
-    # two comes out depends on the evaluation order.
-    return bool(np.any(np.signbit(y) & (y == 0)))
-
-
-def _integer_codes(y: np.ndarray):
-    """``(distinct values, code per value)`` when every value is an integer
-    small enough that all sums of distinct values are exact, else ``None``.
-
-    Exact sums do not depend on the summation order, so the sum of a
-    row's distinct values over a presence matrix equals the one
-    ``np.unique(x).mean()`` forms.
+def _arm_codes(arr: np.ndarray):
+    """``(sorted distinct outcomes, code per row)``; treated rows (label 1)
+    are offset by ``K``, the number of distinct outcomes, so arm ``a`` owns
+    codes ``a * K .. a * K + K - 1``.  The narrowest unsigned type that
+    holds ``2 * K`` keeps the per-chunk gathers small.  ``None`` for data
+    holding a -0.0, which can tie with 0.0 in an order-dependent way.
     """
-    if _has_negative_zero(y):
+    y = arr if arr.ndim == 1 else arr[:, 0]
+    if np.any(np.signbit(y) & (y == 0)):
         return None
     uniq, codes = np.unique(y, return_inverse=True)
-    if not np.array_equal(uniq, np.round(uniq)) or np.abs(uniq).max() * uniq.size >= 2.0**52:
-        return None
-    return uniq, codes
+    if arr.ndim == 2:
+        codes = codes + uniq.size * (arr[:, 1] == 1)
+    return uniq, codes.astype(np.min_scalar_type(2 * uniq.size))
 
 
 def _distinct_totals(codes: np.ndarray, uniq: np.ndarray, arms: int):
     """Sum and count of the distinct values in each row of ``codes``, per arm.
 
-    Arm ``a`` owns codes ``a * K .. a * K + K - 1`` with ``K = uniq.size``;
-    both results have shape ``(rows, arms)``.  Rows pass through the
+    Both results have shape ``(rows, arms)``.  Rows pass through the
     presence matrix in blocks of about ``codes.size`` cells (one row at
     least), which keeps its memory near the gather's even when there are
     more distinct values than draws per row.
@@ -201,61 +193,53 @@ def _raise_on_empty_arm(empty: np.ndarray, first: int) -> None:
         raise ResampleError(first + int(np.argmax(empty)), _EMPTY_ARM)
 
 
-def _midrange_batch(values: np.ndarray):
-    if _has_negative_zero(values):
-        return None
-
-    def kernel(idx, first):
-        block = values[idx]
-        return (block.min(axis=1) + block.max(axis=1)) / 2.0
-    return kernel
-
-
-def _plugin_batch(values: np.ndarray):
-    coded = _integer_codes(values)
+def _midrange_batch(arr: np.ndarray):
+    coded = _arm_codes(arr)
     if coded is None:
         return None
     uniq, codes = coded
+    k = uniq.size
+
+    def midpoint(lo, hi):
+        return (uniq[lo] + uniq[hi % k]) / 2.0
+
+    if arr.ndim == 1:
+        def kernel(idx, first):
+            block = codes[idx]
+            return midpoint(block.min(axis=1), block.max(axis=1))
+        return kernel
+    # Treated codes sit above control codes, so a row's smallest code is the
+    # control minimum and its largest the treated maximum; the arm-swapped
+    # copy gives the other two extremes.
+    swapped = np.where(codes < k, codes + k, codes - k)
 
     def kernel(idx, first):
-        sums, counts = _distinct_totals(codes[idx], uniq, 1)
-        return sums[:, 0] / counts[:, 0]
+        block, flipped = codes[idx], swapped[idx]
+        lo_c, hi_t = block.min(axis=1), block.max(axis=1)
+        _raise_on_empty_arm((lo_c >= k) | (hi_t < k), first)
+        return midpoint(flipped.min(axis=1), hi_t) - midpoint(lo_c, flipped.max(axis=1))
     return kernel
 
 
-def _midrange_contrast_batch(rows: np.ndarray):
-    y, treated = rows[:, 0], rows[:, 1] == 1
-    if _has_negative_zero(y):
-        return None
-    # Each arm's extremes come from copies in which the other arm's rows
-    # cannot win; an arm missing from a replicate leaves its minimum at +inf.
-    t_lo, t_hi = np.where(treated, y, np.inf), np.where(treated, y, -np.inf)
-    c_lo, c_hi = np.where(treated, np.inf, y), np.where(treated, -np.inf, y)
-
-    def kernel(idx, first):
-        lo_t, lo_c = t_lo[idx].min(axis=1), c_lo[idx].min(axis=1)
-        _raise_on_empty_arm(np.isinf(lo_t) | np.isinf(lo_c), first)
-        hi_t, hi_c = t_hi[idx].max(axis=1), c_hi[idx].max(axis=1)
-        return (lo_t + hi_t) / 2.0 - (lo_c + hi_c) / 2.0
-    return kernel
-
-
-def _plugin_contrast_batch(rows: np.ndarray):
-    coded = _integer_codes(rows[:, 0])
+def _plugin_batch(arr: np.ndarray):
+    coded = _arm_codes(arr)
     if coded is None:
         return None
     uniq, codes = coded
-    codes = codes + uniq.size * (rows[:, 1] == 1)  # arm 0 control, arm 1 treated
+    # Integers only, small enough that every sum of distinct values is exact:
+    # then no summation order matters, and a row's sum over the presence
+    # matrix equals the one ``np.unique(x).mean()`` forms.
+    if not np.array_equal(uniq, np.round(uniq)) or np.abs(uniq).max() * uniq.size >= 2.0**52:
+        return None
+    arms = arr.ndim
 
     def kernel(idx, first):
-        sums, counts = _distinct_totals(codes[idx], uniq, 2)
+        sums, counts = _distinct_totals(codes[idx], uniq, arms)
         _raise_on_empty_arm((counts == 0).any(axis=1), first)
         means = sums / counts
-        return means[:, 1] - means[:, 0]
+        return means[:, 0] if arms == 1 else means[:, 1] - means[:, 0]
     return kernel
 
 
 midrange.batch = _midrange_batch
-midrange.contrast_batch = _midrange_contrast_batch
 discrete_plugin_average.batch = _plugin_batch
-discrete_plugin_average.contrast_batch = _plugin_contrast_batch

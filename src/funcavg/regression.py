@@ -55,7 +55,6 @@ class DesignMatrix:
 
     matrix: np.ndarray = field(repr=False)
     column_names: tuple[str, ...]
-    intercept: bool = True
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -70,10 +69,10 @@ class DesignMatrix:
             raise DataError("design matrix contains non-finite values")
 
 
-def _evaluate_terms(dataset: Dataset, model: ModelSpec) -> DesignMatrix:
+def _evaluate_terms(dataset: Dataset, terms: Sequence[Term]) -> DesignMatrix:
     cols = [np.ones(dataset.n_rows)]
     names = ["intercept"]
-    for term in model.terms:
+    for term in terms:
         cols.append(term.evaluate(dataset))
         names.append(term.label)
     return DesignMatrix(matrix=np.column_stack(cols), column_names=tuple(names))
@@ -81,21 +80,12 @@ def _evaluate_terms(dataset: Dataset, model: ModelSpec) -> DesignMatrix:
 
 def build_design(dataset: Dataset, model: ModelSpec) -> tuple[DesignMatrix, np.ndarray]:
     """Evaluate a parsed model against a dataset: (design, response)."""
-    return _evaluate_terms(dataset, model), dataset.column(model.outcome)
+    return _evaluate_terms(dataset, model.terms), dataset.column(model.outcome)
 
 
-def design_from_columns(dataset: Dataset, names: Sequence[str],
-                        intercept: bool = True) -> DesignMatrix:
+def design_from_columns(dataset: Dataset, names: Sequence[str]) -> DesignMatrix:
     """Design of plain columns in the given order, intercept first."""
-    cols, labels = [], []
-    if intercept:
-        cols.append(np.ones(dataset.n_rows))
-        labels.append("intercept")
-    for name in names:
-        cols.append(dataset.column(name))
-        labels.append(name)
-    return DesignMatrix(matrix=np.column_stack(cols), column_names=tuple(labels),
-                        intercept=intercept)
+    return _evaluate_terms(dataset, [Term((name,)) for name in names])
 
 
 @dataclass(frozen=True)
@@ -207,12 +197,10 @@ def u_concentration_ci(fit: RegressionFit, coefficient: int | str = 1,
 class LogisticFit:
     """Converged logistic regression fit."""
 
-    design: DesignMatrix
     coefficients: np.ndarray
     fitted_probabilities: np.ndarray = field(repr=False)
     iterations: int
     score_norm: float
-    trace: tuple[tuple[int, float], ...] = field(repr=False)
 
 
 _LOGIT_TOL = 1e-8
@@ -251,9 +239,8 @@ def logistic_fit(design: DesignMatrix, response) -> LogisticFit:
         norm = float(np.abs(score).max())
         trace.append((iteration, norm))
         if norm < _LOGIT_TOL:
-            return LogisticFit(design=design, coefficients=beta,
-                               fitted_probabilities=probs, iterations=iteration,
-                               score_norm=norm, trace=tuple(trace))
+            return LogisticFit(coefficients=beta, fitted_probabilities=probs,
+                               iterations=iteration, score_norm=norm)
         w = probs * (1.0 - probs)
         sqrt_w = np.sqrt(w)
         try:
@@ -277,16 +264,15 @@ class StrataAssignment:
     """Rows binned into propensity-score strata labelled 1..n_strata."""
 
     labels: np.ndarray = field(repr=False)
-    cut_points: np.ndarray
     n_strata: int
 
     @property
     def counts(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.n_strata + 1)[1:]
 
-    def indicator_columns(self, prefix: str = "stratum") -> dict[str, np.ndarray]:
+    def indicator_columns(self) -> dict[str, np.ndarray]:
         """0/1 columns for strata 2..k; stratum 1 is the baseline."""
-        return {f"{prefix}_{s}": (self.labels == s).astype(float)
+        return {f"stratum_{s}": (self.labels == s).astype(float)
                 for s in range(2, self.n_strata + 1)}
 
 
@@ -309,7 +295,7 @@ def propensity_strata(fit, n_strata: int = 5) -> StrataAssignment:
         raise DataError(f"cannot form {n_strata} strata from {probs.size} rows")
     cuts = np.quantile(probs, np.arange(1, n_strata) / n_strata)
     labels = np.searchsorted(cuts, probs, side="left").astype(np.int64) + 1
-    assignment = StrataAssignment(labels=labels, cut_points=cuts, n_strata=n_strata)
+    assignment = StrataAssignment(labels=labels, n_strata=n_strata)
     empty = np.flatnonzero(assignment.counts == 0) + 1
     if empty.size:
         raise StratificationError(
@@ -319,14 +305,13 @@ def propensity_strata(fit, n_strata: int = 5) -> StrataAssignment:
 
 
 def standardization_contrast(fit: RegressionFit, dataset: Dataset, model: ModelSpec,
-                             treatment: str, t_high: float = 1.0,
-                             t_low: float = 0.0) -> float:
-    """Average predicted outcome shift when everyone moves to ``t_high``.
+                             treatment: str) -> float:
+    """Average predicted outcome shift when everyone moves from treatment 0 to 1.
 
     Predictions are rebuilt from the model terms with the treatment column
-    overridden, so squares and interactions involving the treatment update
-    with it.  For a model with no treatment interactions this reduces
-    exactly to ``(t_high - t_low) * beta_treatment``.
+    set to 1 and then to 0, so squares and interactions involving the
+    treatment update with it.  For a model with no treatment interactions
+    this is exactly ``beta_treatment``.
     """
     dataset.column(treatment)
     expected = ("intercept",) + tuple(t.label for t in model.terms)
@@ -338,8 +323,8 @@ def standardization_contrast(fit: RegressionFit, dataset: Dataset, model: ModelS
         return 0.0
     # Terms without the treatment cancel in the prediction difference, so
     # only the treatment-bearing columns need re-evaluation.
-    ds_hi = dataset.with_column(treatment, t_high)
-    ds_lo = dataset.with_column(treatment, t_low)
+    ds_hi = dataset.with_column(treatment, 1.0)
+    ds_lo = dataset.with_column(treatment, 0.0)
     diff = np.zeros(dataset.n_rows)
     for j in involved:
         term = model.terms[j]
@@ -370,21 +355,25 @@ def _percentile_over_refits(dataset: Dataset, rng: RngStream, replicates: int,
 
 
 def standardization_bootstrap_se(dataset: Dataset, model: ModelSpec, treatment: str,
-                                 rng: RngStream, t_high: float = 1.0,
-                                 t_low: float = 0.0, replicates: int = 1000,
+                                 rng: RngStream, replicates: int = 1000,
                                  alpha: float = 0.05) -> IntervalEstimate:
-    """Percentile interval for the standardized contrast under row resampling.
+    """Percentile interval for the standardized 1 vs 0 contrast under row
+    resampling.
 
     Each replicate refits the model from scratch on a resampled dataset,
     through :func:`~funcavg.bootstrap.resample`.  Replicates whose refit
     raises a package error are dropped; more than 5% of them failing
     aborts with an error instead of quietly reporting a fragile interval.
+
+    The name is older than the return value, which is an interval and not
+    a standard error; it stays because perfbench's tracer wraps this
+    function by name.
     """
 
     def point_fn(ds: Dataset) -> float:
         design, y = build_design(ds, model)
         fit = ols_fit(design, y)
-        return standardization_contrast(fit, ds, model, treatment, t_high, t_low)
+        return standardization_contrast(fit, ds, model, treatment)
 
     return _percentile_over_refits(dataset, rng, replicates, alpha, point_fn)
 
@@ -408,10 +397,10 @@ def ps_stratified_contrast(dataset: Dataset, outcome: str, treatment: str,
         pfit = logistic_fit(logit_design, ds.column(treatment))
         strata = propensity_strata(pfit, n_strata)
         augmented = ds
+        terms = [Term((treatment,))]
         for name, col in strata.indicator_columns().items():
             augmented = augmented.with_column(name, col)
-        terms = [Term((treatment,))]
-        terms += [Term((name,)) for name in strata.indicator_columns()]
+            terms.append(Term((name,)))
         model = ModelSpec(outcome=outcome, terms=tuple(terms))
         design, y = build_design(augmented, model)
         fit = ols_fit(design, y)

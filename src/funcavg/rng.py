@@ -39,15 +39,18 @@ class RngStream:
     key: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        if isinstance(self.key, int):
+        if isinstance(self.key, (int, np.integer)):
             object.__setattr__(self, "key", (self.key,))
         else:
             object.__setattr__(self, "key", tuple(self.key))
-        if self.seed < 0:
-            raise ParameterError(f"seed must be non-negative, got {self.seed}")
+        # Checked here, so that a bad value is a ParameterError at the call
+        # that made it, not a TypeError from SeedSequence in generator().
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
         for part in self.key:
-            if not 0 <= part < _KEY_BOUND:
-                raise ParameterError(f"stream key parts must be in [0, 2^32), got {part}")
+            if not (isinstance(part, (int, np.integer)) and 0 <= part < _KEY_BOUND):
+                raise ParameterError(
+                    f"stream key parts must be integers in [0, 2^32), got {part!r}")
 
     def child(self, *indices: int) -> "RngStream":
         """Derive a sub-stream by extending the key path."""

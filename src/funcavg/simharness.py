@@ -26,9 +26,9 @@ Determinism contract: every iteration draws from its own child stream
 keyed by (experiment number, variant index, sample-size index, iteration
 index) under the experiment's base seed, and per-iteration results land in
 arrays indexed by iteration before any aggregation.  Reports are
-therefore byte-reproducible and independent of execution order; the
-runner checks key uniqueness before running.  Wall time is recorded on
-the report object but deliberately left out of emitted files.
+therefore byte-reproducible and independent of execution order.  Wall
+time is recorded on the report object but deliberately left out of
+emitted files.
 """
 
 from __future__ import annotations
@@ -303,23 +303,6 @@ class _CellTally:
         return out
 
 
-def _audited_streams(spec: ExperimentSpec, number: int) -> dict[tuple, RngStream]:
-    """One stream per (variant index, n index, iteration), checked unique.
-
-    The key tuple carries the experiment number as well, so streams stay
-    distinct across experiments run under one base seed.
-    """
-    streams: dict[tuple[int, int, int], RngStream] = {}
-    for vi, _label in spec.selected_variants():
-        for ni in range(len(spec.n_grid)):
-            for it in range(spec.iterations):
-                streams[(vi, ni, it)] = RngStream(spec.seed, (number, vi, ni, it))
-    keys = [s.key for s in streams.values()]
-    if len(set(keys)) != len(keys):  # cannot happen; guards future key edits
-        raise ParameterError("internal stream keys collide; refusing to run")
-    return streams
-
-
 def _draw_law(law, n, stream):
     return sample_truncated_normal(law, n, stream.child(0)), None
 
@@ -434,7 +417,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """
     start = time.perf_counter()
     experiment = _experiments()[spec.experiment]
-    streams = _audited_streams(spec, experiment.number)
     passed = 0
     rows: list[ReportRow] = []
     for vi, label in spec.selected_variants():
@@ -442,7 +424,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
         for ni, n in enumerate(spec.n_grid):
             tally = _CellTally(spec.iterations)
             for it in range(spec.iterations):
-                stream = streams[(vi, ni, it)]
+                stream = RngStream(spec.seed, (experiment.number, vi, ni, it))
                 data, fit = experiment.draw(parameter, n, stream)
                 if fit is not None:
                     tally.record_point("ols", it, fit.coefficient(1))
@@ -459,11 +441,12 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
                         tally.record_interval(boot.estimator, it,
                                               recipe(dist, spec.alpha), suffix)
             rows.extend(tally.rows(spec.experiment, label, n, target))
+    streams = len(spec.selected_variants()) * len(spec.n_grid) * spec.iterations
     return ExperimentReport(
         spec=spec, rows=tuple(rows),
         range_checks_passed=passed,
-        range_checks_total=len(streams) * len(experiment.bootstraps),
-        streams_used=len(streams), wall_time=time.perf_counter() - start)
+        range_checks_total=streams * len(experiment.bootstraps),
+        streams_used=streams, wall_time=time.perf_counter() - start)
 
 
 # Emission.  CSV carries exact shortest-round-trip floats so a report can

@@ -44,6 +44,8 @@ from funcavg.simharness import (
     run_experiment,
 )
 
+pytestmark = pytest.mark.slow
+
 ACCEPTANCE_SEED = 5  # chosen so the Monte Carlo criteria hold with margin
 ITERATIONS = 200
 REPLICATES = 500

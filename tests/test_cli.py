@@ -205,6 +205,46 @@ def test_malformed_env_seed_is_a_usage_error(tmp_path):
     assert "FUNCAVG_SEED" in result.stderr
 
 
+# Out-of-range flag values are usage errors, rejected before any work.
+
+
+def four_row_csv(path):
+    return write_csv(path, ["y", "t"],
+                     [["1.0", "0"], ["2.0", "1"], ["3.0", "0"], ["4.0", "1"]])
+
+
+@pytest.mark.parametrize("flags", [
+    ["--b", "0"], ["--alpha", "2"], ["--alpha", "0"], ["--seed", "-1"],
+], ids=["b", "alpha-above", "alpha-zero", "seed"])
+def test_out_of_range_estimate_flags_are_usage_errors(tmp_path, flags):
+    path = four_row_csv(tmp_path / "d.csv")
+    result = CliRunner().invoke(main, [
+        "estimate", path, "--outcome", "y", "--treatment", "t",
+        "--method", "Av", *flags])
+    assert result.exit_code == 2
+    assert flags[0] in result.stderr
+    assert "seed:" not in result.stderr  # nothing ran
+
+
+@pytest.mark.parametrize("flags", [
+    ["--b", "0"], ["--m", "0"], ["--alpha", "2"], ["--seed", "-1"],
+], ids=["b", "m", "alpha", "seed"])
+def test_out_of_range_simulate_flags_are_usage_errors(flags):
+    result = CliRunner().invoke(main, ["simulate", "--table", "2", *flags])
+    assert result.exit_code == 2
+    assert "seed:" not in result.stderr
+
+
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
+def test_negative_env_seed_is_a_usage_error(tmp_path, command):
+    args = (["estimate", four_row_csv(tmp_path / "d.csv"), "--outcome", "y",
+             "--treatment", "t"] if command == "estimate"
+            else ["simulate", "--table", "2", "--m", "1", "--b", "2"])
+    result = CliRunner().invoke(main, args, env={"FUNCAVG_SEED": "-2"})
+    assert result.exit_code == 2
+    assert "FUNCAVG_SEED" in result.stderr
+
+
 # estimate output.
 
 

@@ -10,6 +10,7 @@ from funcavg.errors import DataError, ParameterError, ResampleError
 from funcavg.rng import RngStream
 from funcavg.estimators import (
     TwoArmSample,
+    _arm_codes,
     as_sample,
     contrast,
     discrete_plugin_average,
@@ -33,6 +34,13 @@ def test_plugin_average_tolerance_merges_near_duplicates():
     assert got == pytest.approx((1.004 + 2.0) / 2, abs=1e-12)
     with pytest.raises(ParameterError):
         discrete_plugin_average([1.0], tolerance=-0.1)
+
+
+def test_plugin_average_rejects_a_nan_tolerance():
+    # A NaN tolerance fails every gap test, which would merge all values
+    # into one group and return the sample mean.
+    with pytest.raises(ParameterError):
+        discrete_plugin_average([1, 1, 2], tolerance=float("nan"))
 
 
 def test_midrange_examples():
@@ -205,3 +213,23 @@ def test_plugin_kernels_decline_data_they_cannot_reproduce_exactly():
     assert not hasattr(merged, "batch") and not hasattr(contrast(merged), "batch")
     got = resample(rounded, config, merged).replicates
     assert np.array_equal(got, _per_row_replicates(rounded, config, merged))
+
+
+@pytest.mark.parametrize("integer_valued", [False, True])
+def test_batch_kernels_match_the_loop_with_wide_codes(integer_valued):
+    # More than 32,768 distinct outcomes: 2K no longer fits in uint16, so
+    # the codes widen to uint32.
+    rng = np.random.default_rng(8)
+    n = 33_000
+    values = rng.permutation(n).astype(float) if integer_valued \
+        else rng.normal(0.0, 50.0, n)
+    rows = np.column_stack([values, rng.integers(0, 2, n).astype(float)])
+    assert _arm_codes(values)[1].dtype == np.uint32
+    assert _arm_codes(rows)[1].dtype == np.uint32
+    estimators = [midrange, discrete_plugin_average] if integer_valued else [midrange]
+    config = BootstrapConfig(3, RngStream(9))
+    for estimator in estimators:
+        for data, statistic in ((values, estimator), (rows, contrast(estimator))):
+            assert statistic.batch(data) is not None
+            got = resample(data, config, statistic).replicates
+            assert np.array_equal(got, _per_row_replicates(data, config, statistic))

@@ -255,6 +255,7 @@ def test_standardization_bootstrap_determinism():
     assert a.method == "percentile"
 
 
+@pytest.mark.slow
 def test_standardization_bootstrap_coverage():
     """Percentile interval covers the true effect in most outer replications."""
     covered = 0

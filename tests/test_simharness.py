@@ -175,6 +175,27 @@ def test_reports_are_deterministic():
     assert report_text(a) == report_text(b)
 
 
+def test_stream_keys_are_distinct_across_tables_under_one_seed(monkeypatch):
+    # Every (variant, n, iteration) of every table draws from its own root
+    # stream; record the keys run_experiment derives and check none repeats.
+    keys = []
+
+    def recording_stream(seed, key):
+        keys.append((seed, key))
+        return RngStream(seed, key)
+
+    monkeypatch.setattr("funcavg.simharness.RngStream", recording_stream)
+    spec = dict(n_grid=(50, 60), iterations=3, replicates=5, seed=11)
+    expected = 0
+    for experiment in ("table2", "table3", "table4", "table5", "table6"):
+        report = run_experiment(ExperimentSpec(experiment, **spec))
+        assert report.streams_used == \
+            len(variant_labels(experiment)) * len(spec["n_grid"]) * spec["iterations"]
+        expected += report.streams_used
+    assert len(keys) == expected
+    assert len(set(keys)) == len(keys)
+
+
 def test_restricting_variants_reproduces_the_same_rows():
     # Streams are keyed by a variant's position in the full label tuple,
     # so running one variant alone cannot shift its numbers.
