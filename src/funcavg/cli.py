@@ -11,9 +11,10 @@ Three subcommands:
 
 Exit codes are a stable contract: 0 on success, 2 for usage errors
 (unknown flags, out-of-range flag values, bad table ids, unknown method
-names), 1 when the data or a numerical procedure is at fault.  The active
-seed is echoed to stderr on every run; the ``FUNCAVG_SEED`` environment
-variable supplies a default, and an explicit ``--seed`` beats it.
+names, a method the flags cannot serve), 1 when the data or a numerical
+procedure is at fault.  The active seed is echoed to stderr on every
+run; the ``FUNCAVG_SEED`` environment variable supplies a default, and an
+explicit ``--seed`` beats it.
 """
 
 from __future__ import annotations
@@ -46,22 +47,32 @@ from .simharness import (
     FULL_GRID,
     FULL_ITERATIONS,
     aligned_table,
+    csv_text,
     desk_spec,
     full_spec,
     report_text,
     run_experiment,
     write_report,
+    write_text,
 )
 
 _MISSING_MARKERS = {"", "na", "nan"}
 METHOD_NAMES = ("LR", "MR", "S", "PS", "Av")
 _COVARIATE_METHODS = ("MR", "S", "PS")
+_REFIT_METHODS = ("S", "PS")
 
 # Flag ranges, checked by click so that an out-of-range value is a usage
 # error (exit 2) before any work starts.
 _REPLICATES = click.IntRange(min=1)
 _ALPHA = click.FloatRange(0.0, 1.0, min_open=True, max_open=True)
 _SEED = click.IntRange(min=0)
+
+
+def _reject_nan(ctx, param, value):
+    # Every comparison with NaN is false, so NaN gets through a FloatRange.
+    if np.isnan(value):
+        raise click.BadParameter("nan is not in the range 0.0<x<1.0.")
+    return value
 
 
 def ingest_csv(path: str, columns=None) -> tuple[Dataset, int]:
@@ -145,6 +156,10 @@ def _resolve_seed(flag_value) -> int:
     return seed
 
 
+def _split_names(ctx, param, text):
+    return tuple(c.strip() for c in text.split(",") if c.strip())
+
+
 def _normalize_methods(ctx, param, values):
     canon = {name.lower(): name for name in METHOD_NAMES}
     if not values:
@@ -169,18 +184,18 @@ def _fail(exc: FuncavgError) -> None:
     sys.exit(1)
 
 
-def _load_csv(input_path: str, outcome: str, treatment: str, covariates: str,
-              center: bool) -> tuple[Dataset, tuple[str, ...], list[str]]:
+def _load_csv(input_path: str, outcome: str, treatment: str,
+              covariates: tuple[str, ...], center: bool) -> tuple[Dataset, list[str]]:
     """Ingest the referenced columns, noting dropped rows on stderr:
-    ``(data, covariate names, names --center mean-centered)``."""
-    names = tuple(c.strip() for c in covariates.split(",") if c.strip())
-    data, dropped = ingest_csv(input_path, tuple(dict.fromkeys((outcome, treatment) + names)))
+    ``(data, the covariates --center mean-centered)``."""
+    data, dropped = ingest_csv(input_path,
+                               tuple(dict.fromkeys((outcome, treatment) + covariates)))
     if dropped:
         click.echo(f"dropped {dropped} incomplete rows", err=True)
     centered = []
     if center:
-        data, centered = center_continuous(data, names)
-    return data, names, centered
+        data, centered = center_continuous(data, covariates)
+    return data, centered
 
 
 def _adjusted_model(outcome: str, treatment: str, covariates) -> ModelSpec:
@@ -197,9 +212,6 @@ def _estimate_rows(data: Dataset, outcome: str, treatment: str, covariates,
     seed keyed by the method's position in the canonical method tuple,
     so adding one method to a run never shifts another method's numbers.
     """
-    needs_covariates = [m for m in methods if m in _COVARIATE_METHODS]
-    if needs_covariates and not covariates:
-        raise click.UsageError(f"method {needs_covariates[0]} needs --covariates")
     parameter = f"{outcome}: {treatment}=1 vs {treatment}=0"
     model = _adjusted_model(outcome, treatment, covariates)
     base = RngStream(seed)
@@ -228,6 +240,16 @@ def _estimate_rows(data: Dataset, outcome: str, treatment: str, covariates,
     return rows
 
 
+def _check_methods(methods, covariates, replicates: int) -> None:
+    """Reject methods the flags cannot serve, as usage errors before ingest."""
+    needs_covariates = [m for m in methods if m in _COVARIATE_METHODS]
+    if needs_covariates and not covariates:
+        raise click.UsageError(f"method {needs_covariates[0]} needs --covariates")
+    refits = [m for m in methods if m in _REFIT_METHODS]
+    if refits and replicates < 2:
+        raise click.UsageError(f"method {refits[0]} needs --b of at least 2")
+
+
 def _estimate_text(rows, alpha: float) -> str:
     header = ("parameter", "method", "estimate", f"{100 * (1 - alpha):g}% interval")
     lines = [header]
@@ -238,26 +260,22 @@ def _estimate_text(rows, alpha: float) -> str:
 
 
 def _estimate_csv(rows) -> str:
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("parameter", "method", "estimate", "lower", "upper",
-                     "alpha", "interval_method"))
-    for parameter, method, ci in rows:
-        writer.writerow((parameter, method, repr(ci.point), repr(ci.lower),
-                         repr(ci.upper), repr(ci.alpha), ci.method))
-    return buf.getvalue()
+    return csv_text(("parameter", "method", "estimate", "lower", "upper",
+                     "alpha", "interval_method"),
+                    [(parameter, method, ci.point, ci.lower, ci.upper, ci.alpha, ci.method)
+                     for parameter, method, ci in rows])
 
 
 @main.command()
 @click.argument("input_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--outcome", required=True, help="Outcome column name.")
 @click.option("--treatment", required=True, help="Binary treatment column name.")
-@click.option("--covariates", default="", help="Comma-separated covariate columns.")
+@click.option("--covariates", default="", callback=_split_names,
+              help="Comma-separated covariate columns.")
 @click.option("--method", "methods", multiple=True, callback=_normalize_methods,
               help="LR, MR, S, PS, or Av; repeatable. Default Av.")
-@click.option("--alpha", type=_ALPHA, default=0.05, show_default=True)
+@click.option("--alpha", type=_ALPHA, callback=_reject_nan, default=0.05,
+              show_default=True)
 @click.option("--b", "replicates", type=_REPLICATES, default=DEFAULT_REPLICATES,
               show_default=True, help="Bootstrap replicates for S, PS, Av.")
 @click.option("--center", is_flag=True,
@@ -269,22 +287,20 @@ def estimate(input_path, outcome, treatment, covariates, methods, alpha,
              replicates, center, seed, out):
     """Estimate the treatment contrast in INPUT_PATH by each method."""
     seed = _resolve_seed(seed)
+    _check_methods(methods, covariates, replicates)
     click.echo(f"seed: {seed}", err=True)
     try:
-        data, covariate_names, centered = _load_csv(
-            input_path, outcome, treatment, covariates, center)
+        data, centered = _load_csv(input_path, outcome, treatment, covariates, center)
         if centered:
             click.echo(f"centered: {', '.join(centered)}", err=True)
-        rows = _estimate_rows(data, outcome, treatment, covariate_names,
+        rows = _estimate_rows(data, outcome, treatment, covariates,
                               methods, alpha, replicates, seed)
     except FuncavgError as exc:
         _fail(exc)
     text = _estimate_text(rows, alpha)
     if out is not None:
-        with open(f"{out}.csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write(_estimate_csv(rows))
-        with open(f"{out}.txt", "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        write_text(f"{out}.csv", _estimate_csv(rows))
+        write_text(f"{out}.txt", text)
     click.echo(text, nl=False)
 
 
@@ -296,7 +312,8 @@ def estimate(input_path, outcome, treatment, covariates, methods, alpha,
                                  f"{FULL_ITERATIONS} with --full).")
 @click.option("--b", "replicates", type=_REPLICATES, default=DEFAULT_REPLICATES,
               show_default=True, help="Bootstrap replicates per iteration.")
-@click.option("--alpha", type=_ALPHA, default=0.05, show_default=True)
+@click.option("--alpha", type=_ALPHA, callback=_reject_nan, default=0.05,
+              show_default=True)
 @click.option("--full", is_flag=True,
               help=f"Full-scale profile: sample sizes {FULL_GRID}, "
                    f"M={FULL_ITERATIONS}.")
@@ -331,7 +348,7 @@ def _group_label(value: float) -> str:
               help="Grouping column; one report row per distinct value.")
 @click.option("--outcome", required=True,
               help="Outcome column the per-group numbers describe.")
-@click.option("--covariates", default="",
+@click.option("--covariates", default="", callback=_split_names,
               help="If given, also fit outcome ~ treatment + covariates and "
                    "report residual support symmetry.")
 @click.option("--center", is_flag=True,
@@ -341,8 +358,7 @@ def _group_label(value: float) -> str:
 def diagnose(input_path, treatment, outcome, covariates, center, out):
     """Shape diagnostics per treatment group of INPUT_PATH."""
     try:
-        data, covariate_names, _ = _load_csv(
-            input_path, outcome, treatment, covariates, center)
+        data, _ = _load_csv(input_path, outcome, treatment, covariates, center)
         values = data.column(outcome)
         groups = data.column(treatment)
         distinct = np.unique(groups)
@@ -368,11 +384,11 @@ def diagnose(input_path, treatment, outcome, covariates, center, out):
                           f"{curve.area_below():.4f}",
                           f"{curve.area_above():.4f}"))
         rendered = aligned_table(lines)
-        if covariate_names:
+        if covariates:
             design, y = build_design(
-                data, _adjusted_model(outcome, treatment, covariate_names))
+                data, _adjusted_model(outcome, treatment, covariates))
             fit = ols_fit(design, y)
-            sym = residual_support_symmetry(fit)
+            sym = residual_support_symmetry(fit.residuals)
             rendered.append("")
             rendered.append(f"residual support: max {sym.max_residual:.4f}  "
                             f"min {sym.min_residual:.4f}  "
@@ -381,15 +397,11 @@ def diagnose(input_path, treatment, outcome, covariates, center, out):
     except FuncavgError as exc:
         _fail(exc)
     if out is not None:
-        with open(f"{out}.txt", "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        write_text(f"{out}.txt", text)
         for label, curve in curves.items():
-            with open(f"{out}_ecdf_{label}.csv", "w", encoding="utf-8",
-                      newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(("value", "cumulative_fraction"))
-                for v, h in zip(curve.values, curve.heights):
-                    writer.writerow((repr(float(v)), repr(float(h))))
+            write_text(f"{out}_ecdf_{label}.csv", csv_text(
+                ("value", "cumulative_fraction"),
+                zip(curve.values.tolist(), curve.heights.tolist())))
     click.echo(text, nl=False)
 
 

@@ -91,7 +91,7 @@ def sum_symmetry_gap(sample, normalized: bool = False) -> float:
     return gap / curve.observed_range if normalized else gap
 
 
-def mean_midrange_distance(sample, normalized: bool = False) -> float:
+def mean_midrange_distance(sample) -> float:
     """Absolute distance between the sample mean and the midrange.
 
     Large values flag laws whose support midpoint and expectation
@@ -99,13 +99,7 @@ def mean_midrange_distance(sample, normalized: bool = False) -> float:
     support-targeting estimators answer different questions.
     """
     x = as_sample(sample)
-    distance = float(abs(x.mean() - (x.min() + x.max()) / 2.0))
-    if not normalized:
-        return distance
-    rng = float(x.max() - x.min())
-    if rng == 0.0:
-        raise DataError("normalized distance needs a nondegenerate range")
-    return distance / rng
+    return float(abs(x.mean() - (x.min() + x.max()) / 2.0))
 
 
 @dataclass(frozen=True)
@@ -117,16 +111,14 @@ class SupportSymmetryReport:
     asymmetry: float
 
 
-def residual_support_symmetry(fit_or_residuals) -> SupportSymmetryReport:
-    """How symmetric about zero the residual support looks.
+def residual_support_symmetry(residuals) -> SupportSymmetryReport:
+    """How symmetric about zero the support of a fit's ``residuals`` looks.
 
     ``asymmetry`` is ``|max + min| / (max - min)``: zero when the extremes
     mirror each other, towards one when all residuals share a sign.  The
     range-based coefficient interval assumes symmetric errors, so values
-    well away from zero argue against using it.  Accepts a regression fit
-    or a raw residual array.
+    well away from zero argue against using it.
     """
-    residuals = getattr(fit_or_residuals, "residuals", fit_or_residuals)
     r = as_sample(residuals)
     hi, lo = float(r.max()), float(r.min())
     if hi == lo:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ParameterError, ResampleError
+from .errors import DataError, ResampleError
 
 __all__ = [
     "as_sample",
@@ -43,35 +43,16 @@ def as_sample(values) -> np.ndarray:
     return x
 
 
-def discrete_plugin_average(values, tolerance: float = 0.0) -> float:
+def discrete_plugin_average(values) -> float:
     """Mean of the distinct observed values.
 
     Duplicates carry no extra weight: each distinct value counts once, so
     the estimate tracks the support rather than the probability mass on it.
+    Only exact duplicates are equal, the right choice for integer outcomes.
     Support points that never appear in the sample contribute nothing;
     consistency rests on every value eventually being observed.
-
-    Parameters
-    ----------
-    values : array-like
-        Observed outcomes.
-    tolerance : float, optional
-        Distinctness threshold for continuous-ish data.  After sorting,
-        neighbours closer than this are merged into one group represented
-        by its group mean.  The default ``0.0`` treats only exact
-        duplicates as equal, the right choice for integer outcomes.
     """
-    x = as_sample(values)
-    if not tolerance >= 0:  # also rejects NaN, which would merge every value
-        raise ParameterError(f"tolerance must be non-negative, got {tolerance}")
-    if tolerance == 0.0:
-        return float(np.unique(x).mean())
-    sx = np.sort(x)
-    # Groups are maximal runs of sorted values whose consecutive gaps stay
-    # within the tolerance.
-    boundaries = np.flatnonzero(np.diff(sx) > tolerance) + 1
-    groups = np.split(sx, boundaries)
-    return float(np.mean([g.mean() for g in groups]))
+    return float(np.unique(as_sample(values)).mean())
 
 
 def midrange(values) -> float:

@@ -206,6 +206,7 @@ class LogisticFit:
 _LOGIT_TOL = 1e-8
 _LOGIT_MAX_ITER = 50
 _LOGIT_ETA_LIMIT = 30.0
+_N_STRATA = 5  # propensity-score quintiles
 
 
 def logistic_fit(design: DesignMatrix, response) -> LogisticFit:
@@ -261,41 +262,37 @@ def logistic_fit(design: DesignMatrix, response) -> LogisticFit:
 
 @dataclass(frozen=True)
 class StrataAssignment:
-    """Rows binned into propensity-score strata labelled 1..n_strata."""
+    """Rows binned into propensity-score quintile strata labelled 1..5."""
 
     labels: np.ndarray = field(repr=False)
-    n_strata: int
 
     @property
     def counts(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.n_strata + 1)[1:]
+        return np.bincount(self.labels, minlength=_N_STRATA + 1)[1:]
 
     def indicator_columns(self) -> dict[str, np.ndarray]:
-        """0/1 columns for strata 2..k; stratum 1 is the baseline."""
+        """0/1 columns for strata 2..5; stratum 1 is the baseline."""
         return {f"stratum_{s}": (self.labels == s).astype(float)
-                for s in range(2, self.n_strata + 1)}
+                for s in range(2, _N_STRATA + 1)}
 
 
-def propensity_strata(fit, n_strata: int = 5) -> StrataAssignment:
-    """Split rows at the empirical quantiles of the fitted propensities.
+def propensity_strata(scores) -> StrataAssignment:
+    """Split rows into quintiles of their propensity ``scores``.
 
-    Cut points are the ``j/k`` quantiles (linear interpolation).  A score
+    Cut points are the ``j/5`` quantiles (linear interpolation).  A score
     exactly equal to a cut point goes to the lower stratum, deterministic
     for every input ordering.  If heavy ties leave any stratum empty, a
     :class:`~funcavg.errors.StratificationError` is raised rather than
     silently fitting with fewer strata.
     """
-    probs = fit.fitted_probabilities if isinstance(fit, LogisticFit) \
-        else np.asarray(fit, dtype=float)
+    probs = np.asarray(scores, dtype=float)
     if probs.ndim != 1 or probs.size == 0:
         raise DataError("propensity scores must form a non-empty 1-D array")
-    if not (isinstance(n_strata, (int, np.integer)) and n_strata >= 2):
-        raise ParameterError(f"n_strata must be an integer >= 2, got {n_strata!r}")
-    if probs.size < n_strata:
-        raise DataError(f"cannot form {n_strata} strata from {probs.size} rows")
-    cuts = np.quantile(probs, np.arange(1, n_strata) / n_strata)
+    if probs.size < _N_STRATA:
+        raise DataError(f"cannot form {_N_STRATA} strata from {probs.size} rows")
+    cuts = np.quantile(probs, np.arange(1, _N_STRATA) / _N_STRATA)
     labels = np.searchsorted(cuts, probs, side="left").astype(np.int64) + 1
-    assignment = StrataAssignment(labels=labels, n_strata=n_strata)
+    assignment = StrataAssignment(labels=labels)
     empty = np.flatnonzero(assignment.counts == 0) + 1
     if empty.size:
         raise StratificationError(
@@ -380,12 +377,12 @@ def standardization_bootstrap_se(dataset: Dataset, model: ModelSpec, treatment: 
 
 def ps_stratified_contrast(dataset: Dataset, outcome: str, treatment: str,
                            covariates: Sequence[str], rng: RngStream,
-                           n_strata: int = 5, replicates: int = 1000,
+                           replicates: int = 1000,
                            alpha: float = 0.05) -> IntervalEstimate:
     """Treatment contrast adjusted by propensity-score quintile strata.
 
     Pipeline, repeated inside every bootstrap replicate: logistic
-    propensity fit on the plain covariate columns, quantile strata from
+    propensity fit on the plain covariate columns, quintile strata from
     the fitted scores, OLS of the outcome on treatment plus stratum
     indicators, then standardization of the treatment contrast.
     """
@@ -395,7 +392,7 @@ def ps_stratified_contrast(dataset: Dataset, outcome: str, treatment: str,
     def point_fn(ds: Dataset) -> float:
         logit_design = design_from_columns(ds, covariates)
         pfit = logistic_fit(logit_design, ds.column(treatment))
-        strata = propensity_strata(pfit, n_strata)
+        strata = propensity_strata(pfit.fitted_probabilities)
         augmented = ds
         terms = [Term((treatment,))]
         for name, col in strata.indicator_columns().items():

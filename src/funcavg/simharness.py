@@ -80,15 +80,13 @@ DEFAULT_REPLICATES = 500
 class _Bootstrap:
     """One bootstrap per iteration and the intervals read off its replicates.
 
-    ``child`` picks the iteration stream's child for the index draws;
-    each ``recipe(dist, alpha)`` gives one interval, reported under its
+    Each ``recipe(dist, alpha)`` gives one interval, reported under its
     own ``IntervalEstimate.method``, with ``-m`` appended when the
     bootstrap resamples ``round(sqrt(n))`` rows.
     """
 
     estimator: str
     statistic: Callable[[np.ndarray], float]
-    child: int
     resample_size: str
     recipes: tuple[Callable, ...]
 
@@ -100,8 +98,10 @@ class _Experiment:
     ``variants`` holds ``(label, parameter, target)`` in stream-key order.
     ``draw(parameter, n, stream)`` returns the data to resample and, for
     two-arm designs, the OLS fit of outcome on treatment, whose slope is
-    reported as the ``ols`` estimate.  ``fit_recipes`` are the
-    ``recipe(fit, coefficient, alpha)`` intervals read off that fit.
+    reported as the ``ols`` estimate.  The draw uses the iteration
+    stream's child 0, and ``bootstraps[k]`` draws its indices from child
+    ``k + 1``.  ``fit_recipes`` are the ``recipe(fit, coefficient, alpha)``
+    intervals read off that fit.
     """
 
     number: int
@@ -369,34 +369,34 @@ def _experiments() -> dict[str, _Experiment]:
             ("TN(0,15,10,3)", TruncatedNormalSpec(0.0, 15.0, 10.0, 3.0), 7.5),
             ("TN(0,15,5,3)", TruncatedNormalSpec(0.0, 15.0, 5.0, 3.0), 7.5),
         ), _draw_law, (
-            _Bootstrap("midrange", midrange, 1, "full", hoeffding),
-            _Bootstrap("midrange", midrange, 2, "sqrt", (hoeffding_ci, percentile_ci)),
+            _Bootstrap("midrange", midrange, "full", hoeffding),
+            _Bootstrap("midrange", midrange, "sqrt", (hoeffding_ci, percentile_ci)),
         )),
         "table3": _Experiment(3, (
             ("round(TN(0,40,20,5))", TruncatedNormalSpec(0.0, 40.0, 20.0, 5.0), 20.0),
             ("round(TN(0,40,25,8))", TruncatedNormalSpec(0.0, 40.0, 25.0, 8.0), 20.0),
             ("round(TN(0,40,15,8))", TruncatedNormalSpec(0.0, 40.0, 15.0, 8.0), 20.0),
         ), _draw_rounded_law, (
-            _Bootstrap("plugin", discrete_plugin_average, 1, "full", u_recipes),
-            _Bootstrap("midrange", midrange, 2, "full", u_recipes),
+            _Bootstrap("plugin", discrete_plugin_average, "full", u_recipes),
+            _Bootstrap("midrange", midrange, "full", u_recipes),
         )),
         "table4": _Experiment(4, (
             ("tau=5", TruncatedNormalSpec(-50.0, 50.0, 0.0, 5.0), 10.0),
             ("tau=25", TruncatedNormalSpec(-50.0, 50.0, 0.0, 25.0), 10.0),
         ), _draw_confounded_continuous, (
-            _Bootstrap("midrange", contrast(midrange), 1, "full", hoeffding),
+            _Bootstrap("midrange", contrast(midrange), "full", hoeffding),
         )),
         "table5": _Experiment(5, (
             ("tau=30", BinomialSpec(30, 0.5), 5.0),
             ("tau=50", BinomialSpec(50, 0.5), 5.0),
         ), _draw_confounded_discrete, (
-            _Bootstrap("plugin", contrast(discrete_plugin_average), 1, "full", u_recipes),
-            _Bootstrap("midrange", contrast(midrange), 2, "full", u_recipes),
+            _Bootstrap("plugin", contrast(discrete_plugin_average), "full", u_recipes),
+            _Bootstrap("midrange", contrast(midrange), "full", u_recipes),
         )),
         "table6": _Experiment(6, (
             ("slope", TruncatedNormalSpec(-10.0, 10.0, 0.0, 2.0), 20.0),
         ), _draw_slope, (
-            _Bootstrap("ols", contrast(sample_mean), 1, "full", hoeffding),
+            _Bootstrap("ols", contrast(sample_mean), "full", hoeffding),
         ), fit_recipes=(t_ci, u_concentration_ci)),
     }
 
@@ -430,9 +430,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
                     tally.record_point("ols", it, fit.coefficient(1))
                     for recipe in experiment.fit_recipes:
                         tally.record_interval("ols", it, recipe(fit, 1, spec.alpha))
-                for boot in experiment.bootstraps:
+                for k, boot in enumerate(experiment.bootstraps):
                     config = BootstrapConfig(
-                        spec.replicates, stream.child(boot.child), boot.resample_size)
+                        spec.replicates, stream.child(k + 1), boot.resample_size)
                     dist = resample(data, config, boot.statistic)
                     passed += popoviciu_check(dist)
                     tally.record_point(boot.estimator, it, dist.statistic)
@@ -456,21 +456,25 @@ CSV_COLUMNS = ("experiment", "variant", "n", "estimator", "method", "target",
                "mean_estimate", "mean_lower", "mean_upper", "coverage", "power")
 
 
-def _csv_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def csv_text(header, rows) -> str:
+    """``header`` then ``rows`` as CSV text with ``\\n`` line ends.  ``None`` is
+    an empty field and a Python float its shortest round-trip form."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, keeping its line ends."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def report_csv(report: ExperimentReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in report.rows:
-        writer.writerow([_csv_value(getattr(row, name)) for name in CSV_COLUMNS])
-    return buf.getvalue()
+    return csv_text(CSV_COLUMNS, ([getattr(row, name) for name in CSV_COLUMNS]
+                                  for row in report.rows))
 
 
 def aligned_table(lines) -> list[str]:
@@ -516,10 +520,8 @@ def write_report(report: ExperimentReport, prefix: str) -> tuple[str, str]:
     """Write ``{prefix}.csv`` and ``{prefix}.txt``; returns both paths."""
     csv_path = f"{prefix}.csv"
     text_path = f"{prefix}.txt"
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(report_csv(report))
-    with open(text_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(report_text(report))
+    write_text(csv_path, report_csv(report))
+    write_text(text_path, report_text(report))
     return csv_path, text_path
 
 

@@ -214,8 +214,9 @@ def four_row_csv(path):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--b", "0"], ["--alpha", "2"], ["--alpha", "0"], ["--seed", "-1"],
-], ids=["b", "alpha-above", "alpha-zero", "seed"])
+    ["--b", "0"], ["--alpha", "2"], ["--alpha", "0"], ["--alpha", "nan"],
+    ["--seed", "-1"],
+], ids=["b", "alpha-above", "alpha-zero", "alpha-nan", "seed"])
 def test_out_of_range_estimate_flags_are_usage_errors(tmp_path, flags):
     path = four_row_csv(tmp_path / "d.csv")
     result = CliRunner().invoke(main, [
@@ -227,11 +228,28 @@ def test_out_of_range_estimate_flags_are_usage_errors(tmp_path, flags):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--b", "0"], ["--m", "0"], ["--alpha", "2"], ["--seed", "-1"],
-], ids=["b", "m", "alpha", "seed"])
+    ["--b", "0"], ["--m", "0"], ["--alpha", "2"], ["--alpha", "nan"], ["--seed", "-1"],
+], ids=["b", "m", "alpha", "alpha-nan", "seed"])
 def test_out_of_range_simulate_flags_are_usage_errors(flags):
     result = CliRunner().invoke(main, ["simulate", "--table", "2", *flags])
     assert result.exit_code == 2
+    assert "seed:" not in result.stderr
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--method", "S", "--covariates", "x", "--b", "1"], "method S needs --b of at least 2"),
+    (["--method", "PS", "--covariates", "x", "--b", "1"], "method PS needs --b of at least 2"),
+    (["--method", "MR"], "method MR needs --covariates"),
+], ids=["S-b1", "PS-b1", "MR-without-covariates"])
+def test_method_flag_faults_are_usage_errors_before_ingest(tmp_path, flags, message):
+    # Ingesting this file fails with exit 1 at its bad cell, so exit 2
+    # shows that the flags were checked first.
+    path = write_csv(tmp_path / "d.csv", ["y", "t", "x"],
+                     [["1.0", "0", "0.5"], ["oops", "1", "0.2"]])
+    result = CliRunner().invoke(main, [
+        "estimate", path, "--outcome", "y", "--treatment", "t", *flags])
+    assert result.exit_code == 2
+    assert message in result.stderr
     assert "seed:" not in result.stderr
 
 
@@ -299,12 +317,14 @@ def test_estimate_av_bytes_match_pinned_digest(tmp_path):
 
 
 @pytest.mark.parametrize("method, digest", [
+    ("LR", "09e00af41268644724be16f2a74c8d3bb935f0282534648bbaf8b64b104c4d73"),
+    ("MR", "c876cf02ba87fa8040544728c336cfa9058b00dcc1f9f1f325eebb3d0563e84e"),
     ("S", "774057f19a3b299b513feea1a4a47b85673e0dad722995675e30b00efafc7e4e"),
     ("PS", "b7a19e161247a7c757ca19da5d693c61b4a5c23fd496ef7dd20c1e29d1ce6a1b"),
 ])
 def test_estimate_refit_bytes_match_pinned_digest(tmp_path, method, digest):
-    # As the Av digest above, for the bootstraps that refit a model on
-    # every replicate.
+    # As the Av digest above, for the methods that fit a model: LR and MR
+    # once, S and PS on every bootstrap replicate.
     path = two_arm_csv(tmp_path / "d.csv", seed=9)
     out = str(tmp_path / "est")
     result = CliRunner().invoke(main, [
@@ -425,6 +445,20 @@ def test_diagnose_reports_per_group_shape(tmp_path):
         assert points[0] == ["value", "cumulative_fraction"]
         assert len(points) == 41  # one per distinct sample value
         assert float(points[-1][1]) == 1.0
+
+
+def test_diagnose_bytes_match_pinned_digest(tmp_path):
+    # sha256 of the TXT, then the group 0 and group 1 ECDF CSVs, taken
+    # with numpy 2.4.6 and scipy 1.17.1.
+    path = two_arm_csv(tmp_path / "d.csv", seed=9)
+    result = CliRunner().invoke(main, [
+        "diagnose", path, "--treatment", "t", "--outcome", "y",
+        "--covariates", "x", "--out", str(tmp_path / "diag")])
+    assert result.exit_code == 0
+    body = b"".join((tmp_path / name).read_bytes()
+                    for name in ("diag.txt", "diag_ecdf_0.csv", "diag_ecdf_1.csv"))
+    assert hashlib.sha256(body).hexdigest() == \
+        "b192e3b8932ce4cde08fdfe3b93d01b82c50e675fb62b062a838de50792c4ef6"
 
 
 def test_diagnose_warns_on_degenerate_groups(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from funcavg.bootstrap import BootstrapConfig, resample
-from funcavg.errors import DataError, ParameterError, ResampleError
+from funcavg.errors import DataError, ResampleError
 from funcavg.rng import RngStream
 from funcavg.estimators import (
     TwoArmSample,
@@ -26,21 +26,6 @@ def test_plugin_average_counts_each_distinct_value_once():
     assert discrete_plugin_average([7]) == 7.0
     # Heavy duplication moves the mean but not the plug-in value.
     assert discrete_plugin_average([0] * 999 + [10]) == 5.0
-
-
-def test_plugin_average_tolerance_merges_near_duplicates():
-    # 1.0, 1.004, 1.008 chain together under tol=0.005; 2.0 stands alone.
-    got = discrete_plugin_average([1.0, 1.004, 1.008, 2.0], tolerance=0.005)
-    assert got == pytest.approx((1.004 + 2.0) / 2, abs=1e-12)
-    with pytest.raises(ParameterError):
-        discrete_plugin_average([1.0], tolerance=-0.1)
-
-
-def test_plugin_average_rejects_a_nan_tolerance():
-    # A NaN tolerance fails every gap test, which would merge all values
-    # into one group and return the sample mean.
-    with pytest.raises(ParameterError):
-        discrete_plugin_average([1, 1, 2], tolerance=float("nan"))
 
 
 def test_midrange_examples():
@@ -91,12 +76,6 @@ def test_two_arm_rejects_empty_or_bad_labels():
         TwoArmSample.from_labels([1.0, 2.0], [0, 2])
     with pytest.raises(DataError):
         TwoArmSample.from_labels([1.0, 2.0], [0])
-
-
-def test_paired_contrast_forwards_tolerance():
-    rows = np.array([[1.0, 1], [1.004, 1], [0.0, 0]])
-    plugin = functools.partial(discrete_plugin_average, tolerance=0.01)
-    assert paired_contrast(rows, plugin) == pytest.approx(1.002)
 
 
 def test_paired_contrast_matches_the_arm_split_and_rejects_an_empty_arm():
@@ -206,13 +185,6 @@ def test_plugin_kernels_decline_data_they_cannot_reproduce_exactly():
     got = resample(non_integer, config, discrete_plugin_average).replicates
     assert np.array_equal(got, _per_row_replicates(non_integer, config,
                                                    discrete_plugin_average))
-
-    # A tolerance has no kernel: the partial carries no batch.
-    rounded = np.round(non_integer, 1)
-    merged = functools.partial(discrete_plugin_average, tolerance=0.15)
-    assert not hasattr(merged, "batch") and not hasattr(contrast(merged), "batch")
-    got = resample(rounded, config, merged).replicates
-    assert np.array_equal(got, _per_row_replicates(rounded, config, merged))
 
 
 @pytest.mark.parametrize("integer_valued", [False, True])

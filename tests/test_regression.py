@@ -170,14 +170,14 @@ def test_logistic_rejects_non_binary_response():
 
 def test_propensity_strata_even_spread():
     probs = np.arange(0.1, 1.05, 0.1)[:10]
-    strata = propensity_strata(probs, n_strata=5)
+    strata = propensity_strata(probs)
     assert strata.counts.tolist() == [2, 2, 2, 2, 2]
     assert strata.labels.min() == 1 and strata.labels.max() == 5
 
 
 def test_propensity_strata_constant_probs_error():
     with pytest.raises(StratificationError):
-        propensity_strata(np.full(100, 0.4), n_strata=5)
+        propensity_strata(np.full(100, 0.4))
 
 
 def test_propensity_strata_continuous_scores_fill_every_bin():
@@ -186,19 +186,17 @@ def test_propensity_strata_continuous_scores_fill_every_bin():
     t = sample_bernoulli_probs(expit(-1 + 2 * l), RngStream(77, (1,)))
     ds = Dataset({"t": t.astype(float), "l": l})
     fit = logistic_fit(design_from_columns(ds, ["l"]), ds.column("t"))
-    strata = propensity_strata(fit, n_strata=5)
+    strata = propensity_strata(fit.fitted_probabilities)
     assert (strata.counts >= n / 10).all()
 
 
 def test_propensity_strata_determinism_and_validation():
     probs = RngStream(3, (0,)).generator().uniform(0.05, 0.95, 200)
-    a = propensity_strata(probs, 5)
-    b = propensity_strata(probs, 5)
+    a = propensity_strata(probs)
+    b = propensity_strata(probs)
     assert np.array_equal(a.labels, b.labels)
-    with pytest.raises(ParameterError):
-        propensity_strata(probs, 1)
     with pytest.raises(DataError):
-        propensity_strata(probs[:3], 5)
+        propensity_strata(probs[:3])
 
 
 def test_standardization_equals_slope_without_interactions():
