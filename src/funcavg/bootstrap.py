@@ -59,7 +59,8 @@ class BootstrapConfig:
     Parameters
     ----------
     replicates : int
-        Number of bootstrap replicates ``B``.
+        Number of bootstrap replicates ``B``, at least 2: the intervals
+        read a spread off them, and one replicate has none.
     rng : RngStream
         Stream all index draws come from.
     resample_size : {"full", "sqrt"}
@@ -77,9 +78,9 @@ class BootstrapConfig:
     max_failure_share: float = 0.0
 
     def __post_init__(self):
-        if not (isinstance(self.replicates, (int, np.integer)) and self.replicates >= 1):
+        if not (isinstance(self.replicates, (int, np.integer)) and self.replicates >= 2):
             raise ParameterError(
-                f"replicates must be a positive integer, got {self.replicates!r}")
+                f"replicates must be an integer of at least 2, got {self.replicates!r}")
         if self.resample_size not in ("full", "sqrt"):
             raise ParameterError(
                 f"resample_size must be 'full' or 'sqrt', got {self.resample_size!r}")

@@ -59,11 +59,11 @@ from .simharness import (
 _MISSING_MARKERS = {"", "na", "nan"}
 METHOD_NAMES = ("LR", "MR", "S", "PS", "Av")
 _COVARIATE_METHODS = ("MR", "S", "PS")
-_REFIT_METHODS = ("S", "PS")
 
 # Flag ranges, checked by click so that an out-of-range value is a usage
-# error (exit 2) before any work starts.
-_REPLICATES = click.IntRange(min=1)
+# error (exit 2) before any work starts.  A bootstrap interval needs at
+# least two replicates: one has a range of zero.
+_REPLICATES = click.IntRange(min=2)
 _ALPHA = click.FloatRange(0.0, 1.0, min_open=True, max_open=True)
 _SEED = click.IntRange(min=0)
 
@@ -240,14 +240,11 @@ def _estimate_rows(data: Dataset, outcome: str, treatment: str, covariates,
     return rows
 
 
-def _check_methods(methods, covariates, replicates: int) -> None:
+def _check_methods(methods, covariates) -> None:
     """Reject methods the flags cannot serve, as usage errors before ingest."""
     needs_covariates = [m for m in methods if m in _COVARIATE_METHODS]
     if needs_covariates and not covariates:
         raise click.UsageError(f"method {needs_covariates[0]} needs --covariates")
-    refits = [m for m in methods if m in _REFIT_METHODS]
-    if refits and replicates < 2:
-        raise click.UsageError(f"method {refits[0]} needs --b of at least 2")
 
 
 def _estimate_text(rows, alpha: float) -> str:
@@ -287,7 +284,7 @@ def estimate(input_path, outcome, treatment, covariates, methods, alpha,
              replicates, center, seed, out):
     """Estimate the treatment contrast in INPUT_PATH by each method."""
     seed = _resolve_seed(seed)
-    _check_methods(methods, covariates, replicates)
+    _check_methods(methods, covariates)
     click.echo(f"seed: {seed}", err=True)
     try:
         data, centered = _load_csv(input_path, outcome, treatment, covariates, center)
@@ -377,9 +374,9 @@ def diagnose(input_path, treatment, outcome, covariates, center, out):
                 continue
             curve = ecdf(sample)
             curves[label] = curve
-            lines.append((label, str(sample.size),
-                          f"{sum_symmetry_gap(sample):.4f}",
-                          f"{sum_symmetry_gap(sample, normalized=True):.4f}",
+            gap = sum_symmetry_gap(sample)
+            lines.append((label, str(sample.size), f"{gap:.4f}",
+                          f"{gap / curve.observed_range:.4f}",
                           f"{mean_midrange_distance(sample):.4f}",
                           f"{curve.area_below():.4f}",
                           f"{curve.area_above():.4f}"))

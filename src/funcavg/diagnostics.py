@@ -72,23 +72,20 @@ def ecdf(sample) -> EcdfCurve:
     return EcdfCurve(values=values, heights=heights, n=x.size)
 
 
-def sum_symmetry_gap(sample, normalized: bool = False) -> float:
+def sum_symmetry_gap(sample) -> float:
     """Area below the ECDF minus area above it, over the observed range.
 
     Zero for distributions that put mass symmetrically around the middle
     of their support; positive when mass piles up near the minimum (the
     curve rises early), negative when it piles up near the maximum.
     Algebraically the gap equals ``2 * (midrange - mean)``, but it is
-    computed here from the step function itself.
-
-    With ``normalized=True`` the gap is divided by the observed range,
-    giving a scale-free version in ``[-1, 1]``.
+    computed here from the step function itself.  Divided by the observed
+    range it is a scale-free number in ``[-1, 1]``.
     """
     curve = ecdf(sample)
     if curve.observed_range == 0.0:
         raise DataError("sum-symmetry gap needs a nondegenerate observed range")
-    gap = curve.area_below() - curve.area_above()
-    return gap / curve.observed_range if normalized else gap
+    return curve.area_below() - curve.area_above()
 
 
 def mean_midrange_distance(sample) -> float:

@@ -1,25 +1,22 @@
-"""Tiny model-formula language: ``outcome ~ a + b + I(a^2) + a:b``.
+"""Model terms: an outcome ~ intercept + products of columns.
 
-Deliberately small: plain column terms, squared terms written ``I(col^2)``,
-and products written ``a:b``.  An intercept is always included.  Terms know
-how to evaluate themselves against a :class:`~funcavg.dataset.Dataset`, which
-is what lets counterfactual predictions rebuild interaction and square
-columns after the treatment column is overridden.
+A :class:`Term` is a product of named columns (one column alone is a
+plain term; a column repeated is its square), and a :class:`ModelSpec`
+is an outcome name plus ordered terms.  An intercept is always included.
+Terms know how to evaluate themselves against a
+:class:`~funcavg.dataset.Dataset`, which is what lets counterfactual
+predictions rebuild product columns after the treatment column is
+overridden.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset
 from .errors import ParameterError
-
-_IDENT = r"[A-Za-z_][A-Za-z0-9_.]*"
-_SQUARE_RE = re.compile(rf"^I\(\s*({_IDENT})\s*\^\s*2\s*\)$")
-_IDENT_RE = re.compile(rf"^{_IDENT}$")
 
 
 @dataclass(frozen=True)
@@ -34,8 +31,6 @@ class Term:
 
     @property
     def label(self) -> str:
-        if len(self.factors) == 2 and self.factors[0] == self.factors[1]:
-            return f"I({self.factors[0]}^2)"
         return ":".join(self.factors)
 
     def evaluate(self, dataset: Dataset) -> np.ndarray:
@@ -50,7 +45,7 @@ class Term:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Parsed formula: an outcome name plus ordered design terms."""
+    """An outcome name plus ordered design terms."""
 
     outcome: str
     terms: tuple[Term, ...]
@@ -60,34 +55,3 @@ class ModelSpec:
         dupes = {l for l in labels if labels.count(l) > 1}
         if dupes:
             raise ParameterError(f"duplicate model terms: {', '.join(sorted(dupes))}")
-
-    @classmethod
-    def parse(cls, text: str) -> "ModelSpec":
-        if text.count("~") != 1:
-            raise ParameterError(
-                f"model must contain exactly one '~', got {text!r}")
-        left, right = (part.strip() for part in text.split("~"))
-        if not _IDENT_RE.match(left):
-            raise ParameterError(f"bad outcome name {left!r}")
-        terms = []
-        for raw in right.split("+"):
-            token = raw.strip()
-            if token in ("", "1"):
-                continue  # the intercept is always present
-            terms.append(parse_term(token))
-        return cls(outcome=left, terms=tuple(terms))
-
-
-def parse_term(token: str) -> Term:
-    square = _SQUARE_RE.match(token)
-    if square:
-        name = square.group(1)
-        return Term((name, name))
-    if ":" in token:
-        factors = tuple(part.strip() for part in token.split(":"))
-        if not all(_IDENT_RE.match(f) for f in factors):
-            raise ParameterError(f"bad interaction term {token!r}")
-        return Term(factors)
-    if _IDENT_RE.match(token):
-        return Term((token,))
-    raise ParameterError(f"cannot parse model term {token!r}")

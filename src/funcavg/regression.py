@@ -9,7 +9,10 @@ estimate involved.
 
 The causal helpers (standardization, propensity-score stratification)
 re-run their whole pipeline inside each bootstrap replicate, so their
-interval reflects every estimated stage.
+interval reflects every estimated stage.  :func:`standardization_contrast`
+owns both the fit and the contrast: it takes a dataset and a model built
+from :class:`~funcavg.formula.Term` objects, fits the model by OLS and
+standardizes the treatment contrast over the fitted predictions.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ __all__ = [
     "DesignMatrix",
     "RegressionFit",
     "LogisticFit",
-    "StrataAssignment",
     "build_design",
     "design_from_columns",
     "ols_fit",
@@ -260,24 +262,8 @@ def logistic_fit(design: DesignMatrix, response) -> LogisticFit:
         f"no convergence after {_LOGIT_MAX_ITER} iterations", trace)
 
 
-@dataclass(frozen=True)
-class StrataAssignment:
-    """Rows binned into propensity-score quintile strata labelled 1..5."""
-
-    labels: np.ndarray = field(repr=False)
-
-    @property
-    def counts(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=_N_STRATA + 1)[1:]
-
-    def indicator_columns(self) -> dict[str, np.ndarray]:
-        """0/1 columns for strata 2..5; stratum 1 is the baseline."""
-        return {f"stratum_{s}": (self.labels == s).astype(float)
-                for s in range(2, _N_STRATA + 1)}
-
-
-def propensity_strata(scores) -> StrataAssignment:
-    """Split rows into quintiles of their propensity ``scores``.
+def propensity_strata(scores) -> np.ndarray:
+    """Stratum labels 1..5: the quintile of each row's propensity ``scores``.
 
     Cut points are the ``j/5`` quantiles (linear interpolation).  A score
     exactly equal to a cut point goes to the lower stratum, deterministic
@@ -292,18 +278,17 @@ def propensity_strata(scores) -> StrataAssignment:
         raise DataError(f"cannot form {_N_STRATA} strata from {probs.size} rows")
     cuts = np.quantile(probs, np.arange(1, _N_STRATA) / _N_STRATA)
     labels = np.searchsorted(cuts, probs, side="left").astype(np.int64) + 1
-    assignment = StrataAssignment(labels=labels)
-    empty = np.flatnonzero(assignment.counts == 0) + 1
+    empty = np.flatnonzero(np.bincount(labels, minlength=_N_STRATA + 1)[1:] == 0) + 1
     if empty.size:
         raise StratificationError(
             f"strata {', '.join(map(str, empty))} are empty; "
             "tied propensity scores cannot fill every quantile bin")
-    return assignment
+    return labels
 
 
-def standardization_contrast(fit: RegressionFit, dataset: Dataset, model: ModelSpec,
-                             treatment: str) -> float:
-    """Average predicted outcome shift when everyone moves from treatment 0 to 1.
+def standardization_contrast(dataset: Dataset, model: ModelSpec, treatment: str) -> float:
+    """Fit ``model`` by OLS, then average the predicted outcome shift when
+    everyone moves from treatment 0 to 1.
 
     Predictions are rebuilt from the model terms with the treatment column
     set to 1 and then to 0, so squares and interactions involving the
@@ -311,10 +296,7 @@ def standardization_contrast(fit: RegressionFit, dataset: Dataset, model: ModelS
     this is exactly ``beta_treatment``.
     """
     dataset.column(treatment)
-    expected = ("intercept",) + tuple(t.label for t in model.terms)
-    if fit.design.column_names != expected:
-        raise ParameterError("fit and model disagree on design columns; "
-                             "fit the same model you standardize")
+    fit = ols_fit(*build_design(dataset, model))
     involved = [j for j, term in enumerate(model.terms) if term.mentions(treatment)]
     if not involved:
         return 0.0
@@ -335,8 +317,6 @@ def _percentile_over_refits(dataset: Dataset, rng: RngStream, replicates: int,
     """Percentile interval of ``point_fn`` over bootstrap row resamples,
     dropping refits that fail as long as no more than 5% of them do."""
     alpha = check_alpha(alpha)
-    if replicates < 2:
-        raise ParameterError(f"need at least 2 replicates, got {replicates}")
     every_row = np.arange(dataset.n_rows, dtype=float)
 
     def refit(rows: np.ndarray) -> float:
@@ -368,9 +348,7 @@ def standardization_bootstrap_se(dataset: Dataset, model: ModelSpec, treatment: 
     """
 
     def point_fn(ds: Dataset) -> float:
-        design, y = build_design(ds, model)
-        fit = ols_fit(design, y)
-        return standardization_contrast(fit, ds, model, treatment)
+        return standardization_contrast(ds, model, treatment)
 
     return _percentile_over_refits(dataset, rng, replicates, alpha, point_fn)
 
@@ -389,18 +367,17 @@ def ps_stratified_contrast(dataset: Dataset, outcome: str, treatment: str,
     if not covariates:
         raise ParameterError("propensity stratification needs at least one covariate")
 
+    # Stratum 1 is the baseline; strata 2..5 each get a 0/1 column.
+    strata = range(2, _N_STRATA + 1)
+    model = ModelSpec(outcome, tuple(Term((name,)) for name in
+                                     (treatment, *(f"stratum_{s}" for s in strata))))
+
     def point_fn(ds: Dataset) -> float:
         logit_design = design_from_columns(ds, covariates)
         pfit = logistic_fit(logit_design, ds.column(treatment))
-        strata = propensity_strata(pfit.fitted_probabilities)
-        augmented = ds
-        terms = [Term((treatment,))]
-        for name, col in strata.indicator_columns().items():
-            augmented = augmented.with_column(name, col)
-            terms.append(Term((name,)))
-        model = ModelSpec(outcome=outcome, terms=tuple(terms))
-        design, y = build_design(augmented, model)
-        fit = ols_fit(design, y)
-        return standardization_contrast(fit, augmented, model, treatment)
+        labels = propensity_strata(pfit.fitted_probabilities)
+        for s in strata:
+            ds = ds.with_column(f"stratum_{s}", (labels == s).astype(float))
+        return standardization_contrast(ds, model, treatment)
 
     return _percentile_over_refits(dataset, rng, replicates, alpha, point_fn)

@@ -153,9 +153,9 @@ class ExperimentSpec:
         if not (isinstance(self.iterations, (int, np.integer)) and self.iterations >= 1):
             raise ParameterError(
                 f"iterations must be a positive integer, got {self.iterations!r}")
-        if not (isinstance(self.replicates, (int, np.integer)) and self.replicates >= 1):
+        if not (isinstance(self.replicates, (int, np.integer)) and self.replicates >= 2):
             raise ParameterError(
-                f"replicates must be a positive integer, got {self.replicates!r}")
+                f"replicates must be an integer of at least 2, got {self.replicates!r}")
         check_alpha(self.alpha)
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
             raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")

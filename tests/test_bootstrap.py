@@ -224,6 +224,8 @@ def test_resample_failure_share_limits():
 def test_config_validation():
     with pytest.raises(ParameterError):
         BootstrapConfig(replicates=0, rng=RngStream(0))
+    with pytest.raises(ParameterError, match="at least 2"):
+        BootstrapConfig(replicates=1, rng=RngStream(0))
     with pytest.raises(ParameterError):
         BootstrapConfig(replicates=10, rng=RngStream(0), resample_size="half")
     with pytest.raises(ParameterError):

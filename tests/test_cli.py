@@ -214,9 +214,9 @@ def four_row_csv(path):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--b", "0"], ["--alpha", "2"], ["--alpha", "0"], ["--alpha", "nan"],
+    ["--b", "0"], ["--b", "1"], ["--alpha", "2"], ["--alpha", "0"], ["--alpha", "nan"],
     ["--seed", "-1"],
-], ids=["b", "alpha-above", "alpha-zero", "alpha-nan", "seed"])
+], ids=["b", "b-one", "alpha-above", "alpha-zero", "alpha-nan", "seed"])
 def test_out_of_range_estimate_flags_are_usage_errors(tmp_path, flags):
     path = four_row_csv(tmp_path / "d.csv")
     result = CliRunner().invoke(main, [
@@ -228,8 +228,9 @@ def test_out_of_range_estimate_flags_are_usage_errors(tmp_path, flags):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--b", "0"], ["--m", "0"], ["--alpha", "2"], ["--alpha", "nan"], ["--seed", "-1"],
-], ids=["b", "m", "alpha", "alpha-nan", "seed"])
+    ["--b", "0"], ["--b", "1"], ["--m", "0"], ["--alpha", "2"], ["--alpha", "nan"],
+    ["--seed", "-1"],
+], ids=["b", "b-one", "m", "alpha", "alpha-nan", "seed"])
 def test_out_of_range_simulate_flags_are_usage_errors(flags):
     result = CliRunner().invoke(main, ["simulate", "--table", "2", *flags])
     assert result.exit_code == 2
@@ -237,10 +238,8 @@ def test_out_of_range_simulate_flags_are_usage_errors(flags):
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--method", "S", "--covariates", "x", "--b", "1"], "method S needs --b of at least 2"),
-    (["--method", "PS", "--covariates", "x", "--b", "1"], "method PS needs --b of at least 2"),
     (["--method", "MR"], "method MR needs --covariates"),
-], ids=["S-b1", "PS-b1", "MR-without-covariates"])
+], ids=["MR-without-covariates"])
 def test_method_flag_faults_are_usage_errors_before_ingest(tmp_path, flags, message):
     # Ingesting this file fails with exit 1 at its bad cell, so exit 2
     # shows that the flags were checked first.

@@ -19,7 +19,7 @@ from funcavg.distributions import (
     sample_truncated_normal,
 )
 from funcavg.errors import DataError
-from funcavg.formula import ModelSpec
+from funcavg.formula import ModelSpec, Term
 from funcavg.regression import build_design, ols_fit
 from funcavg.rng import RngStream
 
@@ -59,7 +59,7 @@ def test_sum_symmetry_gap_hand_instances():
     assert curve.area_above() == pytest.approx(1 / 3)
     assert sum_symmetry_gap([0.0, 0.0, 1.0]) == pytest.approx(1 / 3)
     assert sum_symmetry_gap([0.0, 1.0, 1.0]) == pytest.approx(-1 / 3)
-    assert sum_symmetry_gap([0.0, 0.0, 1.0], normalized=True) == pytest.approx(1 / 3)
+    assert sum_symmetry_gap([0.0, 0.0, 1.0]) / curve.observed_range == pytest.approx(1 / 3)
 
 
 def test_sum_symmetry_gap_degenerate_range():
@@ -118,7 +118,7 @@ def test_skewed_law_has_large_negative_gap():
     x = sample_truncated_normal(TruncatedNormalSpec(0, 15, 10, 3), 10_000,
                                 RngStream(23, (0,)))
     assert sum_symmetry_gap(x) < -1.0
-    assert sum_symmetry_gap(x, normalized=True) < -0.1
+    assert sum_symmetry_gap(x) / (x.max() - x.min()) < -0.1
 
 
 def test_mean_midrange_distance_values():
@@ -148,7 +148,7 @@ def test_residual_symmetry_on_arm_model_fits():
     threshold then holds with margin while 0.1 would fail a visible
     fraction of honest fits.
     """
-    model = ModelSpec.parse("y ~ t")
+    model = ModelSpec("y", (Term(("t",)),))
     below = 0
     reps = 200
     for i in range(reps):

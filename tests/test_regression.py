@@ -19,7 +19,7 @@ from funcavg.errors import (
     SingularDesignError,
     StratificationError,
 )
-from funcavg.formula import ModelSpec
+from funcavg.formula import ModelSpec, Term
 from funcavg.regression import (
     DesignMatrix,
     build_design,
@@ -36,6 +36,7 @@ from funcavg.regression import (
 from funcavg.rng import RngStream
 
 U_SCALE = 0.7841002756996854  # sqrt(log(40) / 6)
+ARM_MODEL = ModelSpec("y", (Term(("t",)),))  # y ~ t
 
 
 def linear_arm_data(n, seed, effect=20.0, base=100.0, noise_sigma=2.0):
@@ -88,7 +89,7 @@ def test_ols_requires_more_rows_than_columns():
 
 def test_ols_recovers_treatment_coefficient():
     ds = linear_arm_data(2500, seed=31)
-    fit = ols_fit(*build_design(ds, ModelSpec.parse("y ~ t")))
+    fit = ols_fit(*build_design(ds, ARM_MODEL))
     assert fit.coefficient("t") == pytest.approx(20.0, abs=0.2)
 
 
@@ -98,7 +99,7 @@ def test_t_and_u_interval_means_match_reference_values():
     reps = 1000
     for i in range(reps):
         ds = linear_arm_data(500, seed=40_000 + i)
-        fit = ols_fit(*build_design(ds, ModelSpec.parse("y ~ t")))
+        fit = ols_fit(*build_design(ds, ARM_MODEL))
         tci = t_ci(fit, "t")
         uci = u_concentration_ci(fit, "t")
         lowers_t.append(tci.lower)
@@ -129,7 +130,7 @@ def test_u_concentration_hand_instance():
 
 def test_t_interval_width_monotone_in_alpha():
     ds = linear_arm_data(200, seed=9)
-    fit = ols_fit(*build_design(ds, ModelSpec.parse("y ~ t")))
+    fit = ols_fit(*build_design(ds, ARM_MODEL))
     widths = [t_ci(fit, "t", alpha=a).width for a in (0.01, 0.05, 0.2, 0.8)]
     assert all(w1 > w2 for w1, w2 in zip(widths, widths[1:]))
 
@@ -170,9 +171,8 @@ def test_logistic_rejects_non_binary_response():
 
 def test_propensity_strata_even_spread():
     probs = np.arange(0.1, 1.05, 0.1)[:10]
-    strata = propensity_strata(probs)
-    assert strata.counts.tolist() == [2, 2, 2, 2, 2]
-    assert strata.labels.min() == 1 and strata.labels.max() == 5
+    labels = propensity_strata(probs)
+    assert np.bincount(labels).tolist() == [0, 2, 2, 2, 2, 2]
 
 
 def test_propensity_strata_constant_probs_error():
@@ -186,24 +186,23 @@ def test_propensity_strata_continuous_scores_fill_every_bin():
     t = sample_bernoulli_probs(expit(-1 + 2 * l), RngStream(77, (1,)))
     ds = Dataset({"t": t.astype(float), "l": l})
     fit = logistic_fit(design_from_columns(ds, ["l"]), ds.column("t"))
-    strata = propensity_strata(fit.fitted_probabilities)
-    assert (strata.counts >= n / 10).all()
+    counts = np.bincount(propensity_strata(fit.fitted_probabilities))[1:]
+    assert counts.size == 5 and (counts >= n / 10).all()
 
 
 def test_propensity_strata_determinism_and_validation():
     probs = RngStream(3, (0,)).generator().uniform(0.05, 0.95, 200)
     a = propensity_strata(probs)
     b = propensity_strata(probs)
-    assert np.array_equal(a.labels, b.labels)
+    assert np.array_equal(a, b)
     with pytest.raises(DataError):
         propensity_strata(probs[:3])
 
 
 def test_standardization_equals_slope_without_interactions():
     ds = linear_arm_data(400, seed=21)
-    model = ModelSpec.parse("y ~ t")
-    fit = ols_fit(*build_design(ds, model))
-    contrast = standardization_contrast(fit, ds, model, "t")
+    fit = ols_fit(*build_design(ds, ARM_MODEL))
+    contrast = standardization_contrast(ds, ARM_MODEL, "t")
     # Algebraic identity, exact up to summation rounding in the row mean.
     assert contrast == pytest.approx(fit.coefficient("t"), rel=1e-14)
 
@@ -217,9 +216,9 @@ def test_standardization_with_interaction_centered_covariate():
                                     RngStream(15, (2,)))
     y = 1.0 + 3.0 * t + 2.0 * l + 1.5 * t * l + noise
     ds = Dataset({"y": y, "t": t.astype(float), "l": l})
-    model = ModelSpec.parse("y ~ t + l + t:l")
+    model = ModelSpec("y", (Term(("t",)), Term(("l",)), Term(("t", "l"))))
     fit = ols_fit(*build_design(ds, model))
-    contrast = standardization_contrast(fit, ds, model, "t")
+    contrast = standardization_contrast(ds, model, "t")
     # With L mean-centered the interaction contributes nothing on average.
     assert contrast == pytest.approx(fit.coefficient("t"), abs=1e-9)
     assert contrast == pytest.approx(3.0, abs=0.1)
@@ -228,17 +227,10 @@ def test_standardization_with_interaction_centered_covariate():
     assert contrast == pytest.approx(float(hi_lo_diff.mean()), rel=1e-12)
 
 
-def test_standardization_rejects_mismatched_fit():
-    ds = linear_arm_data(100, seed=5)
-    fit = ols_fit(*build_design(ds, ModelSpec.parse("y ~ t")))
-    with pytest.raises(ParameterError):
-        standardization_contrast(fit, ds, ModelSpec.parse("y ~ t + t:t"), "t")
-
-
 def test_standardization_bootstrap_zero_noise_zero_width():
     t = np.tile([0.0, 1.0], 25)
     ds = Dataset({"y": 2.0 + 5.0 * t, "t": t})
-    ci = standardization_bootstrap_se(ds, ModelSpec.parse("y ~ t"), "t",
+    ci = standardization_bootstrap_se(ds, ARM_MODEL, "t",
                                       RngStream(4, (0,)), replicates=100)
     assert ci.point == pytest.approx(5.0, abs=1e-10)
     assert ci.width == pytest.approx(0.0, abs=1e-10)
@@ -246,9 +238,8 @@ def test_standardization_bootstrap_zero_noise_zero_width():
 
 def test_standardization_bootstrap_determinism():
     ds = linear_arm_data(300, seed=8)
-    model = ModelSpec.parse("y ~ t")
-    a = standardization_bootstrap_se(ds, model, "t", RngStream(6, (1,)), replicates=50)
-    b = standardization_bootstrap_se(ds, model, "t", RngStream(6, (1,)), replicates=50)
+    a = standardization_bootstrap_se(ds, ARM_MODEL, "t", RngStream(6, (1,)), replicates=50)
+    b = standardization_bootstrap_se(ds, ARM_MODEL, "t", RngStream(6, (1,)), replicates=50)
     assert (a.lower, a.upper, a.point) == (b.lower, b.upper, b.point)
     assert a.method == "percentile"
 
@@ -260,7 +251,7 @@ def test_standardization_bootstrap_coverage():
     reps = 200
     for i in range(reps):
         ds = linear_arm_data(2500, seed=50_000 + i)
-        ci = standardization_bootstrap_se(ds, ModelSpec.parse("y ~ t"), "t",
+        ci = standardization_bootstrap_se(ds, ARM_MODEL, "t",
                                           RngStream(51_000, (i,)), replicates=1000)
         covered += ci.contains(20.0)
     assert covered / reps >= 0.93
@@ -357,7 +348,7 @@ def test_refit_point_is_the_fit_on_the_dataset_as_given():
     block = np.column_stack([5.0 + 3.0 * t + 1.5 * x + g.normal(scale=0.7, size=n),
                              t, x])
     ds = Dataset({"y": block[:, 0], "t": block[:, 1], "x": block[:, 2]})
-    model = ModelSpec.parse("y ~ t + x")
-    expected = standardization_contrast(ols_fit(*build_design(ds, model)), ds, model, "t")
+    model = ModelSpec("y", (Term(("t",)), Term(("x",))))
+    expected = standardization_contrast(ds, model, "t")
     ci = standardization_bootstrap_se(ds, model, "t", RngStream(13, (2,)), replicates=2)
     assert ci.point == expected

@@ -101,6 +101,8 @@ def test_spec_rejects_bad_grid_and_counts():
         ExperimentSpec("table2", iterations=0)
     with pytest.raises(ParameterError):
         ExperimentSpec("table2", replicates=0)
+    with pytest.raises(ParameterError, match="at least 2"):
+        ExperimentSpec("table2", replicates=1)
     with pytest.raises(ParameterError):
         ExperimentSpec("table2", alpha=1.5)
 
