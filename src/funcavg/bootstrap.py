@@ -160,15 +160,17 @@ def resample(values, config: BootstrapConfig,
     when the data do not qualify, and the loop runs as usual, or a kernel
     ``kernel(idx, first) -> (k,)`` that is called once per chunk with the
     chunk's ``(k, m)`` index block and the index of its first replicate.
-    The kernel returns the ``k`` replicate values, bit-identical to
-    calling the statistic row by row, so the draws and the results do not
-    depend on which path runs.  Where the statistic would raise, the
-    kernel raises :class:`~funcavg.errors.ResampleError` with the first
-    failing replicate's index and the statistic's message.  ``midrange``
-    and ``discrete_plugin_average`` (on integer values) each carry one
-    ``batch``, which reads a plain sample or ``(outcome, label)`` rows,
-    and :func:`~funcavg.estimators.contrast` forwards it; any other
-    statistic keeps the loop.
+    The kernel returns the ``k`` replicate values from the same draws as
+    the loop.  Where the statistic would raise, the kernel raises
+    :class:`~funcavg.errors.ResampleError` with the first failing
+    replicate's index and the statistic's message.  ``midrange`` and
+    ``discrete_plugin_average`` (on integer values) each carry one
+    ``batch``, which reads a plain sample or ``(outcome, label)`` rows and
+    is bit-identical to calling the statistic row by row.
+    ``sample_mean``'s ``batch`` reads ``(outcome, label)`` rows only and
+    sums each arm in a different order, so its replicates agree with the
+    loop to about 1e-13.  :func:`~funcavg.estimators.contrast` forwards
+    ``batch``; any other statistic keeps the loop.
 
     Raises
     ------

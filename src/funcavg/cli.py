@@ -81,8 +81,10 @@ def ingest_csv(path: str, columns=None) -> tuple[Dataset, int]:
     Only the referenced ``columns`` are parsed (all columns when None).
     Rows with a missing value (empty cell, NA, NaN) in any referenced
     column are dropped; the count of dropped rows is returned alongside
-    the data.  Non-numeric text in a referenced column is an error, not a
-    missing value, so typos fail loudly instead of shrinking the sample.
+    the data.  Non-numeric text or a non-finite number (``inf``, ``1e999``)
+    in a referenced column is a :class:`CsvParseError` naming the row and
+    column, not a missing value, so typos fail loudly instead of shrinking
+    the sample.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -100,7 +102,7 @@ def ingest_csv(path: str, columns=None) -> tuple[Dataset, int]:
                 f"available: {', '.join(header)}")
         positions = [header.index(c) for c in wanted]
         kept: list[list[float]] = []
-        dropped = 0
+        dropped: list[int] = []  # line numbers of rows with a missing value
         for lineno, record in enumerate(reader, start=2):
             if len(record) != len(header):
                 raise CsvParseError(lineno, "", f"expected {len(header)} fields, "
@@ -117,14 +119,23 @@ def ingest_csv(path: str, columns=None) -> tuple[Dataset, int]:
                     raise CsvParseError(lineno, name,
                                         f"cannot parse {cell!r} as a number") from None
             if parsed is None:
-                dropped += 1
+                dropped.append(lineno)
             else:
                 kept.append(parsed)
     if not kept:
         raise DataError(f"{path}: no complete rows for columns {', '.join(wanted)}")
     matrix = np.array(kept, dtype=float)
+    # ``float`` accepts "inf" and overflows "1e999" to it.  One check on the
+    # whole matrix keeps the per-cell loop lean; the kept rows' line numbers
+    # are the ones not dropped.
+    bad = ~np.isfinite(matrix)
+    if bad.any():
+        row, col = divmod(int(np.argmax(bad)), len(wanted))
+        lines = np.setdiff1d(np.arange(2, 2 + len(kept) + len(dropped)), dropped)
+        raise CsvParseError(int(lines[row]), wanted[col],
+                            f"{matrix[row, col]} is not a finite number")
     data = Dataset({name: matrix[:, j] for j, name in enumerate(wanted)})
-    return data, dropped
+    return data, len(dropped)
 
 
 def center_continuous(data: Dataset, names) -> tuple[Dataset, list[str]]:
@@ -336,7 +347,10 @@ def simulate(table, iterations, replicates, alpha, full, seed, out):
 
 
 def _group_label(value: float) -> str:
-    return f"{value:g}"
+    """``%g`` when it reads back as ``value``, else the exact ``repr``, so
+    two groups never share a label or an ECDF file name."""
+    short = f"{value:g}"
+    return short if float(short) == value else repr(float(value))
 
 
 @main.command()

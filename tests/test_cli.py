@@ -87,6 +87,19 @@ def test_ingest_locates_bad_cells(tmp_path):
     assert "'oops'" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("cell", ["inf", "-inf", "1e999"])
+def test_ingest_locates_non_finite_cells(tmp_path, cell):
+    # The NA row before it is dropped, yet the error names the file's row.
+    path = write_csv(tmp_path / "d.csv", ["y", "t"],
+                     [["1.0", "0"], ["na", "1"], ["2.0", "1"], ["3.0", cell],
+                      ["inf", "0"]])
+    with pytest.raises(CsvParseError) as excinfo:
+        ingest_csv(path)
+    assert excinfo.value.row == 5
+    assert excinfo.value.column == "t"
+    assert "not a finite number" in str(excinfo.value)
+
+
 def test_ingest_rejects_ragged_rows(tmp_path):
     path = write_csv(tmp_path / "d.csv", ["y", "t"], [["1.0", "0", "9"]])
     with pytest.raises(CsvParseError) as excinfo:
@@ -458,6 +471,21 @@ def test_diagnose_bytes_match_pinned_digest(tmp_path):
                     for name in ("diag.txt", "diag_ecdf_0.csv", "diag_ecdf_1.csv"))
     assert hashlib.sha256(body).hexdigest() == \
         "b192e3b8932ce4cde08fdfe3b93d01b82c50e675fb62b062a838de50792c4ef6"
+
+
+def test_diagnose_keeps_close_groups_apart(tmp_path):
+    # Both values print as 0.123456 under %g, which once merged their
+    # labels and let the second ECDF file overwrite the first.
+    rows = [[repr(float(y)), g] for g in ("0.1234561", "0.1234562") for y in range(3)]
+    path = write_csv(tmp_path / "d.csv", ["y", "t"], rows)
+    out = tmp_path / "diag"
+    result = CliRunner().invoke(main, [
+        "diagnose", path, "--treatment", "t", "--outcome", "y", "--out", str(out)])
+    assert result.exit_code == 0
+    assert [line.split()[0] for line in result.stdout.splitlines()[2:]] == \
+        ["0.1234561", "0.1234562"]
+    assert sorted(p.name for p in tmp_path.glob("diag_ecdf_*.csv")) == \
+        ["diag_ecdf_0.1234561.csv", "diag_ecdf_0.1234562.csv"]
 
 
 def test_diagnose_warns_on_degenerate_groups(tmp_path):

@@ -143,7 +143,26 @@ def test_batch_kernels_match_the_per_row_loop(monkeypatch, cells, size, values, 
     assert np.array_equal(got, _per_row_replicates(values, config, statistic))
 
 
-@pytest.mark.parametrize("estimator", [midrange, discrete_plugin_average])
+@pytest.mark.parametrize("cells", [1 << 18, 900, 5])
+@pytest.mark.parametrize("size", ["full", "sqrt"])
+def test_mean_contrast_kernel_matches_the_per_row_loop(monkeypatch, cells, size):
+    # The kernel sums each arm in another order than np.mean, so replicates
+    # agree to rounding, not bit for bit.
+    import funcavg.bootstrap as bs
+    monkeypatch.setattr(bs, "_CHUNK_CELLS", cells)
+    rng = np.random.default_rng(12)
+    n = 400
+    rows = np.column_stack([rng.normal(100.0, 30.0, n), rng.integers(0, 3, n).astype(float)])
+    statistic = contrast(sample_mean)
+    assert statistic.batch(rows) is not None
+    assert sample_mean.batch(rows[:, 0]) is None  # a plain sample keeps the loop
+    config = BootstrapConfig(60, RngStream(4), size)
+    got = resample(rows, config, statistic).replicates
+    np.testing.assert_allclose(got, _per_row_replicates(rows, config, statistic),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("estimator", [midrange, discrete_plugin_average, sample_mean])
 @pytest.mark.parametrize("lone_label", [1.0, 0.0])
 def test_batched_contrast_reports_an_empty_arm_like_the_loop(estimator, lone_label):
     labels = np.full(40, 1.0 - lone_label)
@@ -161,7 +180,7 @@ def test_batched_contrast_reports_an_empty_arm_like_the_loop(estimator, lone_lab
     assert "non-empty" in str(batched.value)
 
 
-@pytest.mark.parametrize("estimator", [midrange, discrete_plugin_average])
+@pytest.mark.parametrize("estimator", [midrange, discrete_plugin_average, sample_mean])
 def test_contrast_with_a_failure_share_still_drops_replicates(estimator):
     labels = np.zeros(40)
     labels[:2] = 1.0

@@ -1,4 +1,3 @@
-import functools
 import hashlib
 
 import numpy as np
@@ -7,18 +6,20 @@ import pytest
 from funcavg.bootstrap import BootstrapConfig, resample
 from funcavg.distributions import TruncatedNormalSpec
 from funcavg.errors import ParameterError
-from funcavg.estimators import paired_contrast, sample_mean
+from funcavg.estimators import contrast, sample_mean
 from funcavg.intervals import IntervalEstimate
 from funcavg.regression import DesignMatrix, ols_fit
 from funcavg.rng import RngStream
 from funcavg.simharness import (
     DESK_GRID,
     DESK_ITERATIONS,
+    EXPERIMENTS,
     FULL_GRID,
     FULL_ITERATIONS,
     ExperimentSpec,
     ReportRow,
     _draw_slope,
+    _experiments,
     desk_spec,
     empirical_coverage,
     empirical_power,
@@ -216,7 +217,7 @@ PINNED_DIGESTS = {
     "table3": "6d0ceccb1c47963a7e3b5f8dc90b0da82da6a8521418a86d8e5ebba3a636c976",
     "table4": "f2584392d962c840b961d0488fc1cfc8ebbf43efc527ddbf4476e95681bd007b",
     "table5": "73b0c7a0cd69408a7ad2f6418d208710d08194db0a762d7e40c6947e0081ad71",
-    "table6": "fe2db39b671e720cde4b627924321f220408907f7fe41e3184150dd9eff8702f",
+    "table6": "26327f0a3cd8fb936da5dddc8bea89d085abb4ec71cc9fabb3f4032b77702dde",
 }
 
 
@@ -225,6 +226,18 @@ def test_report_bytes_match_pinned_digest(experiment):
     report = tiny(experiment)
     body = (report_csv(report) + report_text(report)).encode("utf-8")
     assert hashlib.sha256(body).hexdigest() == PINNED_DIGESTS[experiment]
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_every_bootstrap_runs_a_batch_kernel(experiment):
+    # A table that falls back to the per-row loop still reports its rows,
+    # only several times slower; this makes that a failure.
+    definition = _experiments()[experiment]
+    for vi, (_, parameter, _) in enumerate(definition.variants):
+        data, _ = definition.draw(parameter, 60, RngStream(7, (definition.number, vi)))
+        for boot in definition.bootstraps:
+            batch = getattr(boot.statistic, "batch", None)
+            assert batch is not None and batch(data) is not None, (experiment, boot.estimator)
 
 
 def test_range_checks_all_pass_at_alpha_half():
@@ -245,8 +258,8 @@ def _qr_slope(rows):
 def test_slope_bootstrap_is_the_difference_of_arm_means():
     # With a binary treatment and an intercept the OLS slope is the
     # treated mean minus the control mean, so table 6 bootstraps it with
-    # the shared two-arm kernel.
-    slope = functools.partial(paired_contrast, estimator=sample_mean)
+    # the shared two-arm contrast and its batch kernel.
+    slope = contrast(sample_mean)
     lone = np.array([[3.0, 0], [12.0, 1], [5.0, 0], [9.0, 0]])
     assert slope(lone) == pytest.approx(19.0 / 3.0, abs=1e-12)
     assert _qr_slope(lone) == pytest.approx(19.0 / 3.0, abs=1e-12)
@@ -257,6 +270,7 @@ def test_slope_bootstrap_is_the_difference_of_arm_means():
             rows, fit = _draw_slope(law, n, stream)
             config = BootstrapConfig(200, stream.child(1))
             ref = resample(rows, config, _qr_slope)
+            assert slope.batch(rows) is not None
             got = resample(rows, config, slope)
             assert got.statistic == pytest.approx(fit.coefficient(1), abs=1e-12, rel=0)
             assert got.statistic == pytest.approx(ref.statistic, abs=1e-12, rel=0)
