@@ -20,6 +20,7 @@ explicit ``--seed`` beats it.
 from __future__ import annotations
 
 import csv
+import io
 import os
 import sys
 
@@ -56,7 +57,8 @@ from .simharness import (
     write_text,
 )
 
-_MISSING_MARKERS = {"", "na", "nan"}
+# Every spelling ``float`` reads as NaN is missing, as are "" and "NA".
+_MISSING_MARKERS = {"", "na", "nan", "-nan", "+nan"}
 METHOD_NAMES = ("LR", "MR", "S", "PS", "Av")
 _COVARIATE_METHODS = ("MR", "S", "PS")
 
@@ -79,12 +81,18 @@ def ingest_csv(path: str, columns=None) -> tuple[Dataset, int]:
     """Read a CSV with a header row into a Dataset of float columns.
 
     Only the referenced ``columns`` are parsed (all columns when None).
-    Rows with a missing value (empty cell, NA, NaN) in any referenced
-    column are dropped; the count of dropped rows is returned alongside
-    the data.  Non-numeric text or a non-finite number (``inf``, ``1e999``)
-    in a referenced column is a :class:`CsvParseError` naming the row and
-    column, not a missing value, so typos fail loudly instead of shrinking
-    the sample.
+    Rows with a missing value (empty cell, NA, NaN, -NaN, +NaN) in any
+    referenced column are dropped; the count of dropped rows is returned
+    alongside the data.  Non-numeric text or a non-finite number (``inf``,
+    ``1e999``) in a referenced column is a :class:`CsvParseError` naming the
+    row and column, not a missing value, so typos fail loudly instead of
+    shrinking the sample.  So is a blank line or a row whose field count
+    differs from the header's.
+
+    A clean file (every cell a finite number, no quotes) is parsed in one
+    ``np.loadtxt`` pass.  Any other file goes through a per-cell loop,
+    which is the only code that drops rows and locates faults, so both
+    paths give the same columns, count and errors.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -101,6 +109,11 @@ def ingest_csv(path: str, columns=None) -> tuple[Dataset, int]:
                 f"{path}: no column named {', '.join(repr(c) for c in missing)}; "
                 f"available: {', '.join(header)}")
         positions = [header.index(c) for c in wanted]
+        matrix = _clean_matrix(fh, len(header), positions)
+        if matrix is not None:
+            return Dataset({name: matrix[:, j] for j, name in enumerate(wanted)}), 0
+        fh.seek(0)
+        next(reader)  # the header, read above
         kept: list[list[float]] = []
         dropped: list[int] = []  # line numbers of rows with a missing value
         for lineno, record in enumerate(reader, start=2):
@@ -136,6 +149,33 @@ def ingest_csv(path: str, columns=None) -> tuple[Dataset, int]:
                             f"{matrix[row, col]} is not a finite number")
     data = Dataset({name: matrix[:, j] for j, name in enumerate(wanted)})
     return data, len(dropped)
+
+
+def _clean_matrix(fh, width: int, positions: list[int]) -> np.ndarray | None:
+    """The ``positions`` columns of the data lines left in ``fh`` as one
+    C-ordered matrix, or None when the per-cell loop must read them.
+
+    ``np.loadtxt`` parses every cell as ``float`` does or raises.  It raises
+    on a quoted cell, since it does not unquote, and on a lone CR inside a
+    line; it skips blank lines, which the row count below catches; and it
+    reads ``nan`` and ``inf``, which the loop drops or rejects.
+    """
+    try:
+        body = fh.read()
+    except UnicodeDecodeError:
+        return None  # the loop raises where it meets the bytes
+    if not body or body.isspace():
+        return None  # loadtxt warns when no line holds data
+    lines = body.count("\n") + (not body.endswith("\n"))
+    try:
+        full = np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
+                          dtype=float, ndmin=2)
+    except ValueError:
+        return None
+    if full.shape != (lines, width):
+        return None
+    matrix = full.take(positions, axis=1)  # C-ordered, as np.array(kept) is
+    return matrix if np.isfinite(matrix).all() else None
 
 
 def center_continuous(data: Dataset, names) -> tuple[Dataset, list[str]]:

@@ -23,8 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import expit
-from scipy.stats import t as student_t
+from scipy.special import expit, stdtrit
 
 from .bootstrap import BootstrapConfig, percentile_ci, resample
 from .dataset import Dataset
@@ -164,7 +163,9 @@ def t_ci(fit: RegressionFit, coefficient: int | str = 1,
     """Classical Student-t interval for one coefficient."""
     alpha = check_alpha(alpha)
     j = fit.coefficient_index(coefficient)
-    crit = float(student_t.ppf(1.0 - alpha / 2.0, fit.df_residual))
+    # The Student-t quantile; ``scipy.stats.t.ppf`` computes it with this
+    # same function, without the cost of importing ``scipy.stats``.
+    crit = float(stdtrit(fit.df_residual, 1.0 - alpha / 2.0))
     half = crit * float(fit.standard_errors[j])
     b = float(fit.coefficients[j])
     return IntervalEstimate(point=b, lower=b - half, upper=b + half,

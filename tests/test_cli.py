@@ -1,10 +1,16 @@
 import csv
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import funcavg
+from funcavg import cli
 from funcavg.bootstrap import BootstrapConfig, hoeffding_ci, resample
 from funcavg.cli import METHOD_NAMES, center_continuous, ingest_csv, main
 from funcavg.errors import CsvParseError, DataError, SchemaError
@@ -105,6 +111,113 @@ def test_ingest_rejects_ragged_rows(tmp_path):
     with pytest.raises(CsvParseError) as excinfo:
         ingest_csv(path)
     assert excinfo.value.row == 2
+
+
+# (case id, file text or bytes, referenced columns or None, parsed in one pass).
+# Every case must give what the per-cell loop alone gives; the last field
+# pins which cases the one-pass parse keeps.
+INGEST_CORPUS = [
+    ("plain", "y,t\n1.5,0\n2.5,1\n", None, True),
+    ("subset", "y,t,x\n1.5,0,7\n2.5,1,8\n", ("x", "y"), True),
+    ("plus-dot", "y,t\n+.5,0\n2,1\n", None, True),
+    ("trailing-dot", "y,t\n5.,0\n2,1\n", None, True),
+    ("padded", "y,t\n 2.5 ,0\n2,1\n", None, True),
+    ("crlf", "y,t\r\n1.5,0\r\n2.5,1\r\n", None, True),
+    ("no-final-newline", "y,t\n1.5,0\n2.5,1", None, True),
+    ("underscore", "y,t\n1_000,0\n2,1\n", None, False),
+    ("hex", "y,t\n0x10,0\n2,1\n", None, False),
+    ("fortran-exponent", "y,t\n1d3,0\n2,1\n", None, False),
+    ("inf", "y,t\n1,0\ninf,1\n", None, False),
+    ("minus-inf", "y,t\n1,0\n2,-inf\n", None, False),
+    ("overflow", "y,t\n1,0\n1e999,1\n", None, False),
+    ("nan", "y,t\nnan,0\n2,1\n", None, False),
+    ("NaN", "y,t\n1,0\nNaN,1\n2,1\n", None, False),
+    ("minus-nan", "y,t\n-nan,0\n2,1\n", None, False),
+    ("plus-nan", "y,t\n1,+nan\n2,1\n", None, False),
+    ("NA", "y,t\nNA,0\n2,1\n", None, False),
+    ("empty-cell", "y,t\n,0\n2,1\n", None, False),
+    ("arabic-indic-digit", "y,t\n٣,0\n2,1\n", None, False),
+    ("fullwidth-digit", "y,t\n１,0\n2,1\n", None, False),
+    ("quoted-number", 'y,t\n"2.5",0\n2,1\n', None, False),
+    ("blank-line-middle", "y,t\n1,0\n\n2,1\n", None, False),
+    ("blank-line-end", "y,t\n1,0\n2,1\n\n", None, False),
+    ("blank-line-crlf", "y,t\r\n1,0\r\n\r\n2,1\r\n", None, False),
+    ("short-row", "y,t\n1,0\n3\n", None, False),
+    ("short-row-subset", "y,t\n1,0\n3\n", ("y",), False),
+    ("long-row", "y,t\n1,0\n1,2,5\n", None, False),
+    ("long-row-subset", "y,t\n1,0\n1,2,5\n", ("y",), False),
+    ("hash-in-cell", "y,t\n1,0\n3,1#5\n", None, False),
+    ("hash-unreferenced", "y,t,x\n1,0,2\n3,1,#5\n", ("y", "t"), False),
+    ("quoted-comma-unreferenced", 'y,t,x\n1,0,"a,b"\n2,1,c\n', ("y", "t"), False),
+    ("quoted-newline-unreferenced", 'y,t,x\n1,0,"a\nb"\n2,1,c\n', ("y", "t"), False),
+    ("lone-cr", "y,t\r1,0\r2,1\r", None, False),
+    ("lone-cr-at-end", "y,t\n1,0\n2,1\r", None, True),
+    ("only-blank-lines", "y,t\n\n\r\n", None, False),
+    ("only-spaces", "y\n \n", None, False),
+    # The bad cell comes before the first undecodable byte, as the loop reads.
+    ("bad-cell-then-bad-byte", b"y,t\n1,0\noops,1\n" + b"2,1\n" * 3000 + b"\xff,1\n",
+     None, False),
+]
+
+
+def _ingest_outcome(path, columns):
+    """What ingest_csv gives: every column's bytes and strides plus the
+    dropped count, or the error's type, row, column and message."""
+    try:
+        data, dropped = ingest_csv(path, columns)
+    except CsvParseError as exc:
+        return type(exc), exc.row, exc.column, str(exc)
+    except DataError as exc:
+        return type(exc), str(exc)
+    return {name: (col.tobytes(), col.strides) for name, col in data.columns.items()}, dropped
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case, text, columns, one_pass", INGEST_CORPUS,
+                         ids=[case[0] for case in INGEST_CORPUS])
+def test_ingest_matches_the_per_cell_loop(tmp_path, monkeypatch, case, text, columns,
+                                          one_pass):
+    path = tmp_path / "d.csv"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    passes = []
+    clean_matrix = cli._clean_matrix
+
+    def spy(*args):
+        passes.append(clean_matrix(*args))
+        return passes[-1]
+
+    monkeypatch.setattr(cli, "_clean_matrix", spy)
+    got = _ingest_outcome(str(path), columns)
+    assert (passes[0] is not None) == one_pass
+    monkeypatch.setattr(cli, "_clean_matrix", lambda *args: None)
+    assert got == _ingest_outcome(str(path), columns)
+
+
+@pytest.mark.parametrize("cell", ["nan", "NaN", "-nan", "+nan", "-NaN", "+NAN", " -nan "])
+def test_ingest_drops_every_nan_spelling(tmp_path, cell):
+    path = write_csv(tmp_path / "d.csv", ["y", "t"], [["1.0", "0"], [cell, "1"]])
+    data, dropped = ingest_csv(path)
+    assert dropped == 1
+    assert data.column("y").tolist() == [1.0]
+
+
+@pytest.mark.parametrize("cell", ["-", "+", "-na", "nana"])
+def test_ingest_does_not_read_a_bare_sign_as_missing(tmp_path, cell):
+    path = write_csv(tmp_path / "d.csv", ["y", "t"], [["1.0", "0"], [cell, "1"]])
+    with pytest.raises(CsvParseError) as excinfo:
+        ingest_csv(path)
+    assert (excinfo.value.row, excinfo.value.column) == (3, "y")
+    assert f"cannot parse {cell!r}" in str(excinfo.value)
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    src = str(Path(funcavg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    probe = "import sys, funcavg.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_center_continuous_skips_binary_columns():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -133,6 +134,22 @@ def test_t_interval_width_monotone_in_alpha():
     fit = ols_fit(*build_design(ds, ARM_MODEL))
     widths = [t_ci(fit, "t", alpha=a).width for a in (0.01, 0.05, 0.2, 0.8)]
     assert all(w1 > w2 for w1, w2 in zip(widths, widths[1:]))
+
+
+@pytest.mark.parametrize("df", [1, 2, 3, 4, 7, 30, 198, 497, 998, 10_000, 19_995,
+                                199_995, 10**7])
+def test_t_critical_value_matches_scipy_stats_bit_for_bit(df):
+    from scipy.stats import t as student_t
+
+    ds = linear_arm_data(50, seed=3)
+    fit = ols_fit(*build_design(ds, ARM_MODEL))
+    # A zero coefficient with a unit standard error puts the critical value
+    # itself at the upper endpoint.
+    unit = dataclasses.replace(fit, coefficients=np.zeros(2), standard_errors=np.ones(2),
+                               df_residual=df)
+    for alpha in (1e-6, 0.001, 0.01, 0.05, 0.1, 0.2, 0.5, 0.9, 0.999):
+        expected = float(student_t.ppf(1.0 - alpha / 2.0, df))
+        assert t_ci(unit, "t", alpha=alpha).upper == expected
 
 
 def test_logistic_intercept_only_matches_logit_of_mean():
