@@ -59,6 +59,11 @@ from .simharness import (
 
 # Every spelling ``float`` reads as NaN is missing, as are "" and "NA".
 _MISSING_MARKERS = {"", "na", "nan", "-nan", "+nan"}
+# The bytes a clean CSV body is made of.  Any other byte (a letter of NA,
+# nan, inf or an ID, a quote, #, _) sends the file to the per-cell loop.
+_NUMBER_BYTES = b"0123456789+-.eE, \t\r\n"
+# Read with line ends as commas, an empty cell or a blank line shows as ",,".
+_LINE_ENDS_AS_COMMAS = bytes.maketrans(b"\n", b",")
 METHOD_NAMES = ("LR", "MR", "S", "PS", "Av")
 _COVARIATE_METHODS = ("MR", "S", "PS")
 
@@ -155,17 +160,26 @@ def _clean_matrix(fh, width: int, positions: list[int]) -> np.ndarray | None:
     """The ``positions`` columns of the data lines left in ``fh`` as one
     C-ordered matrix, or None when the per-cell loop must read them.
 
-    ``np.loadtxt`` parses every cell as ``float`` does or raises.  It raises
-    on a quoted cell, since it does not unquote, and on a lone CR inside a
-    line; it skips blank lines, which the row count below catches; and it
-    reads ``nan`` and ``inf``, which the loop drops or rejects.
+    Two byte scans hand a body holding text or an empty cell to the loop
+    before ``np.loadtxt`` runs, so a file with missing values or an ID
+    column is parsed once, by the loop, as it would be without this pass.
+    ``np.loadtxt`` parses every other cell as ``float`` does or raises (on a
+    bare sign, a lone CR inside a line or a changed field count); it skips
+    blank lines, which the row count below catches; and it reads ``1e999``
+    as inf, which the loop rejects.
     """
     try:
         body = fh.read()
     except UnicodeDecodeError:
         return None  # the loop raises where it meets the bytes
-    if not body or body.isspace():
-        return None  # loadtxt warns when no line holds data
+    if not body.isascii():
+        return None  # float reads non-ASCII digits, loadtxt does not
+    raw = body.encode("ascii")
+    if raw.isspace() or not raw or raw.translate(None, _NUMBER_BYTES):
+        return None  # no data line (loadtxt would warn), or text
+    cells = raw.translate(_LINE_ENDS_AS_COMMAS, b"\r")
+    if cells.startswith(b",") or b",," in cells:
+        return None  # an empty cell or a blank line
     lines = body.count("\n") + (not body.endswith("\n"))
     try:
         full = np.loadtxt(io.StringIO(body), delimiter=",", comments=None,

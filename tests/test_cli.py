@@ -136,6 +136,11 @@ INGEST_CORPUS = [
     ("plus-nan", "y,t\n1,+nan\n2,1\n", None, False),
     ("NA", "y,t\nNA,0\n2,1\n", None, False),
     ("empty-cell", "y,t\n,0\n2,1\n", None, False),
+    ("empty-last-cell", "y,t\n1,0\n2,\n", None, False),
+    ("empty-last-cell-crlf", "y,t\r\n1,0\r\n2,\r\n", None, False),
+    ("space-only-cell", "y,t\n1,0\n ,1\n", None, False),
+    ("bare-exponent", "y,t\n1,0\ne,1\n", None, False),
+    ("id-unreferenced", "y,t,id\n1,0,p1\n2,1,p2\n", ("y", "t"), False),
     ("arabic-indic-digit", "y,t\n٣,0\n2,1\n", None, False),
     ("fullwidth-digit", "y,t\n１,0\n2,1\n", None, False),
     ("quoted-number", 'y,t\n"2.5",0\n2,1\n', None, False),
@@ -191,6 +196,20 @@ def test_ingest_matches_the_per_cell_loop(tmp_path, monkeypatch, case, text, col
     assert (passes[0] is not None) == one_pass
     monkeypatch.setattr(cli, "_clean_matrix", lambda *args: None)
     assert got == _ingest_outcome(str(path), columns)
+
+
+@pytest.mark.parametrize("last_y, id_column",
+                         [("NA", False), ("nan", False), ("", False), ("9.5", True)])
+def test_missing_values_and_id_columns_skip_the_one_pass(tmp_path, monkeypatch, last_y,
+                                                         id_column):
+    # These files are the loop's to read, so a loadtxt pass before it is waste.
+    header = ["y", "t"] + (["id"] if id_column else [])
+    rows = [[f"{i}.5", str(i % 2)] + ([f"p{i}"] if id_column else []) for i in range(50)]
+    rows[-2][0] = last_y
+    path = write_csv(tmp_path / "d.csv", header, rows)
+    monkeypatch.setattr(cli.np, "loadtxt", None)  # calling it raises TypeError
+    data, dropped = ingest_csv(path, ("y", "t"))
+    assert (len(data.column("y")), dropped) == ((50, 0) if id_column else (49, 1))
 
 
 @pytest.mark.parametrize("cell", ["nan", "NaN", "-nan", "+nan", "-NaN", "+NAN", " -nan "])
