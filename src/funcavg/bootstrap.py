@@ -40,8 +40,8 @@ __all__ = [
     "popoviciu_check",
 ]
 
-# Cap on index cells drawn per chunk: the int64 index block, and each gather
-# a batch kernel makes from it, stay near 2 MB for any n and B.
+# Cap on cells per chunk of replicates: an int64 index block and each gather
+# from it, or a block of multinomial counts, stay near 2 MB for any n and B.
 _CHUNK_CELLS = 1 << 18
 
 
@@ -128,6 +128,21 @@ class BootstrapDistribution:
         return float(self.replicates.max() - self.replicates.min())
 
 
+def row_chunks(b: int, width: int):
+    """``(start, stop)`` over ``b`` replicates of ``width`` cells, at most
+    ``_CHUNK_CELLS`` cells (and at least one replicate) per chunk."""
+    step = max(1, min(b, _CHUNK_CELLS // width))
+    for start in range(0, b, step):
+        yield start, min(start + step, b)
+
+
+def index_blocks(gen: np.random.Generator, n: int, b: int, m: int):
+    """``(start, idx)``: the ``(k, m)`` row indices below ``n`` of replicates
+    ``start .. start + k - 1``, drawn in order, so chunking changes none."""
+    for start, stop in row_chunks(b, m):
+        yield start, gen.integers(0, n, size=(stop - start, m))
+
+
 def _as_resample_input(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim not in (1, 2) or arr.shape[0] == 0:
@@ -145,9 +160,8 @@ def resample(values, config: BootstrapConfig,
     ``values`` may be 1-D (a plain sample) or 2-D (rows resampled jointly,
     for paired outcome/treatment data); rows are drawn with replacement.
     For the original sample a float array is passed to the statistic as
-    itself.  Replicate ``k`` consumes a fixed slice of the index stream,
-    so results do not depend on internal chunk sizes and replicate values
-    can be aggregated by index.
+    itself.  Results do not depend on internal chunk sizes: in the loop,
+    replicate ``k`` consumes a fixed slice of the index stream.
 
     A replicate whose statistic raises a
     :class:`~funcavg.errors.FuncavgError` is dropped while no more than
@@ -156,21 +170,19 @@ def resample(values, config: BootstrapConfig,
     A statistic may carry a ``batch`` attribute to skip the per-replicate
     calls.  With ``config.max_failure_share == 0``, ``resample`` calls
     ``statistic.batch(arr)`` once, after the statistic succeeded on the
-    sample, with the float array it draws rows from.  It returns ``None``
-    when the data do not qualify, and the loop runs as usual, or a kernel
-    ``kernel(idx, first) -> (k,)`` that is called once per chunk with the
-    chunk's ``(k, m)`` index block and the index of its first replicate.
-    The kernel returns the ``k`` replicate values from the same draws as
-    the loop.  Where the statistic would raise, the kernel raises
+    sample, with the float array it draws rows from.  It returns ``None``,
+    and the loop runs as usual, or a sampler ``sampler(gen, b, m) -> (b,)``
+    that draws all ``b`` replicate values of ``m`` rows each from ``gen``.
+    Where the statistic would raise, the sampler raises
     :class:`~funcavg.errors.ResampleError` with the first failing
     replicate's index and the statistic's message.  ``midrange`` and
-    ``discrete_plugin_average`` (on integer values) each carry one
-    ``batch``, which reads a plain sample or ``(outcome, label)`` rows and
-    is bit-identical to calling the statistic row by row.
-    ``sample_mean``'s ``batch`` reads ``(outcome, label)`` rows only and
-    sums each arm in a different order, so its replicates agree with the
-    loop to about 1e-13.  :func:`~funcavg.estimators.contrast` forwards
-    ``batch``; any other statistic keeps the loop.
+    ``discrete_plugin_average`` draw each replicate from its exact
+    bootstrap law (the ranks of the two extremes, or multinomial counts
+    over the distinct values): other draws than the loop's, the same law.
+    ``sample_mean``'s sampler reads ``(outcome, label)`` rows only and
+    draws the loop's :func:`index_blocks`.
+    :func:`~funcavg.estimators.contrast` forwards ``batch``; any other
+    statistic keeps the loop.
 
     Raises
     ------
@@ -188,23 +200,21 @@ def resample(values, config: BootstrapConfig,
 
     t0 = float(statistic(arr))
     batch = getattr(statistic, "batch", None)
-    kernel = batch(arr) if batch is not None and not config.max_failure_share else None
+    sampler = batch(arr) if batch is not None and not config.max_failure_share else None
     gen = config.rng.generator()
-    reps = np.empty(b, dtype=float)
     dropped = np.zeros(b, dtype=bool)
-    chunk = max(1, min(b, _CHUNK_CELLS // m))
-    for start in range(0, b, chunk):
-        idx = gen.integers(0, n, size=(min(chunk, b - start), m))
-        if kernel is not None:
-            reps[start:start + len(idx)] = kernel(idx, start)
-            continue
-        for k, rows in enumerate(idx, start):
-            try:
-                reps[k] = statistic(arr[rows])
-            except Exception as exc:
-                if not (config.max_failure_share and isinstance(exc, FuncavgError)):
-                    raise ResampleError(k, str(exc)) from exc
-                dropped[k] = True
+    if sampler is not None:
+        reps = sampler(gen, b, m)
+    else:
+        reps = np.empty(b, dtype=float)
+        for start, idx in index_blocks(gen, n, b, m):
+            for k, rows in enumerate(idx, start):
+                try:
+                    reps[k] = statistic(arr[rows])
+                except Exception as exc:
+                    if not (config.max_failure_share and isinstance(exc, FuncavgError)):
+                        raise ResampleError(k, str(exc)) from exc
+                    dropped[k] = True
 
     bad = np.flatnonzero(~(np.isfinite(reps) | dropped))
     if bad.size:

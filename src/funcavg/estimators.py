@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bootstrap import index_blocks, row_chunks
 from .errors import DataError, ResampleError
 
 __all__ = [
@@ -125,50 +126,28 @@ def contrast(estimator):
     return statistic
 
 
-# Batch kernels.  Each factory takes the array ``resample`` draws rows from
-# (after the statistic has succeeded on it), a 1-D sample or ``(outcome,
-# label)`` rows, and returns either a kernel ``kernel(idx, first) -> (k,)``
-# that evaluates replicates ``first .. first + k - 1`` from their ``(k, m)``
-# index block, or ``None`` when the data do not qualify.  The midrange and
-# plug-in kernels are bit-identical to the per-replicate call; the mean
-# kernel sums each arm in another order, which moves a replicate by about
-# 1e-13.
-
-def _arm_codes(arr: np.ndarray):
-    """``(sorted distinct outcomes, code per row)``; treated rows (label 1)
-    are offset by ``K``, the number of distinct outcomes, so arm ``a`` owns
-    codes ``a * K .. a * K + K - 1``.  The narrowest unsigned type that
-    holds ``2 * K`` keeps the per-chunk gathers small.  ``None`` for data
-    holding a -0.0, which can tie with 0.0 in an order-dependent way.
-    """
-    y = arr if arr.ndim == 1 else arr[:, 0]
-    if np.any(np.signbit(y) & (y == 0)):
-        return None
-    uniq, codes = np.unique(y, return_inverse=True)
-    if arr.ndim == 2:
-        codes = codes + uniq.size * (arr[:, 1] == 1)
-    return uniq, codes.astype(np.min_scalar_type(2 * uniq.size))
+# Samplers.  Each ``batch`` factory takes the array ``resample`` draws rows
+# from (after the statistic has succeeded on it), a 1-D sample or
+# ``(outcome, label)`` rows, and returns ``sampler(gen, b, m) -> (b,)``, the
+# values of ``b`` replicates of ``m`` draws, or ``None`` to keep the loop.
+# The midrange and the plug-in draw each replicate from its exact law, not
+# from row indices.  The midrange reads only the ranks ``I <= J`` of the
+# extremes of ``m`` draws from ``n`` sorted values, with ``P(I >= i, J <= j)
+# = ((j - i + 1) / n) ** m`` (Hutson & Ernst 2000): the floors of ``n`` times
+# the least of ``m`` uniforms and the greatest of the other ``m - 1``, which
+# are uniform above it.  The plug-in reads only which values were drawn, from
+# multinomial counts over the distinct (arm, value) cells (Efron 1979).  A
+# midrange contrast splits the draws first: the treated count is
+# Binomial(m, n1 / n).  The mean sampler draws the loop's index blocks and
+# sums each arm in another order than ``np.mean`` (about 1e-13 apart).
 
 
-def _distinct_totals(codes: np.ndarray, uniq: np.ndarray, arms: int):
-    """Sum and count of the distinct values in each row of ``codes``, per arm.
-
-    Both results have shape ``(rows, arms)``.  Rows pass through the
-    presence matrix in blocks of about ``codes.size`` cells (one row at
-    least), which keeps its memory near the gather's even when there are
-    more distinct values than draws per row.
-    """
-    width = arms * uniq.size
-    step = max(1, codes.size // width)
-    sums, counts = [], []
-    for start in range(0, len(codes), step):
-        block = codes[start:start + step]
-        present = np.zeros((len(block), width), dtype=bool)
-        present.reshape(-1)[block + width * np.arange(len(block))[:, None]] = True
-        present = present.reshape(len(block), arms, uniq.size)
-        sums.append(present @ uniq)
-        counts.append(present.sum(axis=2))
-    return np.concatenate(sums), np.concatenate(counts)
+def _arms(arr: np.ndarray) -> list:
+    """The sample, or the control (label not 1) and treated outcomes."""
+    if arr.ndim == 1:
+        return [arr]
+    treated = arr[:, 1] == 1
+    return [arr[~treated, 0], arr[treated, 0]]
 
 
 def _raise_on_empty_arm(empty: np.ndarray, first: int) -> None:
@@ -176,55 +155,53 @@ def _raise_on_empty_arm(empty: np.ndarray, first: int) -> None:
         raise ResampleError(first + int(np.argmax(empty)), _EMPTY_ARM)
 
 
-def _midrange_batch(arr: np.ndarray):
-    coded = _arm_codes(arr)
-    if coded is None:
-        return None
-    uniq, codes = coded
-    k = uniq.size
-
-    def midpoint(lo, hi):
-        return (uniq[lo] + uniq[hi % k]) / 2.0
-
-    if arr.ndim == 1:
-        def kernel(idx, first):
-            block = codes[idx]
-            return midpoint(block.min(axis=1), block.max(axis=1))
-        return kernel
-    # Treated codes sit above control codes, so a row's smallest code is the
-    # control minimum and its largest the treated maximum; the arm-swapped
-    # copy gives the other two extremes.
-    swapped = np.where(codes < k, codes + k, codes - k)
-
-    def kernel(idx, first):
-        block, flipped = codes[idx], swapped[idx]
-        lo_c, hi_t = block.min(axis=1), block.max(axis=1)
-        _raise_on_empty_arm((lo_c >= k) | (hi_t < k), first)
-        return midpoint(flipped.min(axis=1), hi_t) - midpoint(lo_c, flipped.max(axis=1))
-    return kernel
+def _extreme_ranks(gen, n: int, m, b: int):
+    """Ranks of the least and greatest of ``m`` draws (at least 1, an int or
+    one per replicate) from ``n`` sorted values, for ``b`` replicates."""
+    v = gen.random((2, b))
+    low = -np.expm1(np.log1p(-v[0]) / m)
+    high = low + (1.0 - low) * np.where(m > 1, v[1] ** (1.0 / np.maximum(m - 1, 1)), 0.0)
+    # Rounding can carry n * u up to n; the greatest rank is n - 1.
+    return (np.minimum((n * low).astype(np.intp), n - 1),
+            np.minimum((n * high).astype(np.intp), n - 1))
 
 
-def _plugin_batch(arr: np.ndarray):
-    coded = _arm_codes(arr)
-    if coded is None:
-        return None
-    uniq, codes = coded
-    # Integers only, small enough that every sum of distinct values is exact:
-    # then no summation order matters, and a row's sum over the presence
-    # matrix equals the one ``np.unique(x).mean()`` forms.
-    if not np.array_equal(uniq, np.round(uniq)) or np.abs(uniq).max() * uniq.size >= 2.0**52:
-        return None
-    arms = arr.ndim
+def _midrange_sampler(arr: np.ndarray):
+    arms = [np.sort(y) for y in _arms(arr)]
 
-    def kernel(idx, first):
-        sums, counts = _distinct_totals(codes[idx], uniq, arms)
-        _raise_on_empty_arm((counts == 0).any(axis=1), first)
-        means = sums / counts
-        return means[:, 0] if arms == 1 else means[:, 1] - means[:, 0]
-    return kernel
+    def sampler(gen, b, m):
+        draws = [m]
+        if len(arms) == 2:
+            n1 = gen.binomial(m, arms[1].size / arr.shape[0], size=b)
+            _raise_on_empty_arm((n1 == 0) | (n1 == m), 0)
+            draws = [m - n1, n1]
+        mids = []
+        for y, k in zip(arms, draws):
+            lo, hi = _extreme_ranks(gen, y.size, k, b)
+            mids.append((y[lo] + y[hi]) / 2.0)
+        return mids[-1] - mids[0] if len(mids) == 2 else mids[0]
+    return sampler
 
 
-def _mean_batch(arr: np.ndarray):
+def _plugin_sampler(arr: np.ndarray):
+    cells = [np.unique(y, return_counts=True) for y in _arms(arr)]
+    values = np.concatenate([uniq for uniq, _ in cells])
+    share = np.concatenate([counts for _, counts in cells]) / arr.shape[0]
+    starts = np.cumsum([0] + [uniq.size for uniq, _ in cells[:-1]])
+
+    def sampler(gen, b, m):
+        out = np.empty(b)
+        for start, stop in row_chunks(b, values.size):
+            present = gen.multinomial(m, share, size=stop - start) > 0
+            counts = np.add.reduceat(present, starts, axis=1, dtype=np.intp)
+            _raise_on_empty_arm((counts == 0).any(axis=1), start)
+            means = np.add.reduceat(np.where(present, values, 0.0), starts, axis=1) / counts
+            out[start:stop] = means[:, -1] - means[:, 0] if len(cells) == 2 else means[:, 0]
+        return out
+    return sampler
+
+
+def _mean_sampler(arr: np.ndarray):
     if arr.ndim == 1:
         return None  # no caller bootstraps a plain mean
     # Each arm's outcomes with zeros in the other arm's rows, masked once per
@@ -233,14 +210,17 @@ def _mean_batch(arr: np.ndarray):
     y1 = np.where(treated, arr[:, 0], 0.0)
     y0 = np.where(treated, 0.0, arr[:, 0])
 
-    def kernel(idx, first):
-        m = idx.shape[1]
-        n1 = np.count_nonzero(treated[idx], axis=1)
-        _raise_on_empty_arm((n1 == 0) | (n1 == m), first)
-        return y1[idx].sum(axis=1) / n1 - y0[idx].sum(axis=1) / (m - n1)
-    return kernel
+    def sampler(gen, b, m):
+        out = np.empty(b)
+        for start, idx in index_blocks(gen, arr.shape[0], b, m):
+            n1 = np.count_nonzero(treated[idx], axis=1)
+            _raise_on_empty_arm((n1 == 0) | (n1 == m), start)
+            out[start:start + len(idx)] = y1[idx].sum(axis=1) / n1 \
+                - y0[idx].sum(axis=1) / (m - n1)
+        return out
+    return sampler
 
 
-midrange.batch = _midrange_batch
-discrete_plugin_average.batch = _plugin_batch
-sample_mean.batch = _mean_batch
+midrange.batch = _midrange_sampler
+discrete_plugin_average.batch = _plugin_sampler
+sample_mean.batch = _mean_sampler

@@ -121,10 +121,13 @@ def test_resample_chunking_does_not_change_results(monkeypatch):
     x = sample_truncated_normal(TruncatedNormalSpec(0, 20, 10, 5), 300,
                                 RngStream(8, (0,)))
     cfg = BootstrapConfig(replicates=40, rng=RngStream(8, (1,)))
-    whole = resample(x, cfg, midrange)
+    # midrange runs its sampler; the lambda, with no ``batch``, the loop.
+    statistics = (midrange, lambda rows: midrange(rows))
+    whole = [resample(x, cfg, statistic) for statistic in statistics]
     monkeypatch.setattr(bs, "_CHUNK_CELLS", 900)  # forces many small chunks
-    split = resample(x, cfg, midrange)
-    assert np.array_equal(whole.replicates, split.replicates)
+    split = [resample(x, cfg, statistic) for statistic in statistics]
+    for a, b in zip(whole, split):
+        assert np.array_equal(a.replicates, b.replicates)
 
 
 def test_resample_rows_jointly_for_two_column_data():

@@ -10,7 +10,6 @@ from funcavg.errors import DataError, ResampleError
 from funcavg.rng import RngStream
 from funcavg.estimators import (
     TwoArmSample,
-    _arm_codes,
     as_sample,
     contrast,
     discrete_plugin_average,
@@ -94,8 +93,9 @@ def test_paired_contrast_matches_the_arm_split_and_rejects_an_empty_arm():
                      functools.partial(paired_contrast, estimator=est))
 
 
-# Batch kernels: ``resample`` must give the same replicates, bit for bit,
-# whether it evaluates a statistic's index block at once or row by row.
+# Samplers.  The midrange and plug-in samplers draw from the exact bootstrap
+# law (tests/test_bootstrap_law.py checks it); the mean's sampler draws the
+# loop's index blocks and must give its replicates to rounding.
 
 def _per_row_replicates(values, config, statistic):
     """The replicates ``resample`` should return, one statistic call per row.
@@ -112,35 +112,6 @@ def _per_row_replicates(values, config, statistic):
 def _loop_only(statistic):
     """``statistic`` without its ``batch`` attribute."""
     return lambda rows: statistic(rows)
-
-
-def _kernel_cases():
-    rng = np.random.default_rng(11)
-    n = 400
-    continuous = rng.normal(5.0, 3.0, n)
-    integers = rng.binomial(30, 0.4, n) + 10.0 * rng.integers(0, 2, n)
-    # Any label other than 1 counts as control, as in paired_contrast.
-    labels = rng.integers(0, 3, n).astype(float)
-    return [
-        pytest.param(continuous, midrange, id="midrange"),
-        pytest.param(integers, discrete_plugin_average, id="plugin"),
-        pytest.param(np.column_stack([continuous, labels]), contrast(midrange),
-                     id="midrange-contrast"),
-        pytest.param(np.column_stack([integers, labels]),
-                     contrast(discrete_plugin_average), id="plugin-contrast"),
-    ]
-
-
-@pytest.mark.parametrize("cells", [1 << 18, 900, 5])  # 5 is less than one row
-@pytest.mark.parametrize("size", ["full", "sqrt"])
-@pytest.mark.parametrize("values,statistic", _kernel_cases())
-def test_batch_kernels_match_the_per_row_loop(monkeypatch, cells, size, values, statistic):
-    import funcavg.bootstrap as bs
-    monkeypatch.setattr(bs, "_CHUNK_CELLS", cells)
-    assert statistic.batch(values) is not None
-    config = BootstrapConfig(60, RngStream(4), size)
-    got = resample(values, config, statistic).replicates
-    assert np.array_equal(got, _per_row_replicates(values, config, statistic))
 
 
 @pytest.mark.parametrize("cells", [1 << 18, 900, 5])
@@ -165,6 +136,11 @@ def test_mean_contrast_kernel_matches_the_per_row_loop(monkeypatch, cells, size)
 @pytest.mark.parametrize("estimator", [midrange, discrete_plugin_average, sample_mean])
 @pytest.mark.parametrize("lone_label", [1.0, 0.0])
 def test_batched_contrast_reports_an_empty_arm_like_the_loop(estimator, lone_label):
+    # Both paths raise a ResampleError with the statistic's message for the
+    # first replicate that leaves an arm empty.  The mean's sampler draws the
+    # loop's indices, so it names the same replicate; the midrange and
+    # plug-in samplers draw from the exact law, whose first empty arm is
+    # checked by test_sampler_names_the_first_replicate_with_an_empty_arm.
     labels = np.full(40, 1.0 - lone_label)
     labels[0] = lone_label
     rows = np.column_stack([np.arange(40.0), labels])
@@ -175,9 +151,10 @@ def test_batched_contrast_reports_an_empty_arm_like_the_loop(estimator, lone_lab
         resample(rows, config, statistic)
     with pytest.raises(ResampleError) as looped:
         resample(rows, config, _loop_only(statistic))
-    assert batched.value.replicate == looped.value.replicate
-    assert str(batched.value) == str(looped.value)
-    assert "non-empty" in str(batched.value)
+    for err in (batched.value, looped.value):
+        assert str(err) == f"replicate {err.replicate}: both treatment arms must be non-empty"
+    if estimator is sample_mean:
+        assert batched.value.replicate == looped.value.replicate
 
 
 @pytest.mark.parametrize("estimator", [midrange, discrete_plugin_average, sample_mean])
@@ -191,36 +168,137 @@ def test_contrast_with_a_failure_share_still_drops_replicates(estimator):
     assert np.array_equal(got, resample(rows, config, _loop_only(contrast(estimator))).replicates)
 
 
-def test_plugin_kernels_decline_data_they_cannot_reproduce_exactly():
-    rng = np.random.default_rng(5)
-    non_integer = rng.normal(size=200)
-    labels = (np.arange(200) % 2).astype(float)
-    assert discrete_plugin_average.batch(non_integer) is None
-    assert contrast(discrete_plugin_average).batch(
-        np.column_stack([non_integer, labels])) is None
-    assert discrete_plugin_average.batch(np.array([2.0**60, 1.0])) is None
-    assert midrange.batch(np.array([-0.0, 0.0, 1.0])) is None
-    config = BootstrapConfig(40, RngStream(6))
-    got = resample(non_integer, config, discrete_plugin_average).replicates
-    assert np.array_equal(got, _per_row_replicates(non_integer, config,
-                                                   discrete_plugin_average))
+# Sampler edge cases.
+
+class _TopUniforms:
+    """A generator whose uniforms are all the largest double below 1, the
+    draws that push the rank of a bootstrap maximum towards ``n``."""
+
+    def __init__(self, seed):
+        self._gen = np.random.Generator(np.random.Philox(seed))
+
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+    def binomial(self, n, p, size):
+        return self._gen.binomial(n, p, size=size)
 
 
-@pytest.mark.parametrize("integer_valued", [False, True])
-def test_batch_kernels_match_the_loop_with_wide_codes(integer_valued):
-    # More than 32,768 distinct outcomes: 2K no longer fits in uint16, so
-    # the codes widen to uint32.
-    rng = np.random.default_rng(8)
-    n = 33_000
-    values = rng.permutation(n).astype(float) if integer_valued \
-        else rng.normal(0.0, 50.0, n)
-    rows = np.column_stack([values, rng.integers(0, 2, n).astype(float)])
-    assert _arm_codes(values)[1].dtype == np.uint32
-    assert _arm_codes(rows)[1].dtype == np.uint32
-    estimators = [midrange, discrete_plugin_average] if integer_valued else [midrange]
-    config = BootstrapConfig(3, RngStream(9))
-    for estimator in estimators:
-        for data, statistic in ((values, estimator), (rows, contrast(estimator))):
-            assert statistic.batch(data) is not None
-            got = resample(data, config, statistic).replicates
-            assert np.array_equal(got, _per_row_replicates(data, config, statistic))
+EXACT = [midrange, discrete_plugin_average]
+
+
+@pytest.mark.parametrize("estimator", EXACT)
+def test_sampler_on_one_value_and_one_draw(estimator):
+    one = resample(np.array([4.5]), BootstrapConfig(20, RngStream(1)), estimator)
+    assert np.all(one.replicates == 4.5)
+    # round(sqrt(2)) = 1: each replicate is one of the two values.
+    pair = np.array([2.0, 7.0])
+    got = resample(pair, BootstrapConfig(400, RngStream(2), "sqrt"), estimator).replicates
+    assert set(got) == {2.0, 7.0}
+
+
+@pytest.mark.parametrize("estimator", EXACT)
+def test_sampler_with_an_arm_holding_one_row(estimator):
+    # Treated holds one row: every replicate that keeps it is 9 - 2.
+    rows = np.column_stack([np.r_[9.0, np.full(30, 2.0)], np.r_[1.0, np.zeros(30)]])
+    kept = 0
+    for seed in range(20):
+        with pytest.raises(ResampleError) as err:
+            resample(rows, BootstrapConfig(60, RngStream(seed)), contrast(estimator))
+        first = err.value.replicate
+        if first >= 2:
+            got = resample(rows, BootstrapConfig(first, RngStream(seed)), contrast(estimator))
+            assert np.all(got.replicates == 7.0)
+            kept += 1
+    assert kept > 0
+
+
+@pytest.mark.parametrize("cells", [1 << 18, 600])  # 600: ten plug-in rows a chunk
+@pytest.mark.parametrize("estimator", EXACT)
+def test_sampler_names_the_first_replicate_with_an_empty_arm(monkeypatch, estimator, cells):
+    # Two treated rows in 60: about one replicate in nine draws neither.
+    # Replicate k's arm split does not depend on how many replicates follow
+    # it, so the first k replicates run clean and replicate k fails.
+    import funcavg.bootstrap as bs
+    monkeypatch.setattr(bs, "_CHUNK_CELLS", cells)
+    rows = np.column_stack([np.arange(60.0), (np.arange(60) < 2).astype(float)])
+    statistic = contrast(estimator)
+    firsts = []
+    for seed in range(5):
+        with pytest.raises(ResampleError, match="non-empty") as err:
+            resample(rows, BootstrapConfig(400, RngStream(seed)), statistic)
+        first = err.value.replicate
+        firsts.append(first)
+        if first >= 2:
+            resample(rows, BootstrapConfig(first, RngStream(seed)), statistic)
+        with pytest.raises(ResampleError) as again:
+            resample(rows, BootstrapConfig(max(first + 1, 2), RngStream(seed)), statistic)
+        assert again.value.replicate == first
+    assert max(firsts) >= 2
+
+
+@pytest.mark.parametrize("estimator", EXACT)
+def test_sampler_on_constant_samples(estimator):
+    x = np.full(50, -3.25)
+    assert np.all(resample(x, BootstrapConfig(30, RngStream(4)), estimator).replicates == -3.25)
+    # Any label other than 1 is control, as in paired_contrast.
+    rows = np.column_stack([np.r_[np.full(20, 6.0), np.full(30, 1.5)],
+                            np.r_[np.ones(20), np.zeros(15), np.full(15, 2.0)]])
+    got = resample(rows, BootstrapConfig(30, RngStream(4)), contrast(estimator))
+    assert np.all(got.replicates == 4.5)
+
+
+@pytest.mark.parametrize("estimator", EXACT)
+def test_sampler_treats_signed_zeros_as_one_value(estimator):
+    # -0.0 and 0.0 tie in any sort: the replicates equal those of the same
+    # sample with every zero unsigned, and are values the statistic can take.
+    signed = np.array([-0.0, 0.0, 1.0, 4.0, -0.0, 4.0])
+    labels = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+    possible = {estimator(np.array(s)) for s in
+                ([0.0], [1.0], [4.0], [0.0, 1.0], [0.0, 4.0], [1.0, 4.0], [0.0, 1.0, 4.0])}
+    config = BootstrapConfig(200, RngStream(5))
+    got = resample(signed, config, estimator).replicates
+    assert np.array_equal(got, resample(np.abs(signed), config, estimator).replicates)
+    assert set(got) <= possible
+    # Ten copies of each row, so that no replicate leaves an arm empty.
+    signed_rows = np.tile(np.column_stack([signed, labels]), (10, 1))
+    plain_rows = np.abs(signed_rows)
+    config = BootstrapConfig(200, RngStream(6))
+    statistic = contrast(estimator)
+    assert np.array_equal(resample(signed_rows, config, statistic).replicates,
+                          resample(plain_rows, config, statistic).replicates)
+
+
+def test_midrange_sampler_keeps_the_top_rank_inside_the_sample():
+    # With every uniform at 1 - 2**-53 the largest draw's rank n * u rounds
+    # up to n; the sampler must still read the largest value, and the
+    # smallest draw's rank must stay below n too.
+    x = np.random.default_rng(3).permutation(500).astype(float)
+    for m in (1, 2, 500):
+        got = midrange.batch(x)(_TopUniforms(0), 40, m)
+        assert np.all(got == got[0])
+        assert 2.0 * got[0] - x.max() in x
+    rows = np.column_stack([x, (np.arange(500) % 3 == 0).astype(float)])
+    treated, control = x[rows[:, 1] == 1], x[rows[:, 1] == 0]
+    got = midrange.batch(rows)(_TopUniforms(1), 40, 500)
+    possible = ((treated + treated.max()) / 2.0)[:, None] \
+        - ((control + control.max()) / 2.0)[None, :]
+    assert np.isin(got, possible).all()
+
+
+@pytest.mark.parametrize("cells", [900, 5])
+@pytest.mark.parametrize("estimator", [midrange, discrete_plugin_average, sample_mean])
+def test_samplers_do_not_depend_on_the_chunk_size(monkeypatch, cells, estimator):
+    import funcavg.bootstrap as bs
+    rng = np.random.default_rng(13)
+    rows = np.column_stack([rng.binomial(40, 0.4, 300).astype(float),
+                            rng.integers(0, 3, 300).astype(float)])
+    cases = [(rows, contrast(estimator))]
+    if estimator is not sample_mean:
+        cases.append((rows[:, 0], estimator))
+    config = BootstrapConfig(70, RngStream(14))
+    whole = [resample(data, config, statistic).replicates for data, statistic in cases]
+    monkeypatch.setattr(bs, "_CHUNK_CELLS", cells)
+    split = [resample(data, config, statistic).replicates for data, statistic in cases]
+    for a, b in zip(whole, split):
+        assert np.array_equal(a, b)

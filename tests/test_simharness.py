@@ -213,10 +213,10 @@ def test_restricting_variants_reproduces_the_same_rows():
 # catch a refactor that moves numbers; these pin the bytes across commits.
 # A change that alters the draws on purpose updates them and says so.
 PINNED_DIGESTS = {
-    "table2": "adcfda71cdbd0e7b682aa1974161a5f094e022947238739aef39f3ab310f3a38",
-    "table3": "6d0ceccb1c47963a7e3b5f8dc90b0da82da6a8521418a86d8e5ebba3a636c976",
-    "table4": "f2584392d962c840b961d0488fc1cfc8ebbf43efc527ddbf4476e95681bd007b",
-    "table5": "73b0c7a0cd69408a7ad2f6418d208710d08194db0a762d7e40c6947e0081ad71",
+    "table2": "5b280512ebf8b8b0c01a9119dfa1664b2cd8648c722ed262cc882d5c94e9d8bc",
+    "table3": "1e864987844db258870e1fe78375ae46f0d7befa18321ebaaaba597e158ffc59",
+    "table4": "ae43f8a1bb606c2431c1da5b66656f0998d97a244a1c52ded4d3652a11093e48",
+    "table5": "90e570329dfc8eb16ddc5e021c4622cf51fe4063748e387c624df730888b7996",
     "table6": "26327f0a3cd8fb936da5dddc8bea89d085abb4ec71cc9fabb3f4032b77702dde",
 }
 
@@ -230,6 +230,7 @@ def test_report_bytes_match_pinned_digest(experiment):
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
 def test_every_bootstrap_runs_a_batch_kernel(experiment):
+    # resample calls a statistic's sampler whenever ``batch`` returns one.
     # A table that falls back to the per-row loop still reports its rows,
     # only several times slower; this makes that a failure.
     definition = _experiments()[experiment]
