@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from funcavg.bootstrap import BootstrapConfig, resample
 from funcavg.errors import DataError, ResampleError
@@ -112,6 +113,46 @@ def _per_row_replicates(values, config, statistic):
 def _loop_only(statistic):
     """``statistic`` without its ``batch`` attribute."""
     return lambda rows: statistic(rows)
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(11)
+    n = 400
+    continuous = rng.normal(5.0, 3.0, n)
+    integers = rng.binomial(30, 0.4, n) + 10.0 * rng.integers(0, 2, n)
+    # Any label other than 1 counts as control, as in paired_contrast.  Half
+    # the rows are treated, so that a 20-draw resample leaves an arm empty
+    # with chance about 2e-6: with a third treated it is 3e-4, and 2,000
+    # replicates would likely hit one.
+    labels = rng.choice([0.0, 1.0, 2.0], size=n, p=[0.25, 0.5, 0.25])
+    return [
+        pytest.param(continuous, midrange, id="midrange"),
+        pytest.param(integers, discrete_plugin_average, id="plugin"),
+        pytest.param(np.column_stack([continuous, labels]), contrast(midrange),
+                     id="midrange-contrast"),
+        pytest.param(np.column_stack([integers, labels]),
+                     contrast(discrete_plugin_average), id="plugin-contrast"),
+    ]
+
+
+@pytest.mark.parametrize("cells", [1 << 18, 900, 5])  # 5 is less than one row
+@pytest.mark.parametrize("size", ["full", "sqrt"])
+@pytest.mark.parametrize("values,statistic", _kernel_cases())
+def test_batch_kernels_match_the_per_row_loop(monkeypatch, cells, size, values, statistic):
+    """The sampler's replicates follow the law of the per-row loop's.
+
+    The two draw differently, so they agree in law, not bit for bit.  A
+    two-sample Kolmogorov-Smirnov test of 2,000 sampler replicates against
+    2,000 loop replicates rejects at p < 1e-3; the test is conservative on
+    discrete laws, so a false alarm comes in at most 1 run in 1,000.
+    """
+    import funcavg.bootstrap as bs
+    monkeypatch.setattr(bs, "_CHUNK_CELLS", cells)
+    assert statistic.batch(values) is not None
+    drawn = resample(values, BootstrapConfig(2000, RngStream(4), size), statistic)
+    looped = resample(values, BootstrapConfig(2000, RngStream(5), size),
+                      _loop_only(statistic))
+    assert stats.ks_2samp(drawn.replicates, looped.replicates).pvalue >= 1e-3
 
 
 @pytest.mark.parametrize("cells", [1 << 18, 900, 5])
