@@ -11,10 +11,10 @@ Three subcommands:
 
 Exit codes are a stable contract: 0 on success, 2 for usage errors
 (unknown flags, out-of-range flag values, bad table ids, unknown method
-names, a method the flags cannot serve), 1 when the data or a numerical
-procedure is at fault.  The active seed is echoed to stderr on every
-run; the ``FUNCAVG_SEED`` environment variable supplies a default, and an
-explicit ``--seed`` beats it.
+names, a method the flags cannot serve, a column named by two column
+flags), 1 when the data or a numerical procedure is at fault.  The active
+seed is echoed to stderr on every run; the ``FUNCAVG_SEED`` environment
+variable supplies a default, and an explicit ``--seed`` beats it.
 """
 
 from __future__ import annotations
@@ -253,8 +253,7 @@ def _load_csv(input_path: str, outcome: str, treatment: str,
               covariates: tuple[str, ...], center: bool) -> tuple[Dataset, list[str]]:
     """Ingest the referenced columns, noting dropped rows on stderr:
     ``(data, the covariates --center mean-centered)``."""
-    data, dropped = ingest_csv(input_path,
-                               tuple(dict.fromkeys((outcome, treatment) + covariates)))
+    data, dropped = ingest_csv(input_path, (outcome, treatment) + covariates)
     if dropped:
         click.echo(f"dropped {dropped} incomplete rows", err=True)
     centered = []
@@ -305,8 +304,14 @@ def _estimate_rows(data: Dataset, outcome: str, treatment: str, covariates,
     return rows
 
 
-def _check_methods(methods, covariates) -> None:
-    """Reject methods the flags cannot serve, as usage errors before ingest."""
+def _check_flags(outcome: str, treatment: str, covariates, methods=()) -> None:
+    """Reject column flags that name a column twice, and methods the flags
+    cannot serve, as usage errors before ingest."""
+    names = (outcome, treatment, *covariates)
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise click.UsageError(f"column {name!r} is named twice among --outcome, "
+                                   "--treatment and --covariates")
     needs_covariates = [m for m in methods if m in _COVARIATE_METHODS]
     if needs_covariates and not covariates:
         raise click.UsageError(f"method {needs_covariates[0]} needs --covariates")
@@ -349,7 +354,7 @@ def estimate(input_path, outcome, treatment, covariates, methods, alpha,
              replicates, center, seed, out):
     """Estimate the treatment contrast in INPUT_PATH by each method."""
     seed = _resolve_seed(seed)
-    _check_methods(methods, covariates)
+    _check_flags(outcome, treatment, covariates, methods)
     click.echo(f"seed: {seed}", err=True)
     try:
         data, centered = _load_csv(input_path, outcome, treatment, covariates, center)
@@ -422,6 +427,7 @@ def _group_label(value: float) -> str:
               help="Prefix: write {out}.txt and {out}_ecdf_{group}.csv files.")
 def diagnose(input_path, treatment, outcome, covariates, center, out):
     """Shape diagnostics per treatment group of INPUT_PATH."""
+    _check_flags(outcome, treatment, covariates)
     try:
         data, _ = _load_csv(input_path, outcome, treatment, covariates, center)
         values = data.column(outcome)

@@ -1,8 +1,9 @@
 """Regression fits and coefficient intervals, classical and range-based.
 
-OLS runs through a thin QR factorization.  Coefficients are linear in the
-response, ``beta_s = w_s . y``, and the weight rows ``w_s`` are kept on the
-fit because the range-based coefficient interval needs their squared norms.
+OLS runs through a thin QR factorization ``X = QR``.  Coefficients are
+linear in the response, ``beta_s = w_s . y`` with ``w_s`` row ``s`` of
+``R^-1 Q^T``; the intervals need only ``||w_s||_2``, which are the row norms
+of ``R^-1`` as ``Q`` has orthonormal columns, so the fit keeps just those.
 Alongside the Student-t interval this module provides one driven entirely
 by the residual extremes: valid for symmetric bounded errors, no variance
 estimate involved.
@@ -22,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import expit, stdtrit
 
 from .bootstrap import BootstrapConfig, percentile_ci, resample
@@ -91,12 +91,12 @@ def design_from_columns(dataset: Dataset, names: Sequence[str]) -> DesignMatrix:
 
 @dataclass(frozen=True)
 class RegressionFit:
-    """Least-squares fit with the response-weight rows kept for intervals."""
+    """Least-squares fit with the response-weight norms kept for intervals."""
 
     design: DesignMatrix
     coefficients: np.ndarray
     residuals: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)   # (p, n); coefficients = weights @ y
+    weight_norms: np.ndarray   # (p,); ||w_s||_2, where coefficients[s] = w_s . y
     residual_variance: float
     standard_errors: np.ndarray
     df_residual: int
@@ -118,14 +118,16 @@ class RegressionFit:
         return float(self.coefficients[self.coefficient_index(coefficient)])
 
 
-def _qr_or_raise(matrix: np.ndarray, names: tuple[str, ...]):
+def _qr_solve(matrix: np.ndarray, rhs: np.ndarray, names: tuple[str, ...]):
+    """``(b, R)``: least squares ``matrix @ b ~ rhs`` by thin QR, raising
+    :class:`~funcavg.errors.SingularDesignError` at the first dependent column."""
     q, r = np.linalg.qr(matrix)
     diag = np.abs(np.diag(r))
     tol = max(matrix.shape) * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
     bad = np.flatnonzero(diag <= tol)
     if bad.size:
         raise SingularDesignError(names[int(bad[0])])
-    return q, r
+    return np.linalg.solve(r, q.T @ rhs), r
 
 
 def ols_fit(design: DesignMatrix, response) -> RegressionFit:
@@ -146,16 +148,15 @@ def ols_fit(design: DesignMatrix, response) -> RegressionFit:
     if n <= p:
         raise DataError(f"need more observations than design columns, "
                         f"got n={n}, p={p}")
-    q, r = _qr_or_raise(x, design.column_names)
-    beta = solve_triangular(r, q.T @ y)
-    weights = solve_triangular(r, q.T)
+    beta, r = _qr_solve(x, y, design.column_names)
+    r_inv = np.linalg.solve(r, np.eye(p))
+    squared_norms = np.sum(r_inv * r_inv, axis=1)
     residuals = y - x @ beta
     df = n - p
     s2 = float(residuals @ residuals) / df
-    se = np.sqrt(s2 * np.sum(weights * weights, axis=1))
-    return RegressionFit(design=design, coefficients=beta,
-                         residuals=residuals, weights=weights,
-                         residual_variance=s2, standard_errors=se, df_residual=df)
+    return RegressionFit(design=design, coefficients=beta, residuals=residuals,
+                         weight_norms=np.sqrt(squared_norms), residual_variance=s2,
+                         standard_errors=np.sqrt(s2 * squared_norms), df_residual=df)
 
 
 def t_ci(fit: RegressionFit, coefficient: int | str = 1,
@@ -189,8 +190,7 @@ def u_concentration_ci(fit: RegressionFit, coefficient: int | str = 1,
     alpha = check_alpha(alpha)
     j = fit.coefficient_index(coefficient)
     spread = float(fit.residuals.max() - fit.residuals.min())
-    scale = math.sqrt(float(np.sum(fit.weights[j] ** 2)))
-    half = spread * scale * math.sqrt(math.log(2.0 / alpha) / 6.0)
+    half = spread * float(fit.weight_norms[j]) * math.sqrt(math.log(2.0 / alpha) / 6.0)
     b = float(fit.coefficients[j])
     return IntervalEstimate(point=b, lower=b - half, upper=b + half,
                             alpha=alpha, method="u-concentration")
@@ -245,19 +245,18 @@ def logistic_fit(design: DesignMatrix, response) -> LogisticFit:
         if norm < _LOGIT_TOL:
             return LogisticFit(coefficients=beta, fitted_probabilities=probs,
                                iterations=iteration, score_norm=norm)
-        w = probs * (1.0 - probs)
-        sqrt_w = np.sqrt(w)
+        sqrt_w = np.sqrt(probs * (1.0 - probs))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = np.where(sqrt_w > 0, (y - probs) / sqrt_w, 0.0)
         try:
-            qw, rw = _qr_or_raise(x * sqrt_w[:, None], design.column_names)
+            step, _ = _qr_solve(x * sqrt_w[:, None], z, design.column_names)
         except SingularDesignError:
             if iteration == 1:
                 raise
             raise ConvergenceError(
                 "weighted design became singular during iteration; "
                 "the classes appear separable", trace) from None
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.where(sqrt_w > 0, (y - probs) / sqrt_w, 0.0)
-        beta = beta + solve_triangular(rw, qw.T @ z)
+        beta = beta + step
 
     raise ConvergenceError(
         f"no convergence after {_LOGIT_MAX_ITER} iterations", trace)

@@ -140,14 +140,16 @@ class ExperimentSpec:
 
     def __post_init__(self):
         labels = variant_labels(self.experiment)  # validates the id
-        grid = tuple(int(n) for n in self.n_grid)
-        object.__setattr__(self, "n_grid", grid)
+        grid = tuple(self.n_grid)
         if not grid:
             raise ParameterError("n_grid must not be empty")
         for n in grid:
             # 4 is the smallest size every interval recipe here accepts.
-            if n < 4:
-                raise ParameterError(f"sample sizes must be at least 4, got {n}")
+            if not (isinstance(n, (int, np.integer)) and n >= 4):
+                raise ParameterError(
+                    f"sample sizes must be integers of at least 4, got {n!r}")
+        grid = tuple(int(n) for n in grid)
+        object.__setattr__(self, "n_grid", grid)
         if len(set(grid)) != len(grid):
             raise ParameterError(f"n_grid has repeated sizes: {grid}")
         if not (isinstance(self.iterations, (int, np.integer)) and self.iterations >= 1):

@@ -229,11 +229,12 @@ def test_ingest_does_not_read_a_bare_sign_as_missing(tmp_path, cell):
     assert f"cannot parse {cell!r}" in str(excinfo.value)
 
 
-def test_cli_import_leaves_scipy_stats_out():
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.linalg"])
+def test_cli_import_leaves_scipy_stats_out(module):
     src = str(Path(funcavg.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    probe = "import sys, funcavg.cli; print('scipy.stats' in sys.modules)"
+    probe = f"import sys, funcavg.cli; print({module!r} in sys.modules)"
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
@@ -382,16 +383,25 @@ def test_out_of_range_simulate_flags_are_usage_errors(flags):
     assert "seed:" not in result.stderr
 
 
-@pytest.mark.parametrize("flags, message", [
-    (["--method", "MR"], "method MR needs --covariates"),
-], ids=["MR-without-covariates"])
-def test_method_flag_faults_are_usage_errors_before_ingest(tmp_path, flags, message):
+@pytest.mark.parametrize("command, flags, message", [
+    ("estimate", ["--method", "MR"], "method MR needs --covariates"),
+    ("estimate", ["--covariates", "y", "--method", "MR"], "column 'y' is named twice"),
+    ("estimate", ["--covariates", "y", "--method", "S"], "column 'y' is named twice"),
+    ("estimate", ["--covariates", "t"], "column 't' is named twice"),
+    ("estimate", ["--covariates", "x,x"], "column 'x' is named twice"),
+    ("estimate", ["--treatment", "y", "--method", "LR"], "column 'y' is named twice"),
+    ("diagnose", ["--covariates", "y"], "column 'y' is named twice"),
+], ids=["MR-without-covariates", "MR-outcome-as-covariate", "S-outcome-as-covariate",
+        "treatment-as-covariate", "covariate-twice", "outcome-as-treatment",
+        "diagnose-outcome-as-covariate"])
+def test_method_flag_faults_are_usage_errors_before_ingest(tmp_path, command, flags,
+                                                           message):
     # Ingesting this file fails with exit 1 at its bad cell, so exit 2
-    # shows that the flags were checked first.
+    # shows that the flags were checked first.  A later --treatment wins.
     path = write_csv(tmp_path / "d.csv", ["y", "t", "x"],
                      [["1.0", "0", "0.5"], ["oops", "1", "0.2"]])
     result = CliRunner().invoke(main, [
-        "estimate", path, "--outcome", "y", "--treatment", "t", *flags])
+        command, path, "--outcome", "y", "--treatment", "t", *flags])
     assert result.exit_code == 2
     assert message in result.stderr
     assert "seed:" not in result.stderr
@@ -459,7 +469,7 @@ def test_estimate_av_bytes_match_pinned_digest(tmp_path):
     ("LR", "09e00af41268644724be16f2a74c8d3bb935f0282534648bbaf8b64b104c4d73"),
     ("MR", "c876cf02ba87fa8040544728c336cfa9058b00dcc1f9f1f325eebb3d0563e84e"),
     ("S", "774057f19a3b299b513feea1a4a47b85673e0dad722995675e30b00efafc7e4e"),
-    ("PS", "b7a19e161247a7c757ca19da5d693c61b4a5c23fd496ef7dd20c1e29d1ce6a1b"),
+    ("PS", "02f567e7b00906a3ca888585dd1d398a7fbccd9f335313fde7748dd9f7608e56"),
 ])
 def test_estimate_refit_bytes_match_pinned_digest(tmp_path, method, digest):
     # As the Av digest above, for the methods that fit a model: LR and MR

@@ -74,6 +74,14 @@ def test_ols_residual_orthogonality_and_oracle_agreement():
         assert np.max(np.abs(x.T @ fit.residuals)) < 1e-8 * max(1.0, np.abs(y).max())
         oracle_se = np.sqrt(fit.residual_variance * np.diag(np.linalg.inv(x.T @ x)))
         assert np.allclose(fit.standard_errors, oracle_se, rtol=1e-8)
+        # The range interval's half-width: residual range times ||w_j||_2,
+        # which is sqrt([(X^T X)^-1]_jj).
+        spread = fit.residuals.max() - fit.residuals.min()
+        oracle_norms = np.sqrt(np.diag(np.linalg.inv(x.T @ x)))
+        for j in range(3):
+            ci = u_concentration_ci(fit, j, alpha=0.05)
+            expected = spread * oracle_norms[j] * np.sqrt(np.log(2 / 0.05) / 6)
+            assert ci.width / 2 == pytest.approx(expected, rel=1e-8)
 
 
 def test_ols_rejects_rank_deficiency_naming_column():
@@ -337,7 +345,7 @@ def test_ps_refits_drop_failures_within_the_budget(monkeypatch):
                                 RngStream(4, (1,)), replicates=100)
     assert len(completed) == 1 + 98  # the point estimate, then the refits
     assert (ci.point, ci.lower, ci.upper) == \
-        (1.7220673047341317, 0.679108841891804, 3.0211546612886235)
+        (1.7220673047341322, 0.6791088418918039, 3.0211546612886244)
 
 
 def test_bootstrap_se_errors_when_refits_keep_failing():

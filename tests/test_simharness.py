@@ -98,6 +98,10 @@ def test_spec_rejects_bad_grid_and_counts():
         ExperimentSpec("table2", n_grid=(3,))
     with pytest.raises(ParameterError):
         ExperimentSpec("table2", n_grid=(100, 100))
+    for grid in [(500.7, 60.2), (500.0,), ("500",)]:
+        with pytest.raises(ParameterError, match="integers"):
+            ExperimentSpec("table2", n_grid=grid)
+    assert ExperimentSpec("table2", n_grid=np.array([60, 500])).n_grid == (60, 500)
     with pytest.raises(ParameterError):
         ExperimentSpec("table2", iterations=0)
     with pytest.raises(ParameterError):
