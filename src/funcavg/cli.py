@@ -93,13 +93,15 @@ def ingest_csv(path: str, columns=None) -> tuple[Dataset, int]:
     row and column, not a missing value, so typos fail loudly instead of
     shrinking the sample.  So is a blank line or a row whose field count
     differs from the header's.
+    A UTF-8 byte-order mark, as Excel writes, is read as part of the
+    encoding, not as part of the first column's name.
 
     A clean file (every cell a finite number, no quotes) is parsed in one
     ``np.loadtxt`` pass.  Any other file goes through a per-cell loop,
     which is the only code that drops rows and locates faults, so both
     paths give the same columns, count and errors.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = [name.strip() for name in next(reader)]
@@ -192,21 +194,6 @@ def _clean_matrix(fh, width: int, positions: list[int]) -> np.ndarray | None:
     return matrix if np.isfinite(matrix).all() else None
 
 
-def center_continuous(data: Dataset, names) -> tuple[Dataset, list[str]]:
-    """Mean-center the named columns that take more than two values.
-
-    Binary indicator columns are left alone so their coefficients keep
-    their group-contrast reading.
-    """
-    centered = []
-    for name in names:
-        col = data.column(name)
-        if np.unique(col).size > 2:
-            data = data.with_column(name, col - col.mean())
-            centered.append(name)
-    return data, centered
-
-
 def _resolve_seed(flag_value) -> int:
     if flag_value is not None:
         return flag_value
@@ -250,16 +237,12 @@ def _fail(exc: FuncavgError) -> None:
 
 
 def _load_csv(input_path: str, outcome: str, treatment: str,
-              covariates: tuple[str, ...], center: bool) -> tuple[Dataset, list[str]]:
-    """Ingest the referenced columns, noting dropped rows on stderr:
-    ``(data, the covariates --center mean-centered)``."""
+              covariates: tuple[str, ...]) -> Dataset:
+    """Ingest the referenced columns, noting dropped rows on stderr."""
     data, dropped = ingest_csv(input_path, (outcome, treatment) + covariates)
     if dropped:
         click.echo(f"dropped {dropped} incomplete rows", err=True)
-    centered = []
-    if center:
-        data, centered = center_continuous(data, covariates)
-    return data, centered
+    return data
 
 
 def _adjusted_model(outcome: str, treatment: str, covariates) -> ModelSpec:
@@ -345,21 +328,17 @@ def _estimate_csv(rows) -> str:
               show_default=True)
 @click.option("--b", "replicates", type=_REPLICATES, default=DEFAULT_REPLICATES,
               show_default=True, help="Bootstrap replicates for S, PS, Av.")
-@click.option("--center", is_flag=True,
-              help="Mean-center continuous covariates first.")
 @click.option("--seed", type=_SEED, default=None, help="Base seed (default 0 "
               "or FUNCAVG_SEED).")
 @click.option("--out", default=None, help="Prefix: write {out}.csv and {out}.txt.")
 def estimate(input_path, outcome, treatment, covariates, methods, alpha,
-             replicates, center, seed, out):
+             replicates, seed, out):
     """Estimate the treatment contrast in INPUT_PATH by each method."""
     seed = _resolve_seed(seed)
     _check_flags(outcome, treatment, covariates, methods)
     click.echo(f"seed: {seed}", err=True)
     try:
-        data, centered = _load_csv(input_path, outcome, treatment, covariates, center)
-        if centered:
-            click.echo(f"centered: {', '.join(centered)}", err=True)
+        data = _load_csv(input_path, outcome, treatment, covariates)
         rows = _estimate_rows(data, outcome, treatment, covariates,
                               methods, alpha, replicates, seed)
     except FuncavgError as exc:
@@ -421,15 +400,13 @@ def _group_label(value: float) -> str:
 @click.option("--covariates", default="", callback=_split_names,
               help="If given, also fit outcome ~ treatment + covariates and "
                    "report residual support symmetry.")
-@click.option("--center", is_flag=True,
-              help="Mean-center continuous covariates before the fit.")
 @click.option("--out", default=None,
               help="Prefix: write {out}.txt and {out}_ecdf_{group}.csv files.")
-def diagnose(input_path, treatment, outcome, covariates, center, out):
+def diagnose(input_path, treatment, outcome, covariates, out):
     """Shape diagnostics per treatment group of INPUT_PATH."""
     _check_flags(outcome, treatment, covariates)
     try:
-        data, _ = _load_csv(input_path, outcome, treatment, covariates, center)
+        data = _load_csv(input_path, outcome, treatment, covariates)
         values = data.column(outcome)
         groups = data.column(treatment)
         distinct = np.unique(groups)
@@ -459,6 +436,15 @@ def diagnose(input_path, treatment, outcome, covariates, center, out):
             design, y = build_design(
                 data, _adjusted_model(outcome, treatment, covariates))
             fit = ols_fit(design, y)
+            # An exact fit leaves residuals of rounding size, a few
+            # eps * max|y|.  A range within 1e-10 * max|y| (about 4.5e5 eps,
+            # room for an ill-conditioned design) is that rounding alone, and
+            # an asymmetry read off its extremes would describe noise.
+            spread = float(fit.residuals.max() - fit.residuals.min())
+            if spread <= 1e-10 * float(np.abs(y).max()):
+                raise DataError(f"{outcome!r} is fitted exactly by "
+                                f"{', '.join((treatment, *covariates))}; "
+                                "its residuals have no support to describe")
             sym = residual_support_symmetry(fit.residuals)
             rendered.append("")
             rendered.append(f"residual support: max {sym.max_residual:.4f}  "

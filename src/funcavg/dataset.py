@@ -51,27 +51,14 @@ class Dataset:
             raise SchemaError(f"no column named {name!r}; "
                               f"available: {', '.join(self.columns)}") from None
 
-    @classmethod
-    def _from_validated(cls, columns: dict[str, np.ndarray]) -> "Dataset":
-        # Internal fast path for row subsets of already-validated data;
-        # bootstrap loops would otherwise rescan every column per replicate.
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "columns", columns)
-        return obj
-
     def take(self, indices) -> "Dataset":
         """Row subset (or bootstrap resample) by integer indices."""
         idx = np.asarray(indices)
         if idx.dtype.kind not in "iu" or idx.ndim != 1 or idx.size == 0:
             raise DataError("row indices must form a non-empty 1-D integer array")
-        return Dataset._from_validated(
-            {name: arr[idx] for name, arr in self.columns.items()})
-
-    def with_column(self, name: str, values) -> "Dataset":
-        """Copy of the dataset with one column added or replaced."""
-        arr = np.broadcast_to(np.asarray(values, dtype=float), (self.n_rows,)).copy()
-        if not np.all(np.isfinite(arr)):
-            raise DataError(f"column {name!r} contains non-finite values")
-        merged = dict(self.columns)
-        merged[name] = arr
-        return Dataset._from_validated(merged)
+        # Rows of already-validated columns skip __post_init__, which would
+        # rescan every column in each bootstrap replicate.
+        subset = object.__new__(Dataset)
+        object.__setattr__(subset, "columns",
+                           {name: arr[idx] for name, arr in self.columns.items()})
+        return subset

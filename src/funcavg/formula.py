@@ -3,10 +3,10 @@
 A :class:`Term` is a product of named columns (one column alone is a
 plain term; a column repeated is its square), and a :class:`ModelSpec`
 is an outcome name plus ordered terms.  An intercept is always included.
-Terms know how to evaluate themselves against a
-:class:`~funcavg.dataset.Dataset`, which is what lets counterfactual
-predictions rebuild product columns after the treatment column is
-overridden.
+Terms evaluate themselves against a :class:`~funcavg.dataset.Dataset`
+to give design columns.  Keeping the factors, not just the product, is
+what lets standardization read a treatment-bearing term's 0-to-1 shift
+as the product of its other factors.
 """
 
 from __future__ import annotations

@@ -219,6 +219,13 @@ def logistic_fit(design: DesignMatrix, response) -> LogisticFit:
     :class:`~funcavg.errors.ConvergenceError` carrying the iteration trace
     after 50 iterations or when fitted log-odds diverge, the signature of
     separated classes.
+
+    When the design has a constant nonzero column (an intercept), the other
+    columns are centered first and the coefficients mapped back at the end.
+    Newton's method is affine invariant, but its arithmetic is not: a
+    column far from zero (a covariate near 1e6, say) makes each log-odds
+    the difference of large terms and buries the score under rounding, so
+    the iteration would never meet its tolerance.
     """
     y = np.asarray(response, dtype=float)
     x = design.matrix
@@ -230,6 +237,14 @@ def logistic_fit(design: DesignMatrix, response) -> LogisticFit:
     if n <= p:
         raise DataError(f"need more observations than design columns, "
                         f"got n={n}, p={p}")
+
+    # Column by column and a BLAS product for the means: axis-0 reductions
+    # of a narrow C-ordered matrix cost several times more per refit.
+    intercepts = [j for j, col in enumerate(x.T) if col[0] != 0 and (col == col[0]).all()]
+    if intercepts:
+        shift = np.ones(n) @ x / n
+        shift[intercepts] = 0.0
+        x = x - shift
 
     beta = np.zeros(p)
     trace: list[tuple[int, float]] = []
@@ -243,6 +258,9 @@ def logistic_fit(design: DesignMatrix, response) -> LogisticFit:
         norm = float(np.abs(score).max())
         trace.append((iteration, norm))
         if norm < _LOGIT_TOL:
+            if intercepts:  # x @ beta == design.matrix @ coefficients
+                k = intercepts[0]
+                beta[k] -= (shift @ beta) / x[0, k]
             return LogisticFit(coefficients=beta, fitted_probabilities=probs,
                                iterations=iteration, score_norm=norm)
         sqrt_w = np.sqrt(probs * (1.0 - probs))
@@ -288,26 +306,22 @@ def propensity_strata(scores) -> np.ndarray:
 
 def standardization_contrast(dataset: Dataset, model: ModelSpec, treatment: str) -> float:
     """Fit ``model`` by OLS, then average the predicted outcome shift when
-    everyone moves from treatment 0 to 1.
+    everyone moves from treatment 0 to 1 (the g-formula contrast).
 
-    Predictions are rebuilt from the model terms with the treatment column
-    set to 1 and then to 0, so squares and interactions involving the
-    treatment update with it.  For a model with no treatment interactions
-    this is exactly ``beta_treatment``.
+    A term's value with the treatment at 1 minus its value at 0 is the
+    product of its other factors, read from ``dataset`` as given (1.0 for
+    a term with no other factor); terms without the treatment cancel.  So
+    squares and interactions involving the treatment shift with it, and
+    for a model with no treatment interactions this is exactly
+    ``beta_treatment``.
     """
     dataset.column(treatment)
     fit = ols_fit(*build_design(dataset, model))
-    involved = [j for j, term in enumerate(model.terms) if term.mentions(treatment)]
-    if not involved:
-        return 0.0
-    # Terms without the treatment cancel in the prediction difference, so
-    # only the treatment-bearing columns need re-evaluation.
-    ds_hi = dataset.with_column(treatment, 1.0)
-    ds_lo = dataset.with_column(treatment, 0.0)
     diff = np.zeros(dataset.n_rows)
-    for j in involved:
-        term = model.terms[j]
-        diff += fit.coefficients[j + 1] * (term.evaluate(ds_hi) - term.evaluate(ds_lo))
+    for coef, term in zip(fit.coefficients[1:], model.terms):
+        if term.mentions(treatment):
+            others = tuple(name for name in term.factors if name != treatment)
+            diff += coef * (Term(others).evaluate(dataset) if others else 1.0)
     return float(np.mean(diff))
 
 
@@ -376,8 +390,8 @@ def ps_stratified_contrast(dataset: Dataset, outcome: str, treatment: str,
         logit_design = design_from_columns(ds, covariates)
         pfit = logistic_fit(logit_design, ds.column(treatment))
         labels = propensity_strata(pfit.fitted_probabilities)
-        for s in strata:
-            ds = ds.with_column(f"stratum_{s}", (labels == s).astype(float))
-        return standardization_contrast(ds, model, treatment)
+        dummies = {f"stratum_{s}": (labels == s).astype(float) for s in strata}
+        return standardization_contrast(Dataset({**ds.columns, **dummies}), model,
+                                        treatment)
 
     return _percentile_over_refits(dataset, rng, replicates, alpha, point_fn)

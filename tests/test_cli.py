@@ -12,7 +12,7 @@ from click.testing import CliRunner
 import funcavg
 from funcavg import cli
 from funcavg.bootstrap import BootstrapConfig, hoeffding_ci, resample
-from funcavg.cli import METHOD_NAMES, center_continuous, ingest_csv, main
+from funcavg.cli import METHOD_NAMES, ingest_csv, main
 from funcavg.errors import CsvParseError, DataError, SchemaError
 from funcavg.estimators import contrast, midrange
 from funcavg.rng import RngStream
@@ -26,13 +26,13 @@ def write_csv(path, header, rows):
     return str(path)
 
 
-def two_arm_csv(path, seed=4, n=80):
+def two_arm_csv(path, seed=4, n=80, x_shift=0.0):
     rng = np.random.default_rng(seed)
     t = (rng.uniform(size=n) < 0.5).astype(float)
     x = rng.normal(size=n)
     y = 5.0 + 3.0 * t + 1.5 * x + rng.normal(scale=0.7, size=n)
     return write_csv(path, ["y", "t", "x"],
-                     [[f"{yi:.6f}", f"{ti:g}", f"{xi:.6f}"]
+                     [[f"{yi:.6f}", f"{ti:g}", f"{xi + x_shift:.6f}"]
                       for yi, ti, xi in zip(y, t, x)])
 
 
@@ -159,6 +159,9 @@ INGEST_CORPUS = [
     ("lone-cr-at-end", "y,t\n1,0\n2,1\r", None, True),
     ("only-blank-lines", "y,t\n\n\r\n", None, False),
     ("only-spaces", "y\n \n", None, False),
+    # Excel's "CSV UTF-8" starts the file with a byte-order mark.
+    ("bom", "\ufeffy,t\n1.5,0\n2.5,1\n", ("y", "t"), True),
+    ("bom-NA", "\ufeffy,t\n1.5,0\nNA,1\n2.5,1\n", ("y", "t"), False),
     # The bad cell comes before the first undecodable byte, as the loop reads.
     ("bad-cell-then-bad-byte", b"y,t\n1,0\noops,1\n" + b"2,1\n" * 3000 + b"\xff,1\n",
      None, False),
@@ -238,17 +241,6 @@ def test_cli_import_leaves_scipy_stats_out(module):
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
-
-
-def test_center_continuous_skips_binary_columns():
-    from funcavg.dataset import Dataset
-
-    data = Dataset({"t": np.array([0.0, 1.0, 1.0, 0.0]),
-                    "x": np.array([1.0, 2.0, 3.0, 6.0])})
-    centered, names = center_continuous(data, ("t", "x"))
-    assert names == ["x"]
-    assert centered.column("t").tolist() == [0.0, 1.0, 1.0, 0.0]
-    assert centered.column("x").mean() == pytest.approx(0.0, abs=1e-12)
 
 
 # Exit codes.
@@ -517,17 +509,42 @@ def test_mr_recovers_exact_coefficient_without_noise(tmp_path):
     assert float(record[4]) - float(record[3]) < 1e-7
 
 
-def test_estimate_reports_dropped_and_centered(tmp_path):
+def test_estimate_reports_dropped_rows(tmp_path):
     path = write_csv(tmp_path / "d.csv", ["y", "t", "x"],
                      [["1.0", "0", "1.0"], ["2.0", "1", "4.0"],
                       ["", "1", "2.0"], ["3.0", "0", "2.5"],
                       ["4.0", "1", "0.5"]])
     result = CliRunner().invoke(main, [
         "estimate", path, "--outcome", "y", "--treatment", "t",
-        "--covariates", "x", "--center", "--method", "LR"])
+        "--covariates", "x", "--method", "LR"])
     assert result.exit_code == 0
     assert "dropped 1 incomplete rows" in result.stderr
-    assert "centered: x" in result.stderr
+
+
+def test_estimates_do_not_move_when_a_covariate_is_shifted(tmp_path):
+    # Every model here is an intercept plus main effects, so shifting a
+    # covariate moves only the intercept: no estimate needs the covariates
+    # centered first.
+    runner = CliRunner()
+    estimates, residual_lines = [], []
+    for shift in (0.0, 1e6):
+        path = two_arm_csv(tmp_path / f"d{shift:g}.csv", seed=9, x_shift=shift)
+        out = str(tmp_path / f"est{shift:g}")
+        result = runner.invoke(main, [
+            "estimate", path, "--outcome", "y", "--treatment", "t",
+            "--covariates", "x", "--method", "MR", "--method", "S",
+            "--method", "PS", "--b", "50", "--seed", "3", "--out", out])
+        assert result.exit_code == 0, result.stderr
+        with open(out + ".csv", newline="") as fh:
+            estimates.append([[float(v) for v in record[2:5]]
+                              for record in list(csv.reader(fh))[1:]])
+        result = runner.invoke(main, [
+            "diagnose", path, "--treatment", "t", "--outcome", "y",
+            "--covariates", "x"])
+        assert result.exit_code == 0, result.stderr
+        residual_lines.append(result.stdout.splitlines()[-1])
+    np.testing.assert_allclose(estimates[1], estimates[0], rtol=1e-9, atol=0)
+    assert residual_lines[1] == residual_lines[0]
 
 
 # simulate output.
@@ -643,6 +660,21 @@ def test_diagnose_rejects_too_many_groups(tmp_path):
         "diagnose", path, "--treatment", "g", "--outcome", "y"])
     assert result.exit_code == 1
     assert "distinct values" in result.stderr
+
+
+def test_diagnose_rejects_an_exact_fit(tmp_path):
+    # Residuals of y = 2x + 1 are rounding noise; an asymmetry of them
+    # would describe nothing.
+    x = np.random.default_rng(6).normal(size=300)
+    path = write_csv(tmp_path / "d.csv", ["y", "t", "x"],
+                     [[repr(float(2.0 * xi + 1.0)), str(i % 2), repr(float(xi))]
+                      for i, xi in enumerate(x)])
+    result = CliRunner().invoke(main, [
+        "diagnose", path, "--treatment", "t", "--outcome", "y",
+        "--covariates", "x"])
+    assert result.exit_code == 1
+    assert "fitted exactly" in result.stderr
+    assert "residual support" not in result.stdout
 
 
 def test_diagnose_covariates_add_residual_line(tmp_path):

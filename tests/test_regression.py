@@ -179,6 +179,23 @@ def test_logistic_recovers_analytic_log_odds():
     assert fit.coefficients[0] == pytest.approx(float(logit(0.3)), abs=0.05)
 
 
+def test_logistic_fit_does_not_depend_on_a_covariate_offset():
+    # Newton's method is affine invariant, and centering the non-intercept
+    # columns makes its arithmetic so too: uncentered, a 1e6 offset kept
+    # the score above tolerance for all 50 iterations.
+    g = np.random.default_rng(12)
+    x = np.round(g.normal(size=300) * 1024) / 1024
+    t = (g.uniform(size=300) < expit(x)).astype(float)
+    fits = [logistic_fit(DesignMatrix(np.column_stack([np.ones(300), x + shift]),
+                                      ("intercept", "x")), t)
+            for shift in (0.0, 1e6)]
+    np.testing.assert_allclose(fits[1].fitted_probabilities,
+                               fits[0].fitted_probabilities, rtol=1e-9)
+    assert fits[1].coefficients[1] == pytest.approx(fits[0].coefficients[1], rel=1e-9)
+    assert fits[1].coefficients[0] == pytest.approx(
+        fits[0].coefficients[0] - 1e6 * fits[0].coefficients[1], rel=1e-9)
+
+
 def test_logistic_flags_separation_with_trace():
     x = np.column_stack([np.ones(8), np.array([-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0])])
     y = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
@@ -250,6 +267,43 @@ def test_standardization_with_interaction_centered_covariate():
     # Direct two-prediction oracle.
     hi_lo_diff = fit.coefficient("t") + fit.coefficient("t:l") * ds.column("l")
     assert contrast == pytest.approx(float(hi_lo_diff.mean()), rel=1e-12)
+
+
+def _contrast_on_counterfactual_copies(ds, model, treatment):
+    """The contrast as once computed: every treatment-bearing term evaluated
+    on copies of the dataset with the treatment set to 1 and to 0."""
+    fit = ols_fit(*build_design(ds, model))
+    ds_hi = Dataset({**ds.columns, treatment: np.ones(ds.n_rows)})
+    ds_lo = Dataset({**ds.columns, treatment: np.zeros(ds.n_rows)})
+    diff = np.zeros(ds.n_rows)
+    for j, term in enumerate(model.terms):
+        if term.mentions(treatment):
+            diff += fit.coefficients[j + 1] * (term.evaluate(ds_hi) - term.evaluate(ds_lo))
+    return float(np.mean(diff))
+
+
+@pytest.mark.parametrize("factors", [
+    (("t",),),
+    (("t",), ("l",), ("t", "l")),
+    (("t",), ("t", "t")),
+    (("t",), ("l", "t", "m")),
+], ids=["t", "t+l+t:l", "t+t:t", "t+l:t:m"])
+def test_standardization_matches_counterfactual_copies_bit_for_bit(factors):
+    # Multiplying by 1.0 and subtracting a signed zero are exact, so the
+    # shift read off the other factors equals the difference of the two
+    # counterfactual evaluations to the last bit.  The treatment is a dose
+    # (0, 1, 2), so t and t:t are not collinear; l holds negatives and zeros.
+    g = np.random.default_rng(8)
+    n = 200
+    t = g.integers(0, 3, size=n).astype(float)
+    l = np.round(g.normal(size=n))
+    m = g.normal(size=n)
+    y = 1.0 + 2.0 * t + l - 0.5 * t * l * m + 0.3 * t * t + g.normal(size=n)
+    ds = Dataset({"y": y, "t": t, "l": l, "m": m})
+    assert (l < 0).any() and (l == 0).any()
+    model = ModelSpec("y", tuple(Term(f) for f in factors))
+    assert standardization_contrast(ds, model, "t") == \
+        _contrast_on_counterfactual_copies(ds, model, "t")
 
 
 def test_standardization_bootstrap_zero_noise_zero_width():
