@@ -35,8 +35,9 @@ class SingularDesignError(FuncavgError):
 class ConvergenceError(FuncavgError):
     """An iterative fit failed to converge.
 
-    ``trace`` holds one ``(iteration, score_norm)`` pair per completed
-    iteration so the failure mode is inspectable.
+    ``trace`` holds one ``(iteration, decrement)`` pair per Newton step
+    taken, the log-likelihood gain that step predicted, so the failure
+    mode is inspectable.
     """
 
     def __init__(self, message: str, trace: list[tuple[int, float]]):

@@ -8,16 +8,6 @@ import numpy as np
 
 from .errors import ParameterError
 
-#: Every interval construction the package can produce.
-METHODS = frozenset({
-    "hoeffding",        # range-based bound, full pooled range
-    "hoeffding-u",      # doubled replicate range, sharper centered constant
-    "hoeffding-u2",     # doubled replicate range, general constant
-    "percentile",       # quantiles of the replicate distribution
-    "t-dist",           # classical Student-t regression interval
-    "u-concentration",  # residual-range concentration bound for coefficients
-})
-
 
 def check_alpha(alpha: float) -> float:
     if not (np.isfinite(alpha) and 0.0 < alpha < 1.0):
@@ -40,9 +30,6 @@ class IntervalEstimate:
 
     def __post_init__(self):
         check_alpha(self.alpha)
-        if self.method not in METHODS:
-            raise ParameterError(
-                f"unknown method tag {self.method!r}; expected one of {sorted(METHODS)}")
         if not (np.isfinite(self.point) and np.isfinite(self.lower)
                 and np.isfinite(self.upper)):
             raise ParameterError("interval endpoints and point must be finite")

@@ -203,7 +203,7 @@ class LogisticFit:
     coefficients: np.ndarray
     fitted_probabilities: np.ndarray = field(repr=False)
     iterations: int
-    score_norm: float
+    decrement: float
 
 
 _LOGIT_TOL = 1e-8
@@ -215,17 +215,13 @@ _N_STRATA = 5  # propensity-score quintiles
 def logistic_fit(design: DesignMatrix, response) -> LogisticFit:
     """Logistic regression by Newton iterations on the log-likelihood.
 
-    Stops when the score's max-norm drops below ``1e-8``; gives up with a
-    :class:`~funcavg.errors.ConvergenceError` carrying the iteration trace
-    after 50 iterations or when fitted log-odds diverge, the signature of
-    separated classes.
-
-    When the design has a constant nonzero column (an intercept), the other
-    columns are centered first and the coefficients mapped back at the end.
-    Newton's method is affine invariant, but its arithmetic is not: a
-    column far from zero (a covariate near 1e6, say) makes each log-odds
-    the difference of large terms and buries the score under rounding, so
-    the iteration would never meet its tolerance.
+    Stops once the Newton decrement of the last step, ``||R step||^2`` from
+    its weighted QR solve, drops below ``1e-8``: the log-likelihood gain
+    that step predicted.  The decrement is unchanged by any affine map of
+    the design columns, so one tolerance serves covariates of every scale
+    and offset.  Gives up with a :class:`~funcavg.errors.ConvergenceError`
+    carrying the iteration trace after 50 iterations or when fitted
+    log-odds diverge, the signature of separated classes.
     """
     y = np.asarray(response, dtype=float)
     x = design.matrix
@@ -238,15 +234,7 @@ def logistic_fit(design: DesignMatrix, response) -> LogisticFit:
         raise DataError(f"need more observations than design columns, "
                         f"got n={n}, p={p}")
 
-    # Column by column and a BLAS product for the means: axis-0 reductions
-    # of a narrow C-ordered matrix cost several times more per refit.
-    intercepts = [j for j, col in enumerate(x.T) if col[0] != 0 and (col == col[0]).all()]
-    if intercepts:
-        shift = np.ones(n) @ x / n
-        shift[intercepts] = 0.0
-        x = x - shift
-
-    beta = np.zeros(p)
+    beta, decrement = np.zeros(p), math.inf
     trace: list[tuple[int, float]] = []
     for iteration in range(1, _LOGIT_MAX_ITER + 1):
         eta = x @ beta
@@ -254,26 +242,22 @@ def logistic_fit(design: DesignMatrix, response) -> LogisticFit:
             raise ConvergenceError(
                 "fitted log-odds diverged; the classes appear separable", trace)
         probs = expit(eta)
-        score = x.T @ (y - probs)
-        norm = float(np.abs(score).max())
-        trace.append((iteration, norm))
-        if norm < _LOGIT_TOL:
-            if intercepts:  # x @ beta == design.matrix @ coefficients
-                k = intercepts[0]
-                beta[k] -= (shift @ beta) / x[0, k]
+        if decrement < _LOGIT_TOL:
             return LogisticFit(coefficients=beta, fitted_probabilities=probs,
-                               iterations=iteration, score_norm=norm)
+                               iterations=iteration, decrement=decrement)
+        # |eta| <= 30 keeps every weight p(1 - p) above 9e-14.
         sqrt_w = np.sqrt(probs * (1.0 - probs))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.where(sqrt_w > 0, (y - probs) / sqrt_w, 0.0)
         try:
-            step, _ = _qr_solve(x * sqrt_w[:, None], z, design.column_names)
+            step, r = _qr_solve(x * sqrt_w[:, None], (y - probs) / sqrt_w,
+                                design.column_names)
         except SingularDesignError:
             if iteration == 1:
                 raise
             raise ConvergenceError(
                 "weighted design became singular during iteration; "
                 "the classes appear separable", trace) from None
+        decrement = float(np.sum((r @ step) ** 2))
+        trace.append((iteration, decrement))
         beta = beta + step
 
     raise ConvergenceError(

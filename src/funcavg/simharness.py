@@ -213,6 +213,10 @@ class ReportRow:
     power: float | None = None
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ParameterError(f"sample size must be at least 1, got {self.n}")
+        if not math.isfinite(self.target):
+            raise ParameterError(f"target is not finite: {self.target!r}")
         if not math.isfinite(self.mean_estimate):
             raise ParameterError(f"mean estimate is not finite: {self.mean_estimate!r}")
         interval_fields = (self.mean_lower, self.mean_upper, self.coverage, self.power)

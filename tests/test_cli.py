@@ -521,15 +521,31 @@ def test_estimate_reports_dropped_rows(tmp_path):
     assert "dropped 1 incomplete rows" in result.stderr
 
 
-def test_estimates_do_not_move_when_a_covariate_is_shifted(tmp_path):
-    # Every model here is an intercept plus main effects, so shifting a
-    # covariate moves only the intercept: no estimate needs the covariates
-    # centered first.
+def scale_column(path, out, name, factor):
+    """Copy a CSV with column ``name`` multiplied by ``factor``, written
+    with ``repr``; a power-of-two factor makes the copy an exact rescale."""
+    with open(path, newline="") as fh:
+        records = list(csv.reader(fh))
+    j = records[0].index(name)
+    for record in records[1:]:
+        record[j] = repr(float(record[j]) * factor)
+    return write_csv(out, records[0], records[1:])
+
+
+@pytest.mark.parametrize("moved, n", [("shifted", 80), ("scaled", 2000)])
+def test_estimates_do_not_move_when_a_covariate_is_moved(tmp_path, moved, n):
+    # Every model here is an intercept plus main effects, so an affine map
+    # of a covariate moves only its coefficients: the OLS contrasts and the
+    # fitted propensities stay put, and so does every estimate.
+    base = two_arm_csv(tmp_path / "base.csv", seed=9, n=n)
+    if moved == "shifted":
+        other = two_arm_csv(tmp_path / "other.csv", seed=9, n=n, x_shift=1e6)
+    else:
+        other = scale_column(base, tmp_path / "other.csv", "x", 2.0 ** 20)
     runner = CliRunner()
     estimates, residual_lines = [], []
-    for shift in (0.0, 1e6):
-        path = two_arm_csv(tmp_path / f"d{shift:g}.csv", seed=9, x_shift=shift)
-        out = str(tmp_path / f"est{shift:g}")
+    for path in (base, other):
+        out = str(tmp_path / f"est-{Path(path).stem}")
         result = runner.invoke(main, [
             "estimate", path, "--outcome", "y", "--treatment", "t",
             "--covariates", "x", "--method", "MR", "--method", "S",

@@ -164,7 +164,7 @@ def test_logistic_intercept_only_matches_logit_of_mean():
     y = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0])
     fit = logistic_fit(DesignMatrix(np.ones((10, 1)), ("intercept",)), y)
     assert fit.coefficients[0] == pytest.approx(float(logit(y.mean())), abs=1e-8)
-    assert fit.score_norm < 1e-8
+    assert fit.decrement < 1e-8
 
 
 def test_logistic_recovers_analytic_log_odds():
@@ -179,21 +179,29 @@ def test_logistic_recovers_analytic_log_odds():
     assert fit.coefficients[0] == pytest.approx(float(logit(0.3)), abs=0.05)
 
 
-def test_logistic_fit_does_not_depend_on_a_covariate_offset():
-    # Newton's method is affine invariant, and centering the non-intercept
-    # columns makes its arithmetic so too: uncentered, a 1e6 offset kept
-    # the score above tolerance for all 50 iterations.
+@pytest.mark.parametrize("scale, offset", [(1.0, 1e6), (1.0, 1e8), (1e-6, 0.0),
+                                           (1e6, 0.0), (1e9, 0.0), (1e6, 1e9)])
+def test_logistic_fit_does_not_depend_on_an_affine_map_of_a_covariate(scale, offset):
+    # Newton's method is affine invariant, and so is its stopping rule, the
+    # Newton decrement: an absolute score tolerance sat below the score's
+    # rounding floor at offsets of 1e6 and scales of 1e6 on 2,000 rows.
+    # An offset makes each log-odds a difference of terms near
+    # offset * slope, which no fit resolves more finely than a few of
+    # their ulps; that is the only slack granted beyond rtol 1e-9.
     g = np.random.default_rng(12)
-    x = np.round(g.normal(size=300) * 1024) / 1024
-    t = (g.uniform(size=300) < expit(x)).astype(float)
-    fits = [logistic_fit(DesignMatrix(np.column_stack([np.ones(300), x + shift]),
-                                      ("intercept", "x")), t)
-            for shift in (0.0, 1e6)]
-    np.testing.assert_allclose(fits[1].fitted_probabilities,
-                               fits[0].fitted_probabilities, rtol=1e-9)
-    assert fits[1].coefficients[1] == pytest.approx(fits[0].coefficients[1], rel=1e-9)
-    assert fits[1].coefficients[0] == pytest.approx(
-        fits[0].coefficients[0] - 1e6 * fits[0].coefficients[1], rel=1e-9)
+    x = np.round(g.normal(size=2000) * 1024) / 1024
+    t = (g.uniform(size=2000) < expit(x)).astype(float)
+    names = ("intercept", "x")
+    base = logistic_fit(DesignMatrix(np.column_stack([np.ones(2000), x]), names), t)
+    moved = logistic_fit(
+        DesignMatrix(np.column_stack([np.ones(2000), scale * x + offset]), names), t)
+    resolution = 4 * np.finfo(float).eps * abs(offset * moved.coefficients[1])
+    np.testing.assert_allclose(moved.fitted_probabilities, base.fitted_probabilities,
+                               rtol=1e-9, atol=resolution)
+    assert moved.coefficients[1] * scale == pytest.approx(
+        base.coefficients[1], rel=1e-9, abs=resolution)
+    assert moved.coefficients[0] + offset * moved.coefficients[1] == pytest.approx(
+        base.coefficients[0], rel=1e-9, abs=resolution)
 
 
 def test_logistic_flags_separation_with_trace():

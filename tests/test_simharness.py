@@ -1,3 +1,4 @@
+import csv
 import hashlib
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from funcavg.bootstrap import BootstrapConfig, resample
 from funcavg.distributions import TruncatedNormalSpec
-from funcavg.errors import ParameterError
+from funcavg.errors import CsvParseError, ParameterError
 from funcavg.estimators import contrast, sample_mean
 from funcavg.intervals import IntervalEstimate
 from funcavg.regression import DesignMatrix, ols_fit
@@ -298,6 +299,19 @@ def test_csv_round_trip(tmp_path):
     assert read_report_csv(csv_path) == report.rows
 
 
+@pytest.mark.parametrize("field, value", [("target", "nan"), ("target", "inf"),
+                                          ("n", "-3")])
+def test_report_csv_rejects_impossible_rows(tmp_path, field, value):
+    csv_path, _ = write_report(tiny("table6"), str(tmp_path / "report"))
+    with open(csv_path, encoding="utf-8", newline="") as fh:
+        records = list(csv.reader(fh))
+    records[2][records[0].index(field)] = value
+    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(records)
+    with pytest.raises(CsvParseError, match="row 3,"):
+        read_report_csv(csv_path)
+
+
 def test_text_report_excludes_wall_time():
     report = tiny("table2")
     text = report_text(report)
@@ -331,6 +345,11 @@ def test_report_row_validation():
     with pytest.raises(ParameterError):  # partially filled interval fields
         ReportRow("table2", "v", 10, "midrange", "hoeffding", 1.0,
                   mean_estimate=1.0, mean_lower=0.0)
+    with pytest.raises(ParameterError):
+        ReportRow("table2", "v", 0, "midrange", "hoeffding", 1.0, mean_estimate=1.0)
+    with pytest.raises(ParameterError):
+        ReportRow("table2", "v", 10, "midrange", "hoeffding", float("inf"),
+                  mean_estimate=1.0)
 
 
 # Cell-level anchors, run at a reduced but meaningful scale.  Bands are
