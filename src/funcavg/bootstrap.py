@@ -41,8 +41,9 @@ __all__ = [
 ]
 
 # Cap on cells per chunk of replicates: an int64 index block and each gather
-# from it, or a block of multinomial counts, stay near 2 MB for any n and B.
-_CHUNK_CELLS = 1 << 18
+# from it, or a block of multinomial counts, stay about 512 KB for any n and
+# B, so a block and its gather fit together in a 2 MB L2 cache.
+_CHUNK_CELLS = 1 << 16
 
 
 def sqrt_resample_size(n: int) -> int:
@@ -161,7 +162,8 @@ def resample(values, config: BootstrapConfig,
     for paired outcome/treatment data); rows are drawn with replacement.
     For the original sample a float array is passed to the statistic as
     itself.  Results do not depend on internal chunk sizes: in the loop,
-    replicate ``k`` consumes a fixed slice of the index stream.
+    replicate ``k`` consumes a fixed slice of the index stream, and a
+    sampler's draws come off the stream in one order, however chunked.
 
     A replicate whose statistic raises a
     :class:`~funcavg.errors.FuncavgError` is dropped while no more than
@@ -179,10 +181,12 @@ def resample(values, config: BootstrapConfig,
     ``discrete_plugin_average`` draw each replicate from its exact
     bootstrap law (the ranks of the two extremes, or multinomial counts
     over the distinct values): other draws than the loop's, the same law.
-    ``sample_mean``'s sampler reads ``(outcome, label)`` rows only and
-    draws the loop's :func:`index_blocks`.
-    :func:`~funcavg.estimators.contrast` forwards ``batch``; any other
-    statistic keeps the loop.
+    ``sample_mean``'s sampler reads ``(outcome, label)`` rows only; like
+    the contrasts of the other two, it first draws each replicate's
+    treated count, Binomial(m, n1 / n), then draws each arm's rows from
+    that arm alone.  :func:`~funcavg.estimators.contrast` forwards
+    ``batch``; any other statistic keeps the loop, the only caller of
+    :func:`index_blocks`.
 
     Raises
     ------

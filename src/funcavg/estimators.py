@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import index_blocks, row_chunks
+from .bootstrap import row_chunks
 from .errors import DataError, ResampleError
 
 __all__ = [
@@ -137,9 +137,11 @@ def contrast(estimator):
 # the least of ``m`` uniforms and the greatest of the other ``m - 1``, which
 # are uniform above it.  The plug-in reads only which values were drawn, from
 # multinomial counts over the distinct (arm, value) cells (Efron 1979).  A
-# midrange contrast splits the draws first: the treated count is
-# Binomial(m, n1 / n).  The mean sampler draws the loop's index blocks and
-# sums each arm in another order than ``np.mean`` (about 1e-13 apart).
+# midrange or mean contrast splits the draws first: the treated count is
+# Binomial(m, n1 / n), and given it each arm's draws are uniform over that
+# arm's rows.  The mean sampler draws each arm's row indices as one flat
+# array and sums each replicate's run of them, in another order than
+# ``np.mean`` (about 1e-13 apart).
 
 
 def _arms(arr: np.ndarray) -> list:
@@ -166,15 +168,21 @@ def _extreme_ranks(gen, n: int, m, b: int):
             np.minimum((n * high).astype(np.intp), n - 1))
 
 
+def _two_arm_split(gen, b: int, m: int, share: float) -> list:
+    """Draw counts ``[m - n1, n1]`` of the control and treated arms for
+    ``b`` replicates of ``m`` draws, with ``n1 ~ Binomial(m, share)``."""
+    n1 = gen.binomial(m, share, size=b)
+    _raise_on_empty_arm((n1 == 0) | (n1 == m), 0)
+    return [m - n1, n1]
+
+
 def _midrange_sampler(arr: np.ndarray):
     arms = [np.sort(y) for y in _arms(arr)]
 
     def sampler(gen, b, m):
         draws = [m]
         if len(arms) == 2:
-            n1 = gen.binomial(m, arms[1].size / arr.shape[0], size=b)
-            _raise_on_empty_arm((n1 == 0) | (n1 == m), 0)
-            draws = [m - n1, n1]
+            draws = _two_arm_split(gen, b, m, arms[1].size / arr.shape[0])
         mids = []
         for y, k in zip(arms, draws):
             lo, hi = _extreme_ranks(gen, y.size, k, b)
@@ -204,20 +212,20 @@ def _plugin_sampler(arr: np.ndarray):
 def _mean_sampler(arr: np.ndarray):
     if arr.ndim == 1:
         return None  # no caller bootstraps a plain mean
-    # Each arm's outcomes with zeros in the other arm's rows, masked once per
-    # resample, so a chunk costs two float gathers and one bool gather.
-    treated = arr[:, 1] == 1
-    y1 = np.where(treated, arr[:, 0], 0.0)
-    y0 = np.where(treated, 0.0, arr[:, 0])
+    arms = _arms(arr)
+    share = arms[1].size / arr.shape[0]
 
     def sampler(gen, b, m):
-        out = np.empty(b)
-        for start, idx in index_blocks(gen, arr.shape[0], b, m):
-            n1 = np.count_nonzero(treated[idx], axis=1)
-            _raise_on_empty_arm((n1 == 0) | (n1 == m), start)
-            out[start:start + len(idx)] = y1[idx].sum(axis=1) / n1 \
-                - y0[idx].sum(axis=1) / (m - n1)
-        return out
+        means = []
+        for y, k in zip(arms, _two_arm_split(gen, b, m, share)):
+            sums = np.empty(b)
+            for start, stop in row_chunks(b, m):
+                # Each replicate sums its own run of draws; no run is empty.
+                counts = k[start:stop]
+                idx = gen.integers(0, y.size, size=counts.sum())
+                sums[start:stop] = np.add.reduceat(y[idx], np.cumsum(counts) - counts)
+            means.append(sums / k)
+        return means[1] - means[0]
     return sampler
 
 

@@ -222,6 +222,15 @@ def logistic_fit(design: DesignMatrix, response) -> LogisticFit:
     and offset.  Gives up with a :class:`~funcavg.errors.ConvergenceError`
     carrying the iteration trace after 50 iterations or when fitted
     log-odds diverge, the signature of separated classes.
+
+    The columns are used as given, not centred, so a covariate with a
+    large offset makes each log-odds ``x @ beta`` a difference of terms
+    near ``offset * slope`` and costs digits.  Past an offset of about
+    ``1e7`` the fitted probabilities are no longer offset-invariant to
+    working precision: at ``1e8`` they differ from those of the
+    unshifted covariate by up to about ``2.4e-9``.  Subtract such an
+    offset from the column before fitting when the probabilities
+    themselves are read.
     """
     y = np.asarray(response, dtype=float)
     x = design.matrix

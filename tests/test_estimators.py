@@ -94,21 +94,8 @@ def test_paired_contrast_matches_the_arm_split_and_rejects_an_empty_arm():
                      functools.partial(paired_contrast, estimator=est))
 
 
-# Samplers.  The midrange and plug-in samplers draw from the exact bootstrap
-# law (tests/test_bootstrap_law.py checks it); the mean's sampler draws the
-# loop's index blocks and must give its replicates to rounding.
-
-def _per_row_replicates(values, config, statistic):
-    """The replicates ``resample`` should return, one statistic call per row.
-
-    Draws the whole index block at once, which gives the same indices as
-    ``resample``'s chunked draws (see test_resample_chunking_does_not_change_results).
-    """
-    arr = np.asarray(values, dtype=float)
-    n = arr.shape[0]
-    idx = config.rng.generator().integers(0, n, size=(config.replicates, config.size_for(n)))
-    return np.array([statistic(arr[rows]) for rows in idx])
-
+# Samplers.  Each draws from the exact bootstrap law, not from the loop's
+# row indices (tests/test_bootstrap_law.py checks the law).
 
 def _loop_only(statistic):
     """``statistic`` without its ``batch`` attribute."""
@@ -132,6 +119,8 @@ def _kernel_cases():
                      id="midrange-contrast"),
         pytest.param(np.column_stack([integers, labels]),
                      contrast(discrete_plugin_average), id="plugin-contrast"),
+        pytest.param(np.column_stack([continuous, labels]), contrast(sample_mean),
+                     id="mean-contrast"),
     ]
 
 
@@ -155,33 +144,13 @@ def test_batch_kernels_match_the_per_row_loop(monkeypatch, cells, size, values, 
     assert stats.ks_2samp(drawn.replicates, looped.replicates).pvalue >= 1e-3
 
 
-@pytest.mark.parametrize("cells", [1 << 18, 900, 5])
-@pytest.mark.parametrize("size", ["full", "sqrt"])
-def test_mean_contrast_kernel_matches_the_per_row_loop(monkeypatch, cells, size):
-    # The kernel sums each arm in another order than np.mean, so replicates
-    # agree to rounding, not bit for bit.
-    import funcavg.bootstrap as bs
-    monkeypatch.setattr(bs, "_CHUNK_CELLS", cells)
-    rng = np.random.default_rng(12)
-    n = 400
-    rows = np.column_stack([rng.normal(100.0, 30.0, n), rng.integers(0, 3, n).astype(float)])
-    statistic = contrast(sample_mean)
-    assert statistic.batch(rows) is not None
-    assert sample_mean.batch(rows[:, 0]) is None  # a plain sample keeps the loop
-    config = BootstrapConfig(60, RngStream(4), size)
-    got = resample(rows, config, statistic).replicates
-    np.testing.assert_allclose(got, _per_row_replicates(rows, config, statistic),
-                               rtol=0, atol=1e-12)
-
-
 @pytest.mark.parametrize("estimator", [midrange, discrete_plugin_average, sample_mean])
 @pytest.mark.parametrize("lone_label", [1.0, 0.0])
 def test_batched_contrast_reports_an_empty_arm_like_the_loop(estimator, lone_label):
     # Both paths raise a ResampleError with the statistic's message for the
-    # first replicate that leaves an arm empty.  The mean's sampler draws the
-    # loop's indices, so it names the same replicate; the midrange and
-    # plug-in samplers draw from the exact law, whose first empty arm is
-    # checked by test_sampler_names_the_first_replicate_with_an_empty_arm.
+    # first replicate that leaves an arm empty.  The samplers draw from the
+    # exact law, not the loop's indices, so the replicates they name differ;
+    # test_sampler_names_the_first_replicate_with_an_empty_arm checks theirs.
     labels = np.full(40, 1.0 - lone_label)
     labels[0] = lone_label
     rows = np.column_stack([np.arange(40.0), labels])
@@ -194,8 +163,6 @@ def test_batched_contrast_reports_an_empty_arm_like_the_loop(estimator, lone_lab
         resample(rows, config, _loop_only(statistic))
     for err in (batched.value, looped.value):
         assert str(err) == f"replicate {err.replicate}: both treatment arms must be non-empty"
-    if estimator is sample_mean:
-        assert batched.value.replicate == looped.value.replicate
 
 
 @pytest.mark.parametrize("estimator", [midrange, discrete_plugin_average, sample_mean])
@@ -226,6 +193,7 @@ class _TopUniforms:
 
 
 EXACT = [midrange, discrete_plugin_average]
+CONTRASTS = EXACT + [sample_mean]
 
 
 @pytest.mark.parametrize("estimator", EXACT)
@@ -238,7 +206,7 @@ def test_sampler_on_one_value_and_one_draw(estimator):
     assert set(got) == {2.0, 7.0}
 
 
-@pytest.mark.parametrize("estimator", EXACT)
+@pytest.mark.parametrize("estimator", CONTRASTS)
 def test_sampler_with_an_arm_holding_one_row(estimator):
     # Treated holds one row: every replicate that keeps it is 9 - 2.
     rows = np.column_stack([np.r_[9.0, np.full(30, 2.0)], np.r_[1.0, np.zeros(30)]])
@@ -255,7 +223,7 @@ def test_sampler_with_an_arm_holding_one_row(estimator):
 
 
 @pytest.mark.parametrize("cells", [1 << 18, 600])  # 600: ten plug-in rows a chunk
-@pytest.mark.parametrize("estimator", EXACT)
+@pytest.mark.parametrize("estimator", CONTRASTS)
 def test_sampler_names_the_first_replicate_with_an_empty_arm(monkeypatch, estimator, cells):
     # Two treated rows in 60: about one replicate in nine draws neither.
     # Replicate k's arm split does not depend on how many replicates follow
@@ -278,9 +246,11 @@ def test_sampler_names_the_first_replicate_with_an_empty_arm(monkeypatch, estima
     assert max(firsts) >= 2
 
 
-@pytest.mark.parametrize("estimator", EXACT)
+@pytest.mark.parametrize("estimator", CONTRASTS)
 def test_sampler_on_constant_samples(estimator):
     x = np.full(50, -3.25)
+    if estimator is sample_mean:
+        assert estimator.batch(x) is None  # a plain sample keeps the loop
     assert np.all(resample(x, BootstrapConfig(30, RngStream(4)), estimator).replicates == -3.25)
     # Any label other than 1 is control, as in paired_contrast.
     rows = np.column_stack([np.r_[np.full(20, 6.0), np.full(30, 1.5)],

@@ -222,7 +222,7 @@ PINNED_DIGESTS = {
     "table3": "1e864987844db258870e1fe78375ae46f0d7befa18321ebaaaba597e158ffc59",
     "table4": "ae43f8a1bb606c2431c1da5b66656f0998d97a244a1c52ded4d3652a11093e48",
     "table5": "90e570329dfc8eb16ddc5e021c4622cf51fe4063748e387c624df730888b7996",
-    "table6": "26327f0a3cd8fb936da5dddc8bea89d085abb4ec71cc9fabb3f4032b77702dde",
+    "table6": "ad2f45dcf39b997774b53f64a13568da8200665b82f67744f7c92b9831660543",
 }
 
 
@@ -261,10 +261,47 @@ def _qr_slope(rows):
     return ols_fit(design, rows[:, 0]).coefficient(1)
 
 
+class _RecordingGenerator:
+    """A generator that keeps the arm split and every flat index draw it
+    hands out, so a test can rebuild each replicate's rows."""
+
+    def __init__(self, gen):
+        self._gen = gen
+        self.split = None
+        self.draws = []  # (arm size, indices), in draw order
+
+    def binomial(self, n, p, size):
+        self.split = self._gen.binomial(n, p, size=size)
+        return self.split
+
+    def integers(self, low, high, size):
+        idx = self._gen.integers(low, high, size=size)
+        self.draws.append((high, idx))
+        return idx
+
+
+def _replayed_rows(rows, recorder, m):
+    """Each replicate's rows, rebuilt from the recorded split and draws: the
+    control arm's indices come first, then the treated arm's, each arm's
+    replicates in order."""
+    treated = rows[:, 1] == 1
+    arms = [rows[~treated], rows[treated]]
+    counts = [m - recorder.split, recorder.split]
+    totals = [int(k.sum()) for k in counts]
+    flat = np.concatenate([idx for _, idx in recorder.draws])
+    bounds = np.concatenate([np.full(idx.size, high) for high, idx in recorder.draws])
+    assert np.array_equal(bounds, np.repeat([arm.shape[0] for arm in arms], totals))
+    picked = [[arm[i] for i in np.split(idx, np.cumsum(k)[:-1])]
+              for arm, k, idx in zip(arms, counts, np.split(flat, totals[:1]))]
+    return [np.vstack(pair) for pair in zip(*picked)]
+
+
 def test_slope_bootstrap_is_the_difference_of_arm_means():
     # With a binary treatment and an intercept the OLS slope is the
     # treated mean minus the control mean, so table 6 bootstraps it with
-    # the shared two-arm contrast and its batch kernel.
+    # the shared two-arm contrast and its batch kernel.  Its sampler draws
+    # each arm's rows apart; replaying those draws as rows, the QR slope
+    # of each replicate matches the sampler's value.
     slope = contrast(sample_mean)
     lone = np.array([[3.0, 0], [12.0, 1], [5.0, 0], [9.0, 0]])
     assert slope(lone) == pytest.approx(19.0 / 3.0, abs=1e-12)
@@ -275,12 +312,14 @@ def test_slope_bootstrap_is_the_difference_of_arm_means():
             stream = RngStream(17, (6, 0, n, it))
             rows, fit = _draw_slope(law, n, stream)
             config = BootstrapConfig(200, stream.child(1))
-            ref = resample(rows, config, _qr_slope)
-            assert slope.batch(rows) is not None
             got = resample(rows, config, slope)
             assert got.statistic == pytest.approx(fit.coefficient(1), abs=1e-12, rel=0)
-            assert got.statistic == pytest.approx(ref.statistic, abs=1e-12, rel=0)
-            np.testing.assert_allclose(got.replicates, ref.replicates, rtol=0, atol=1e-12)
+            assert got.statistic == pytest.approx(_qr_slope(rows), abs=1e-12, rel=0)
+            recorder = _RecordingGenerator(config.rng.generator())
+            sampled = slope.batch(rows)(recorder, config.replicates, n)
+            assert np.array_equal(sampled, got.replicates)
+            ref = [_qr_slope(r) for r in _replayed_rows(rows, recorder, n)]
+            np.testing.assert_allclose(sampled, ref, rtol=0, atol=1e-12)
 
 
 def test_seed_changes_results():
