@@ -1,8 +1,11 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import expit, logit
 
 from funcavg.dataset import Dataset
@@ -179,8 +182,19 @@ def test_logistic_recovers_analytic_log_odds():
     assert fit.coefficients[0] == pytest.approx(float(logit(0.3)), abs=0.05)
 
 
-@pytest.mark.parametrize("scale, offset", [(1.0, 1e6), (1.0, 1e8), (1e-6, 0.0),
-                                           (1e6, 0.0), (1e9, 0.0), (1e6, 1e9)])
+AFFINE_MAPS = [(1.0, 1e6), (1.0, 1e8), (1e-6, 0.0), (1e6, 0.0), (1e9, 0.0), (1e6, 1e9)]
+
+
+def _affine_case(scale, offset):
+    """Intercept and ``scale * x + offset`` for x on a 1/1024 grid, with a
+    logistic response in x: 2,000 rows."""
+    g = np.random.default_rng(12)
+    x = np.round(g.normal(size=2000) * 1024) / 1024
+    t = (g.uniform(size=2000) < expit(x)).astype(float)
+    return np.column_stack([np.ones(2000), scale * x + offset]), t
+
+
+@pytest.mark.parametrize("scale, offset", AFFINE_MAPS)
 def test_logistic_fit_does_not_depend_on_an_affine_map_of_a_covariate(scale, offset):
     # Newton's method is affine invariant, and so is its stopping rule, the
     # Newton decrement: an absolute score tolerance sat below the score's
@@ -188,13 +202,10 @@ def test_logistic_fit_does_not_depend_on_an_affine_map_of_a_covariate(scale, off
     # An offset makes each log-odds a difference of terms near
     # offset * slope, which no fit resolves more finely than a few of
     # their ulps; that is the only slack granted beyond rtol 1e-9.
-    g = np.random.default_rng(12)
-    x = np.round(g.normal(size=2000) * 1024) / 1024
-    t = (g.uniform(size=2000) < expit(x)).astype(float)
     names = ("intercept", "x")
-    base = logistic_fit(DesignMatrix(np.column_stack([np.ones(2000), x]), names), t)
-    moved = logistic_fit(
-        DesignMatrix(np.column_stack([np.ones(2000), scale * x + offset]), names), t)
+    x, t = _affine_case(1.0, 0.0)
+    base = logistic_fit(DesignMatrix(x, names), t)
+    moved = logistic_fit(DesignMatrix(_affine_case(scale, offset)[0], names), t)
     resolution = 4 * np.finfo(float).eps * abs(offset * moved.coefficients[1])
     np.testing.assert_allclose(moved.fitted_probabilities, base.fitted_probabilities,
                                rtol=1e-9, atol=resolution)
@@ -202,6 +213,125 @@ def test_logistic_fit_does_not_depend_on_an_affine_map_of_a_covariate(scale, off
         base.coefficients[1], rel=1e-9, abs=resolution)
     assert moved.coefficients[0] + offset * moved.coefficients[1] == pytest.approx(
         base.coefficients[0], rel=1e-9, abs=resolution)
+
+
+def _weighted_qr_logistic_fit(x, y):
+    """Reference Newton loop: refactor the weighted n-by-p design by QR at
+    every step, ``step = R^-1 Q^T ((y - p) / sqrt(w))`` with ``sqrt(w) X = QR``,
+    and stop on the decrement ``||R step||^2``.  Returns the probabilities,
+    the iteration count and the trace."""
+    beta, decrement, trace = np.zeros(x.shape[1]), math.inf, []
+    for iteration in range(1, 51):
+        eta = x @ beta
+        assert np.abs(eta).max() <= 30.0
+        probs = expit(eta)
+        if decrement < 1e-8:
+            return probs, iteration, trace
+        sqrt_w = np.sqrt(probs * (1.0 - probs))
+        q, r = np.linalg.qr(x * sqrt_w[:, None])
+        step = np.linalg.solve(r, q.T @ ((y - probs) / sqrt_w))
+        decrement = float(np.sum((r @ step) ** 2))
+        trace.append((iteration, decrement))
+        beta = beta + step
+    raise AssertionError("the reference fit did not converge")
+
+
+def _benchmark_resample():
+    # The shape of the benchmark's synthetic CSV (a binary confounder and two
+    # uniform covariates written to 6 decimals, 20,000 rows), rows resampled.
+    g = np.random.default_rng([1, 20_000])
+    n = 20_000
+    c = (g.random(n) < 0.6).astype(float)
+    x1, x2 = np.round(g.random(n), 6), np.round(g.random(n), 6)
+    t = (g.random(n) < 0.3 + 0.4 * c).astype(float)
+    rows = g.integers(0, n, n)
+    return np.column_stack([np.ones(n), c, x1, x2])[rows], t[rows]
+
+
+def _near_collinear_case(digits):
+    # Two covariates 10^-digits apart: condition number about 2 * 10^digits.
+    g = np.random.default_rng(digits)
+    z = g.normal(size=2000)
+    t = (g.uniform(size=2000) < expit(0.5 * z)).astype(float)
+    return np.column_stack([np.ones(2000), z, z + 10.0 ** -digits * g.normal(size=2000)]), t
+
+
+REFERENCE_CASES = {
+    "benchmark-resample": _benchmark_resample,
+    **{f"scale-{s:g}-offset-{o:g}": functools.partial(_affine_case, s, o)
+       for s, o in AFFINE_MAPS},
+    "intercept-only": lambda: (np.ones((10, 1)),
+                               np.array([1.0, 0, 1, 1, 0, 0, 1, 0, 1, 1])),
+    **{f"collinear-1e-{d}": functools.partial(_near_collinear_case, d)
+       for d in (3, 4, 5, 6, 7)},
+}
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES.values(), ids=list(REFERENCE_CASES))
+def test_logistic_fit_matches_the_weighted_qr_reference(case):
+    # Both loops take the same Newton steps in exact arithmetic; they round
+    # differently, by at most a few ulps times the condition number of the
+    # column-scaled design (measured: up to 1.0 of cond * eps, at cond 1).
+    x, y = case()
+    probs, iterations, trace = _weighted_qr_logistic_fit(x, y)
+    fit = logistic_fit(DesignMatrix(x, tuple(f"x{j}" for j in range(x.shape[1]))), y)
+    assert fit.iterations == iterations
+    assert len(trace) == iterations - 1
+    cond = np.linalg.cond(x / np.linalg.norm(x, axis=0))
+    np.testing.assert_allclose(fit.fitted_probabilities, probs, rtol=0,
+                               atol=8 * cond * np.finfo(float).eps)
+
+
+def test_logistic_names_a_repeated_column_before_any_step(monkeypatch):
+    steps = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky",
+                        lambda a: steps.append(1) or cholesky(a))
+    x, y = _affine_case(1.0, 0.0)
+    design = DesignMatrix(np.column_stack([x, x[:, 1]]), ("intercept", "x", "x_again"))
+    with pytest.raises(SingularDesignError) as err:
+        logistic_fit(design, y)
+    assert err.value.column == "x_again"
+    assert steps == []
+
+
+@pytest.mark.parametrize("pivot", [0.0, 1e-15])
+def test_logistic_stops_when_the_weighted_gram_turns_singular(monkeypatch, pivot):
+    # The second step's Gram factor gets a last pivot that is zero, or
+    # nonzero but below the rank test's n * eps relative tolerance (2000 rows:
+    # 4.4e-13).
+    cholesky = np.linalg.cholesky
+    calls = []
+
+    def degenerate(a):
+        factor = cholesky(a)
+        calls.append(1)
+        if len(calls) == 2:
+            factor[-1, -1] = pivot * np.abs(np.diag(factor)).max()
+        return factor
+
+    monkeypatch.setattr(np.linalg, "cholesky", degenerate)
+    x, y = _affine_case(1.0, 0.0)
+    with pytest.raises(ConvergenceError, match="became singular") as err:
+        logistic_fit(DesignMatrix(x, ("intercept", "x")), y)
+    assert [i for i, _ in err.value.trace] == [1]
+
+
+def test_logistic_stops_when_the_weighted_gram_cannot_be_factored(monkeypatch):
+    cholesky = np.linalg.cholesky
+    calls = []
+
+    def failing(a):
+        calls.append(1)
+        if len(calls) == 3:
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    x, y = _affine_case(1.0, 0.0)
+    with pytest.raises(ConvergenceError, match="became singular") as err:
+        logistic_fit(DesignMatrix(x, ("intercept", "x")), y)
+    assert [i for i, _ in err.value.trace] == [1, 2]
 
 
 def test_logistic_flags_separation_with_trace():
@@ -247,6 +377,28 @@ def test_propensity_strata_determinism_and_validation():
     assert np.array_equal(a, b)
     with pytest.raises(DataError):
         propensity_strata(probs[:3])
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(5, 2000), distinct=st.integers(1, 60),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=6, distinct=2000, seed=0)    # every cut is a score itself
+@example(n=11, distinct=3, seed=1)      # ties, and scores on the cuts
+def test_propensity_strata_match_the_left_searchsorted_rank(n, distinct, seed):
+    # Scores drawn from `distinct` values: heavy ties for small counts, and
+    # cuts that land exactly on a score whenever n - 1 is a multiple of 5 or
+    # a cut falls inside a run of ties.
+    g = np.random.default_rng(seed)
+    probs = g.choice(g.uniform(0.01, 0.99, distinct), size=n)
+    cuts = np.quantile(probs, np.arange(1, 5) / 5)
+    expected = np.searchsorted(cuts, probs, side="left") + 1
+    if np.unique(expected).size < 5:
+        with pytest.raises(StratificationError):
+            propensity_strata(probs)
+        return
+    labels = propensity_strata(probs)
+    assert labels.dtype == np.int64
+    np.testing.assert_array_equal(labels, expected)
 
 
 def test_standardization_equals_slope_without_interactions():
@@ -408,6 +560,18 @@ def test_ps_refits_drop_failures_within_the_budget(monkeypatch):
     assert len(completed) == 1 + 98  # the point estimate, then the refits
     assert (ci.point, ci.lower, ci.upper) == \
         (1.7220673047341322, 0.6791088418918039, 3.0211546612886244)
+
+
+def test_ps_refits_factor_each_design_twice(monkeypatch):
+    # One QR per logistic fit (the design, factored once before its Newton
+    # steps) and one per OLS fit, for the point and each of the B refits.
+    calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
+    ci = ps_stratified_contrast(ps_pipeline_data(2000, seed=71), "y", "t", ["l"],
+                                RngStream(72, (0,)), replicates=20)
+    assert math.isfinite(ci.point)
+    assert len(calls) == 2 * (20 + 1)
 
 
 def test_bootstrap_se_errors_when_refits_keep_failing():
