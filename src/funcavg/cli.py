@@ -12,7 +12,9 @@ Three subcommands:
 Exit codes are a stable contract: 0 on success, 2 for usage errors
 (unknown flags, out-of-range flag values, bad table ids, unknown method
 names, a method the flags cannot serve, a column named by two column
-flags), 1 when the data or a numerical procedure is at fault.  The active
+flags, an ``--out`` prefix in a directory that does not exist), 1 when the
+data or a numerical procedure is at fault or an output file cannot be
+written.  The active
 seed is echoed to stderr on every run; the ``FUNCAVG_SEED`` environment
 variable supplies a default, and an explicit ``--seed`` beats it.
 """
@@ -23,6 +25,7 @@ import csv
 import io
 import os
 import sys
+import warnings
 
 import click
 import numpy as np
@@ -59,11 +62,6 @@ from .simharness import (
 
 # Every spelling ``float`` reads as NaN is missing, as are "" and "NA".
 _MISSING_MARKERS = {"", "na", "nan", "-nan", "+nan"}
-# The bytes a clean CSV body is made of.  Any other byte (a letter of NA,
-# nan, inf or an ID, a quote, #, _) sends the file to the per-cell loop.
-_NUMBER_BYTES = b"0123456789+-.eE, \t\r\n"
-# Read with line ends as commas, an empty cell or a blank line shows as ",,".
-_LINE_ENDS_AS_COMMAS = bytes.maketrans(b"\n", b",")
 METHOD_NAMES = ("LR", "MR", "S", "PS", "Av")
 _COVARIATE_METHODS = ("MR", "S", "PS")
 
@@ -92,17 +90,19 @@ def ingest_csv(path: str, columns=None) -> tuple[Dataset, int]:
     ``1e999``) in a referenced column is a :class:`CsvParseError` naming the
     row and column, not a missing value, so typos fail loudly instead of
     shrinking the sample.  So is a blank line or a row whose field count
-    differs from the header's.
-    A UTF-8 byte-order mark, as Excel writes, is read as part of the
-    encoding, not as part of the first column's name.
+    differs from the header's, and so is a byte that is not UTF-8 (naming
+    its line).  A UTF-8 byte-order mark, as Excel writes, is read as part of
+    the encoding, not as part of the first column's name.
 
-    A clean file (every cell a finite number, no quotes) is parsed in one
-    ``np.loadtxt`` pass.  Any other file goes through a per-cell loop,
-    which is the only code that drops rows and locates faults, so both
-    paths give the same columns, count and errors.
+    The file's bytes are read once.  ``np.loadtxt`` parses the body first;
+    when it refuses, a per-cell loop reads it, and that loop is the only
+    code that drops rows and locates faults, so both give the same columns,
+    count and errors.
     """
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    reader = csv.reader(_text(raw))
+    try:
         try:
             header = [name.strip() for name in next(reader)]
         except StopIteration:
@@ -116,11 +116,9 @@ def ingest_csv(path: str, columns=None) -> tuple[Dataset, int]:
                 f"{path}: no column named {', '.join(repr(c) for c in missing)}; "
                 f"available: {', '.join(header)}")
         positions = [header.index(c) for c in wanted]
-        matrix = _clean_matrix(fh, len(header), positions)
+        matrix = _clean_matrix(raw, reader.line_num, len(header), positions)
         if matrix is not None:
             return Dataset({name: matrix[:, j] for j, name in enumerate(wanted)}), 0
-        fh.seek(0)
-        next(reader)  # the header, read above
         kept: list[list[float]] = []
         dropped: list[int] = []  # line numbers of rows with a missing value
         for lineno, record in enumerate(reader, start=2):
@@ -142,6 +140,8 @@ def ingest_csv(path: str, columns=None) -> tuple[Dataset, int]:
                 dropped.append(lineno)
             else:
                 kept.append(parsed)
+    except UnicodeDecodeError:
+        raise _undecodable(raw) from None
     if not kept:
         raise DataError(f"{path}: no complete rows for columns {', '.join(wanted)}")
     matrix = np.array(kept, dtype=float)
@@ -158,36 +158,47 @@ def ingest_csv(path: str, columns=None) -> tuple[Dataset, int]:
     return data, len(dropped)
 
 
-def _clean_matrix(fh, width: int, positions: list[int]) -> np.ndarray | None:
-    """The ``positions`` columns of the data lines left in ``fh`` as one
-    C-ordered matrix, or None when the per-cell loop must read them.
+def _text(raw: bytes):
+    """``raw`` as a text stream split into lines as ``csv`` wants them."""
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
 
-    Two byte scans hand a body holding text or an empty cell to the loop
-    before ``np.loadtxt`` runs, so a file with missing values or an ID
-    column is parsed once, by the loop, as it would be without this pass.
-    ``np.loadtxt`` parses every other cell as ``float`` does or raises (on a
-    bare sign, a lone CR inside a line or a changed field count); it skips
-    blank lines, which the row count below catches; and it reads ``1e999``
-    as inf, which the loop rejects.
+
+def _undecodable(raw: bytes) -> CsvParseError:
+    """The error for the first byte of ``raw`` that is not UTF-8, which the
+    caller has met.  It names that byte's line as ``csv`` counts lines: the
+    header is line 1, and a line ends at LF, CRLF or a lone CR."""
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[:exc.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        return CsvParseError(line, "", f"cannot decode byte 0x{raw[exc.start]:02x} "
+                                       "as UTF-8")
+
+
+def _clean_matrix(raw: bytes, header_lines: int, width: int,
+                  positions: list[int]) -> np.ndarray | None:
+    """The ``positions`` columns of the data lines after the header's
+    ``header_lines`` lines as one C-ordered matrix, or None when the
+    per-cell loop must read them.
+
+    ``np.loadtxt`` parses every cell as ``float`` does or raises (on text,
+    an empty cell, a quote, a bare sign, a non-ASCII digit, a changed field
+    count or an undecodable byte); it warns on a body without data, which
+    is refused too.  It skips blank lines, which the line count below
+    catches; and it reads ``nan``, ``inf`` and ``1e999``, which the loop
+    drops or rejects.
     """
-    try:
-        body = fh.read()
-    except UnicodeDecodeError:
-        return None  # the loop raises where it meets the bytes
-    if not body.isascii():
-        return None  # float reads non-ASCII digits, loadtxt does not
-    raw = body.encode("ascii")
-    if raw.isspace() or not raw or raw.translate(None, _NUMBER_BYTES):
-        return None  # no data line (loadtxt would warn), or text
-    cells = raw.translate(_LINE_ENDS_AS_COMMAS, b"\r")
-    if cells.startswith(b",") or b",," in cells:
-        return None  # an empty cell or a blank line
-    lines = body.count("\n") + (not body.endswith("\n"))
-    try:
-        full = np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
-                          dtype=float, ndmin=2)
-    except ValueError:
-        return None
+    if b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n") + raw.endswith(b"\r"):
+        return None  # a lone CR ends a line that the count below misses
+    lines = raw.count(b"\n") + (not raw.endswith(b"\n")) - header_lines
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            full = np.loadtxt(_text(raw), delimiter=",", comments=None, dtype=float,
+                              skiprows=header_lines, ndmin=2)
+        except (ValueError, UserWarning):
+            return None
     if full.shape != (lines, width):
         return None
     matrix = full.take(positions, axis=1)  # C-ordered, as np.array(kept) is
@@ -206,6 +217,14 @@ def _resolve_seed(flag_value) -> int:
         raise click.UsageError(
             f"FUNCAVG_SEED must be a non-negative integer, got {env!r}")
     return seed
+
+
+def _check_out_dir(ctx, param, prefix):
+    # Output is written last, so a missing directory is refused before the work.
+    folder = os.path.dirname(prefix or "")
+    if folder and not os.path.isdir(folder):
+        raise click.BadParameter(f"directory {folder!r} does not exist")
+    return prefix
 
 
 def _split_names(ctx, param, text):
@@ -231,7 +250,7 @@ def main():
     """Functional average estimation toolkit."""
 
 
-def _fail(exc: FuncavgError) -> None:
+def _fail(exc: Exception) -> None:
     click.echo(f"error: {exc}", err=True)
     sys.exit(1)
 
@@ -330,7 +349,8 @@ def _estimate_csv(rows) -> str:
               show_default=True, help="Bootstrap replicates for S, PS, Av.")
 @click.option("--seed", type=_SEED, default=None, help="Base seed (default 0 "
               "or FUNCAVG_SEED).")
-@click.option("--out", default=None, help="Prefix: write {out}.csv and {out}.txt.")
+@click.option("--out", default=None, callback=_check_out_dir,
+              help="Prefix: write {out}.csv and {out}.txt.")
 def estimate(input_path, outcome, treatment, covariates, methods, alpha,
              replicates, seed, out):
     """Estimate the treatment contrast in INPUT_PATH by each method."""
@@ -345,8 +365,11 @@ def estimate(input_path, outcome, treatment, covariates, methods, alpha,
         _fail(exc)
     text = _estimate_text(rows, alpha)
     if out is not None:
-        write_text(f"{out}.csv", _estimate_csv(rows))
-        write_text(f"{out}.txt", text)
+        try:
+            write_text(f"{out}.csv", _estimate_csv(rows))
+            write_text(f"{out}.txt", text)
+        except OSError as exc:
+            _fail(exc)
     click.echo(text, nl=False)
 
 
@@ -365,7 +388,8 @@ def estimate(input_path, outcome, treatment, covariates, methods, alpha,
                    f"M={FULL_ITERATIONS}.")
 @click.option("--seed", type=_SEED, default=None, help="Base seed (default 0 "
               "or FUNCAVG_SEED).")
-@click.option("--out", default=None, help="Prefix: write {out}.csv and {out}.txt.")
+@click.option("--out", default=None, callback=_check_out_dir,
+              help="Prefix: write {out}.csv and {out}.txt.")
 def simulate(table, iterations, replicates, alpha, full, seed, out):
     """Run one benchmark experiment and emit its report."""
     seed = _resolve_seed(seed)
@@ -379,7 +403,10 @@ def simulate(table, iterations, replicates, alpha, full, seed, out):
     except FuncavgError as exc:
         _fail(exc)
     if out is not None:
-        csv_path, text_path = write_report(report, out)
+        try:
+            csv_path, text_path = write_report(report, out)
+        except OSError as exc:
+            _fail(exc)
         click.echo(f"wrote {csv_path} and {text_path}", err=True)
     click.echo(report_text(report), nl=False)
 
@@ -400,7 +427,7 @@ def _group_label(value: float) -> str:
 @click.option("--covariates", default="", callback=_split_names,
               help="If given, also fit outcome ~ treatment + covariates and "
                    "report residual support symmetry.")
-@click.option("--out", default=None,
+@click.option("--out", default=None, callback=_check_out_dir,
               help="Prefix: write {out}.txt and {out}_ecdf_{group}.csv files.")
 def diagnose(input_path, treatment, outcome, covariates, out):
     """Shape diagnostics per treatment group of INPUT_PATH."""
@@ -454,11 +481,14 @@ def diagnose(input_path, treatment, outcome, covariates, out):
     except FuncavgError as exc:
         _fail(exc)
     if out is not None:
-        write_text(f"{out}.txt", text)
-        for label, curve in curves.items():
-            write_text(f"{out}_ecdf_{label}.csv", csv_text(
-                ("value", "cumulative_fraction"),
-                zip(curve.values.tolist(), curve.heights.tolist())))
+        try:
+            write_text(f"{out}.txt", text)
+            for label, curve in curves.items():
+                write_text(f"{out}_ecdf_{label}.csv", csv_text(
+                    ("value", "cumulative_fraction"),
+                    zip(curve.values.tolist(), curve.heights.tolist())))
+        except OSError as exc:
+            _fail(exc)
     click.echo(text, nl=False)
 
 

@@ -3,6 +3,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +114,16 @@ def test_ingest_rejects_ragged_rows(tmp_path):
     assert excinfo.value.row == 2
 
 
+def fifty_rows(y_of_row_49, id_column=False):
+    """A 50-row y,t file (with an ID column if asked) whose 49th row has
+    ``y_of_row_49`` for y."""
+    lines = ["y,t,id" if id_column else "y,t"]
+    for i in range(50):
+        y = y_of_row_49 if i == 48 else f"{i}.5"
+        lines.append(f"{y},{i % 2}" + (f",p{i}" if id_column else ""))
+    return "\n".join(lines) + "\n"
+
+
 # (case id, file text or bytes, referenced columns or None, parsed in one pass).
 # Every case must give what the per-cell loop alone gives; the last field
 # pins which cases the one-pass parse keeps.
@@ -157,6 +168,9 @@ INGEST_CORPUS = [
     ("quoted-newline-unreferenced", 'y,t,x\n1,0,"a\nb"\n2,1,c\n', ("y", "t"), False),
     ("lone-cr", "y,t\r1,0\r2,1\r", None, False),
     ("lone-cr-at-end", "y,t\n1,0\n2,1\r", None, True),
+    # A lone CR ends a line for csv and loadtxt alike, yet not for a count of LFs.
+    ("cr-before-crlf", "y,t\n1,2\r\r\n3,4\n", None, False),
+    ("lone-cr-header", "y,t\r1,0\n\n2,1\n", None, False),
     ("only-blank-lines", "y,t\n\n\r\n", None, False),
     ("only-spaces", "y\n \n", None, False),
     # Excel's "CSV UTF-8" starts the file with a byte-order mark.
@@ -165,6 +179,15 @@ INGEST_CORPUS = [
     # The bad cell comes before the first undecodable byte, as the loop reads.
     ("bad-cell-then-bad-byte", b"y,t\n1,0\noops,1\n" + b"2,1\n" * 3000 + b"\xff,1\n",
      None, False),
+    ("bad-byte-header", b"y\xff,t\n1,0\n", None, False),
+    ("bad-byte-referenced", b"y,t\n1,0\n\xff,1\n", None, False),
+    ("bad-byte-unreferenced", b"y,t,x\n1,0,a\n2,1,\xff\n", ("y", "t"), False),
+    ("bom-bad-byte", b"\xef\xbb\xbfy,t\n1,0\n2,\xff\n", None, False),
+    # Survey-shaped files: a missing value or an ID column is the loop's to read.
+    ("fifty-rows-NA", fifty_rows("NA"), ("y", "t"), False),
+    ("fifty-rows-nan", fifty_rows("nan"), ("y", "t"), False),
+    ("fifty-rows-empty-cell", fifty_rows(""), ("y", "t"), False),
+    ("fifty-rows-id-column", fifty_rows("9.5", id_column=True), ("y", "t"), False),
 ]
 
 
@@ -196,23 +219,10 @@ def test_ingest_matches_the_per_cell_loop(tmp_path, monkeypatch, case, text, col
 
     monkeypatch.setattr(cli, "_clean_matrix", spy)
     got = _ingest_outcome(str(path), columns)
-    assert (passes[0] is not None) == one_pass
+    # A byte that is not UTF-8 near the header stops ingest before the parse.
+    assert any(matrix is not None for matrix in passes) == one_pass
     monkeypatch.setattr(cli, "_clean_matrix", lambda *args: None)
     assert got == _ingest_outcome(str(path), columns)
-
-
-@pytest.mark.parametrize("last_y, id_column",
-                         [("NA", False), ("nan", False), ("", False), ("9.5", True)])
-def test_missing_values_and_id_columns_skip_the_one_pass(tmp_path, monkeypatch, last_y,
-                                                         id_column):
-    # These files are the loop's to read, so a loadtxt pass before it is waste.
-    header = ["y", "t"] + (["id"] if id_column else [])
-    rows = [[f"{i}.5", str(i % 2)] + ([f"p{i}"] if id_column else []) for i in range(50)]
-    rows[-2][0] = last_y
-    path = write_csv(tmp_path / "d.csv", header, rows)
-    monkeypatch.setattr(cli.np, "loadtxt", None)  # calling it raises TypeError
-    data, dropped = ingest_csv(path, ("y", "t"))
-    assert (len(data.column("y")), dropped) == ((50, 0) if id_column else (49, 1))
 
 
 @pytest.mark.parametrize("cell", ["nan", "NaN", "-nan", "+nan", "-NaN", "+NAN", " -nan "])
@@ -230,6 +240,96 @@ def test_ingest_does_not_read_a_bare_sign_as_missing(tmp_path, cell):
         ingest_csv(path)
     assert (excinfo.value.row, excinfo.value.column) == (3, "y")
     assert f"cannot parse {cell!r}" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("raw, columns, line", [
+    (b"y\xff,t\n1,0\n", None, 1),
+    (b"\xef\xbb\xbfy\xff,t\n1,0\n", None, 1),
+    (b"y,t\n1,0\n\xff,1\n", None, 3),
+    (b"y,t,x\r\n1,0,a\r\n2,1,\xc3\r\n", ("y", "t"), 3),
+    (b"y,t\r1,0\r2,\xff\r", None, 3),
+], ids=["header", "header-after-bom", "referenced", "unreferenced-crlf", "lone-cr"])
+def test_ingest_names_the_line_of_an_undecodable_byte(tmp_path, raw, columns, line):
+    path = tmp_path / "d.csv"
+    path.write_bytes(raw)
+    with pytest.raises(CsvParseError) as excinfo:
+        ingest_csv(str(path), columns)
+    assert (excinfo.value.row, excinfo.value.column) == (line, "")
+    assert "as UTF-8" in str(excinfo.value)
+
+
+FUZZ_NUMBERS = ["0", "1", "-2.5", "+.5", "5.", "1e3", "2E-3", "007", "-0", "12345.678"]
+FUZZ_OTHER = ["", "NA", "na", "nan", "NaN", "-nan", "+NAN",  # missing
+              "inf", "-inf", "1e999",  # not finite
+              "abc", "e", "-", "p7",  # text
+              '"3"', '"a,b"', '"x\ny"', "1#5", "#", "1_000", "0x10", "1d3",
+              "\u0663", "\uff11", " 4 ", "\t5", "6\t", " "]
+
+
+def fuzz_csv(gen):
+    """One small CSV file's bytes and the columns to read (None for all)."""
+    header = ["a", "b", "c"][:int(gen.integers(1, 4))]
+    dirty = gen.random() < 0.5  # the other half holds numbers only
+    rows = []
+    for _ in range(int(gen.integers(0, 6))):
+        pool = FUZZ_OTHER if dirty and gen.random() < 0.3 else FUZZ_NUMBERS
+        rows.append([pool[gen.integers(len(pool))] for _ in header])
+    if rows and gen.random() < 0.1:  # a ragged row
+        row = rows[gen.integers(len(rows))]
+        row.append("1") if gen.random() < 0.5 else row.pop()
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    if gen.random() < 0.1:
+        lines.insert(int(gen.integers(1, len(lines) + 1)), "")
+    end = ("\n", "\r\n", "\r")[gen.choice(3, p=[0.6, 0.35, 0.05])]
+    text = end.join(lines) + (end if gen.random() < 0.8 else "")
+    raw = (("\ufeff" if gen.random() < 0.1 else "") + text).encode("utf-8")
+    if gen.random() < 0.05:
+        at = int(gen.integers(len(raw) + 1))
+        raw = raw[:at] + b"\xff" + raw[at:]
+    columns = (tuple(gen.permutation(header)[:gen.integers(1, len(header) + 1)])
+               if gen.random() < 0.5 else None)
+    return raw, columns
+
+
+def test_fuzzed_files_read_as_the_per_cell_loop_reads_them(tmp_path, monkeypatch):
+    gen = np.random.default_rng(20261019)
+    path = tmp_path / "d.csv"
+    clean_matrix = cli._clean_matrix
+    one_pass = 0
+
+    def spy(*args):
+        nonlocal one_pass
+        if loop_only:
+            return None
+        matrix = clean_matrix(*args)
+        one_pass += matrix is not None
+        return matrix
+
+    monkeypatch.setattr(cli, "_clean_matrix", spy)
+    for _ in range(1000):
+        raw, columns = fuzz_csv(gen)
+        path.write_bytes(raw)
+        loop_only = False
+        got = _ingest_outcome(str(path), columns)
+        loop_only = True
+        assert got == _ingest_outcome(str(path), columns), (raw, columns)
+    assert 300 < one_pass < 700  # both paths get a fair share of the files
+
+
+def test_ingest_of_a_clean_file_holds_little_beyond_its_bytes_and_columns(tmp_path):
+    # The file's bytes, the parsed matrix and the columns taken from it;
+    # no decoded copy of the body.
+    values = np.random.default_rng(7).normal(size=(20_000, 5))
+    path = tmp_path / "d.csv"
+    np.savetxt(path, values, fmt="%.6f", delimiter=",", header="a,b,c,d,e", comments="")
+    tracemalloc.start()
+    try:
+        data, dropped = ingest_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.n_rows == 20_000 and dropped == 0
+    assert peak < 2.5 * (path.stat().st_size + values.nbytes)
 
 
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.linalg"])
@@ -407,6 +507,46 @@ def test_negative_env_seed_is_a_usage_error(tmp_path, command):
     result = CliRunner().invoke(main, args, env={"FUNCAVG_SEED": "-2"})
     assert result.exit_code == 2
     assert "FUNCAVG_SEED" in result.stderr
+
+
+def _command_args(command, path):
+    if command == "simulate":
+        return ["simulate", "--table", "2", "--m", "1", "--b", "2"]
+    return [command, path, "--outcome", "y", "--treatment", "t"]
+
+
+@pytest.mark.parametrize("command", ["estimate", "diagnose"])
+def test_undecodable_bytes_exit_one(tmp_path, command):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"y,t\n1,0\n2,1\n3,\xe9\n")  # Latin-1, not UTF-8
+    result = CliRunner().invoke(main, _command_args(command, str(path)))
+    assert result.exit_code == 1
+    assert result.stderr.splitlines()[-1] == (
+        "error: row 4, column '': cannot decode byte 0xe9 as UTF-8")
+
+
+@pytest.mark.parametrize("command", ["estimate", "simulate", "diagnose"])
+def test_out_in_a_missing_directory_is_a_usage_error(tmp_path, command):
+    # The bad cell would fail ingest with exit 1, so exit 2 and no seed
+    # echo show that the prefix was refused before any work.
+    path = write_csv(tmp_path / "d.csv", ["y", "t"], [["1.0", "0"], ["oops", "1"]])
+    prefix = str(tmp_path / "missing" / "out")
+    result = CliRunner().invoke(main, [*_command_args(command, path), "--out", prefix])
+    assert result.exit_code == 2
+    assert "does not exist" in result.stderr
+    assert "seed:" not in result.stderr
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "simulate", "diagnose"])
+def test_unwritable_output_exits_one(tmp_path, command):
+    path = two_arm_csv(tmp_path / "d.csv")
+    (tmp_path / "out.txt").mkdir()  # every command writes {out}.txt
+    result = CliRunner().invoke(main, [*_command_args(command, path), "--out",
+                                       str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert result.stderr.splitlines()[-1].startswith("error: ")
+    assert "out.txt" in result.stderr
 
 
 # estimate output.
