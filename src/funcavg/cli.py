@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 import sys
 import warnings
+from array import array
 
 import click
 import numpy as np
@@ -90,72 +92,65 @@ def ingest_csv(path: str, columns=None) -> tuple[Dataset, int]:
     ``1e999``) in a referenced column is a :class:`CsvParseError` naming the
     row and column, not a missing value, so typos fail loudly instead of
     shrinking the sample.  So is a blank line or a row whose field count
-    differs from the header's, and so is a byte that is not UTF-8 (naming
-    its line).  A UTF-8 byte-order mark, as Excel writes, is read as part of
-    the encoding, not as part of the first column's name.
+    differs from the header's.  A UTF-8 byte-order mark, as Excel writes, is
+    read as part of the encoding, not as part of the first column's name.
 
-    The file's bytes are read once.  ``np.loadtxt`` parses the body first;
-    when it refuses, a per-cell loop reads it, and that loop is the only
-    code that drops rows and locates faults, so both give the same columns,
-    count and errors.
+    The file's bytes are read once, and a byte that is not UTF-8 is refused
+    (naming its line) before anything else is read.  ``np.loadtxt`` parses
+    the body first; when it refuses, a per-cell loop reads it, and that loop
+    is the only code that drops rows and locates faults, so both give the
+    same columns, count and errors.  The loop judges every referenced cell,
+    also in a row it drops, and reports the first fault in file order.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
+    _check_utf8(raw)
     reader = csv.reader(_text(raw))
     try:
-        try:
-            header = [name.strip() for name in next(reader)]
-        except StopIteration:
-            raise SchemaError(f"{path}: file is empty, expected a header row") from None
-        if len(set(header)) != len(header):
-            raise SchemaError(f"{path}: duplicate column names in header: {header}")
-        wanted = list(columns) if columns is not None else list(header)
-        missing = [c for c in wanted if c not in header]
-        if missing:
-            raise SchemaError(
-                f"{path}: no column named {', '.join(repr(c) for c in missing)}; "
-                f"available: {', '.join(header)}")
-        positions = [header.index(c) for c in wanted]
-        matrix = _clean_matrix(raw, reader.line_num, len(header), positions)
-        if matrix is not None:
-            return Dataset({name: matrix[:, j] for j, name in enumerate(wanted)}), 0
-        kept: list[list[float]] = []
-        dropped: list[int] = []  # line numbers of rows with a missing value
-        for lineno, record in enumerate(reader, start=2):
-            if len(record) != len(header):
-                raise CsvParseError(lineno, "", f"expected {len(header)} fields, "
-                                                f"got {len(record)}")
-            parsed = []
-            for name, pos in zip(wanted, positions):
-                cell = record[pos].strip()
-                if cell.lower() in _MISSING_MARKERS:
-                    parsed = None
-                    break
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise CsvParseError(lineno, name,
-                                        f"cannot parse {cell!r} as a number") from None
-            if parsed is None:
-                dropped.append(lineno)
-            else:
-                kept.append(parsed)
-    except UnicodeDecodeError:
-        raise _undecodable(raw) from None
-    if not kept:
+        header = [name.strip() for name in next(reader)]
+    except StopIteration:
+        raise SchemaError(f"{path}: file is empty, expected a header row") from None
+    if len(set(header)) != len(header):
+        raise SchemaError(f"{path}: duplicate column names in header: {header}")
+    wanted = list(columns) if columns is not None else list(header)
+    missing = [c for c in wanted if c not in header]
+    if missing:
+        raise SchemaError(
+            f"{path}: no column named {', '.join(repr(c) for c in missing)}; "
+            f"available: {', '.join(header)}")
+    positions = [header.index(c) for c in wanted]
+    matrix = _clean_matrix(raw, reader.line_num, len(header), positions)
+    if matrix is not None:
+        return Dataset({name: matrix[:, j] for j, name in enumerate(wanted)}), 0
+    order = sorted(zip(positions, wanted))  # a row's cells in file order
+    cells = array("d")  # the kept rows' cells, row after row
+    dropped = 0
+    for lineno, record in enumerate(reader, start=2):
+        if len(record) != len(header):
+            raise CsvParseError(lineno, "", f"expected {len(header)} fields, "
+                                            f"got {len(record)}")
+        row = []  # the row's numbers; a missing value leaves it short
+        for pos, name in order:
+            cell = record[pos].strip()
+            if cell.lower() in _MISSING_MARKERS:
+                continue
+            try:
+                value = float(cell)
+            except ValueError:
+                raise CsvParseError(lineno, name,
+                                    f"cannot parse {cell!r} as a number") from None
+            if not math.isfinite(value):  # ``float`` reads "inf", overflows "1e999"
+                raise CsvParseError(lineno, name, f"{value} is not a finite number")
+            row.append(value)
+        if len(row) == len(order):
+            cells.extend(row)
+        else:
+            dropped += 1
+    if not cells:
         raise DataError(f"{path}: no complete rows for columns {', '.join(wanted)}")
-    matrix = np.array(kept, dtype=float)
-    # ``float`` accepts "inf" and overflows "1e999" to it.  One check on the
-    # whole matrix keeps the per-cell loop lean; the kept rows' line numbers
-    # are the ones not dropped.
-    bad = ~np.isfinite(matrix)
-    if bad.any():
-        row, col = divmod(int(np.argmax(bad)), len(wanted))
-        lines = np.setdiff1d(np.arange(2, 2 + len(kept) + len(dropped)), dropped)
-        raise CsvParseError(int(lines[row]), wanted[col],
-                            f"{matrix[row, col]} is not a finite number")
-    data = Dataset({name: matrix[:, j] for j, name in enumerate(wanted)})
-    return data, len(dropped)
+    matrix = np.frombuffer(cells).reshape(-1, len(order))  # C-ordered
+    by_name = {name: matrix[:, j] for j, (_, name) in enumerate(order)}
+    return Dataset({name: by_name[name] for name in wanted}), dropped
 
 
 def _text(raw: bytes):
@@ -163,17 +158,19 @@ def _text(raw: bytes):
     return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
 
 
-def _undecodable(raw: bytes) -> CsvParseError:
-    """The error for the first byte of ``raw`` that is not UTF-8, which the
-    caller has met.  It names that byte's line as ``csv`` counts lines: the
+def _check_utf8(raw: bytes) -> None:
+    """Raise a :class:`CsvParseError` at the first byte of ``raw`` that is
+    not UTF-8.  It names that byte's line as ``csv`` counts lines: the
     header is line 1, and a line ends at LF, CRLF or a lone CR."""
+    if raw.isascii():
+        return
     try:
         raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         head = raw[:exc.start]
         line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-        return CsvParseError(line, "", f"cannot decode byte 0x{raw[exc.start]:02x} "
-                                       "as UTF-8")
+        raise CsvParseError(line, "", f"cannot decode byte 0x{raw[exc.start]:02x} "
+                                      "as UTF-8") from None
 
 
 def _clean_matrix(raw: bytes, header_lines: int, width: int,
@@ -183,9 +180,10 @@ def _clean_matrix(raw: bytes, header_lines: int, width: int,
     per-cell loop must read them.
 
     ``np.loadtxt`` parses every cell as ``float`` does or raises (on text,
-    an empty cell, a quote, a bare sign, a non-ASCII digit, a changed field
-    count or an undecodable byte); it warns on a body without data, which
-    is refused too.  It skips blank lines, which the line count below
+    an empty cell, a quote, a bare sign, a non-ASCII digit or a changed
+    field count); it warns on a body without data, which is refused too.
+    It never sees a byte that is not UTF-8: ``ingest_csv`` refuses those
+    first.  It skips blank lines, which the line count below
     catches; and it reads ``nan``, ``inf`` and ``1e999``, which the loop
     drops or rejects.
     """
@@ -201,7 +199,7 @@ def _clean_matrix(raw: bytes, header_lines: int, width: int,
             return None
     if full.shape != (lines, width):
         return None
-    matrix = full.take(positions, axis=1)  # C-ordered, as np.array(kept) is
+    matrix = full.take(positions, axis=1)  # C-ordered, as the loop's matrix is
     return matrix if np.isfinite(matrix).all() else None
 
 

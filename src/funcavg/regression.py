@@ -408,17 +408,24 @@ def ps_stratified_contrast(dataset: Dataset, outcome: str, treatment: str,
     if not covariates:
         raise ParameterError("propensity stratification needs at least one covariate")
 
-    # Stratum 1 is the baseline; strata 2..5 each get a 0/1 column.
+    # Stratum 1 is the baseline; strata 2..5 each get a 0/1 column, named
+    # apart from the outcome and the treatment.
     strata = range(2, _N_STRATA + 1)
+    prefix = "stratum_"
+    while {outcome, treatment} & {f"{prefix}{s}" for s in strata}:
+        prefix = "_" + prefix
+    dummy_names = [f"{prefix}{s}" for s in strata]
     model = ModelSpec(outcome, tuple(Term((name,)) for name in
-                                     (treatment, *(f"stratum_{s}" for s in strata))))
+                                     (treatment, *dummy_names)))
 
     def point_fn(ds: Dataset) -> float:
         logit_design = design_from_columns(ds, covariates)
         pfit = logistic_fit(logit_design, ds.column(treatment))
         labels = propensity_strata(pfit.fitted_probabilities)
-        dummies = {f"stratum_{s}": (labels == s).astype(float) for s in strata}
-        return standardization_contrast(Dataset({**ds.columns, **dummies}), model,
-                                        treatment)
+        dummies = {name: (labels == s).astype(float)
+                   for name, s in zip(dummy_names, strata)}
+        return standardization_contrast(
+            Dataset({outcome: ds.column(outcome), treatment: ds.column(treatment),
+                     **dummies}), model, treatment)
 
     return _percentile_over_refits(dataset, rng, replicates, alpha, point_fn)

@@ -114,6 +114,26 @@ def test_ingest_rejects_ragged_rows(tmp_path):
     assert excinfo.value.row == 2
 
 
+@pytest.mark.parametrize("text, columns, row, column, message", [
+    ("y,t\n1,0\ninf,NA\n2,1\n", None, 3, "y", "inf is not a finite number"),
+    ("y,t\n1,0\ninf,NA\n2,1\n", ("t", "y"), 3, "y", "inf is not a finite number"),
+    ("y,t\n1,0\nNA,oops\n2,1\n", None, 3, "t", "cannot parse 'oops' as a number"),
+    ("y,t\ninf,0\n1,1\noops,1\n", None, 2, "y", "inf is not a finite number"),
+    ("y,t\n1,0\ninf,oops\n", ("t", "y"), 3, "y", "inf is not a finite number"),
+], ids=["inf-then-NA", "inf-then-NA-reversed", "NA-then-text", "inf-before-text",
+        "first-cell-of-the-row"])
+def test_ingest_reports_the_first_bad_cell_in_file_order(tmp_path, text, columns, row,
+                                                         column, message):
+    # Every referenced cell is judged, also in a row a missing value drops,
+    # and the first fault in file order is the one reported.
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    with pytest.raises(CsvParseError) as excinfo:
+        ingest_csv(str(path), columns)
+    assert (excinfo.value.row, excinfo.value.column) == (row, column)
+    assert str(excinfo.value) == f"row {row}, column {column!r}: {message}"
+
+
 def fifty_rows(y_of_row_49, id_column=False):
     """A 50-row y,t file (with an ID column if asked) whose 49th row has
     ``y_of_row_49`` for y."""
@@ -176,7 +196,7 @@ INGEST_CORPUS = [
     # Excel's "CSV UTF-8" starts the file with a byte-order mark.
     ("bom", "\ufeffy,t\n1.5,0\n2.5,1\n", ("y", "t"), True),
     ("bom-NA", "\ufeffy,t\n1.5,0\nNA,1\n2.5,1\n", ("y", "t"), False),
-    # The bad cell comes before the first undecodable byte, as the loop reads.
+    # A byte that is not UTF-8 is reported before any bad cell, wherever it is.
     ("bad-cell-then-bad-byte", b"y,t\n1,0\noops,1\n" + b"2,1\n" * 3000 + b"\xff,1\n",
      None, False),
     ("bad-byte-header", b"y\xff,t\n1,0\n", None, False),
@@ -219,7 +239,7 @@ def test_ingest_matches_the_per_cell_loop(tmp_path, monkeypatch, case, text, col
 
     monkeypatch.setattr(cli, "_clean_matrix", spy)
     got = _ingest_outcome(str(path), columns)
-    # A byte that is not UTF-8 near the header stops ingest before the parse.
+    # A byte that is not UTF-8 anywhere stops ingest before the parse.
     assert any(matrix is not None for matrix in passes) == one_pass
     monkeypatch.setattr(cli, "_clean_matrix", lambda *args: None)
     assert got == _ingest_outcome(str(path), columns)
@@ -248,32 +268,44 @@ def test_ingest_does_not_read_a_bare_sign_as_missing(tmp_path, cell):
     (b"y,t\n1,0\n\xff,1\n", None, 3),
     (b"y,t,x\r\n1,0,a\r\n2,1,\xc3\r\n", ("y", "t"), 3),
     (b"y,t\r1,0\r2,\xff\r", None, 3),
-], ids=["header", "header-after-bom", "referenced", "unreferenced-crlf", "lone-cr"])
+    # A bad byte is reported before a bad cell, however far apart they are.
+    (b"y,t\noops,1\n\xff,1\n", None, 3),
+    (b"y,t\n1,0\noops,1\n" + b"2,1\n" * 3000 + b"\xff,1\n", None, 3004),
+], ids=["header", "header-after-bom", "referenced", "unreferenced-crlf", "lone-cr",
+        "after-a-bad-cell", "far-after-a-bad-cell"])
 def test_ingest_names_the_line_of_an_undecodable_byte(tmp_path, raw, columns, line):
     path = tmp_path / "d.csv"
     path.write_bytes(raw)
-    with pytest.raises(CsvParseError) as excinfo:
+    message = rf"row {line}, column '': cannot decode byte 0x[0-9a-f]{{2}} as UTF-8"
+    with pytest.raises(CsvParseError, match=f"^{message}$") as excinfo:
         ingest_csv(str(path), columns)
     assert (excinfo.value.row, excinfo.value.column) == (line, "")
-    assert "as UTF-8" in str(excinfo.value)
 
 
 FUZZ_NUMBERS = ["0", "1", "-2.5", "+.5", "5.", "1e3", "2E-3", "007", "-0", "12345.678"]
-FUZZ_OTHER = ["", "NA", "na", "nan", "NaN", "-nan", "+NAN",  # missing
-              "inf", "-inf", "1e999",  # not finite
-              "abc", "e", "-", "p7",  # text
-              '"3"', '"a,b"', '"x\ny"', "1#5", "#", "1_000", "0x10", "1d3",
-              "\u0663", "\uff11", " 4 ", "\t5", "6\t", " "]
+FUZZ_MISSING = ["", "NA", "na", "nan", "NaN", "-nan", "+NAN"]
+FUZZ_BAD = ["inf", "-inf", "1e999",  # not finite
+            "abc", "e", "-", "p7",  # text
+            '"3"', '"a,b"', '"x\ny"', "1#5", "#", "1_000", "0x10", "1d3",
+            "\u0663", "\uff11", " 4 ", "\t5", "6\t", " "]
+FUZZ_OTHER = FUZZ_MISSING + FUZZ_BAD
 
 
 def fuzz_csv(gen):
-    """One small CSV file's bytes and the columns to read (None for all)."""
+    """One small CSV file's bytes, its header and the columns to read (None
+    for all)."""
     header = ["a", "b", "c"][:int(gen.integers(1, 4))]
     dirty = gen.random() < 0.5  # the other half holds numbers only
     rows = []
     for _ in range(int(gen.integers(0, 6))):
         pool = FUZZ_OTHER if dirty and gen.random() < 0.3 else FUZZ_NUMBERS
         rows.append([pool[gen.integers(len(pool))] for _ in header])
+    if dirty and rows and len(header) > 1 and gen.random() < 0.3:
+        # A missing value and a bad cell in one row, in either order.
+        row = rows[gen.integers(len(rows))]
+        missing, bad = gen.permutation(len(header))[:2]
+        row[missing] = FUZZ_MISSING[gen.integers(len(FUZZ_MISSING))]
+        row[bad] = FUZZ_BAD[gen.integers(len(FUZZ_BAD))]
     if rows and gen.random() < 0.1:  # a ragged row
         row = rows[gen.integers(len(rows))]
         row.append("1") if gen.random() < 0.5 else row.pop()
@@ -288,7 +320,7 @@ def fuzz_csv(gen):
         raw = raw[:at] + b"\xff" + raw[at:]
     columns = (tuple(gen.permutation(header)[:gen.integers(1, len(header) + 1)])
                if gen.random() < 0.5 else None)
-    return raw, columns
+    return raw, header, columns
 
 
 def test_fuzzed_files_read_as_the_per_cell_loop_reads_them(tmp_path, monkeypatch):
@@ -307,13 +339,28 @@ def test_fuzzed_files_read_as_the_per_cell_loop_reads_them(tmp_path, monkeypatch
 
     monkeypatch.setattr(cli, "_clean_matrix", spy)
     for _ in range(1000):
-        raw, columns = fuzz_csv(gen)
+        raw, header, columns = fuzz_csv(gen)
         path.write_bytes(raw)
         loop_only = False
         got = _ingest_outcome(str(path), columns)
         loop_only = True
         assert got == _ingest_outcome(str(path), columns), (raw, columns)
+        # The file alone decides: the order of the referenced columns changes
+        # nothing but the column list that a DataError's message repeats.
+        backwards = _ingest_outcome(str(path), (columns or header)[::-1])
+        assert got == backwards or got[0] is backwards[0] is DataError, (raw, columns)
     assert 300 < one_pass < 700  # both paths get a fair share of the files
+
+
+def traced_ingest(path):
+    """``ingest_csv(path)``'s data and dropped count, and the peak of the
+    memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        data, dropped = ingest_csv(str(path))
+        return data, dropped, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_ingest_of_a_clean_file_holds_little_beyond_its_bytes_and_columns(tmp_path):
@@ -322,14 +369,24 @@ def test_ingest_of_a_clean_file_holds_little_beyond_its_bytes_and_columns(tmp_pa
     values = np.random.default_rng(7).normal(size=(20_000, 5))
     path = tmp_path / "d.csv"
     np.savetxt(path, values, fmt="%.6f", delimiter=",", header="a,b,c,d,e", comments="")
-    tracemalloc.start()
-    try:
-        data, dropped = ingest_csv(str(path))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    data, dropped, peak = traced_ingest(path)
     assert data.n_rows == 20_000 and dropped == 0
     assert peak < 2.5 * (path.stat().st_size + values.nbytes)
+
+
+def test_ingest_of_a_dirty_file_holds_little_beyond_its_bytes_and_columns(tmp_path):
+    # The per-cell loop keeps the cells of the rows it keeps in one float
+    # buffer, which becomes the matrix, not in a Python list per row.
+    values = np.random.default_rng(7).normal(size=(20_000, 5))
+    path = tmp_path / "d.csv"
+    np.savetxt(path, values, fmt="%.6f", delimiter=",", header="a,b,c,d,e", comments="")
+    lines = path.read_text().splitlines(keepends=True)
+    for i in range(1, len(lines), 50):  # the first cell of every 50th row
+        lines[i] = "NA" + lines[i][lines[i].index(","):]
+    path.write_text("".join(lines))
+    data, dropped, peak = traced_ingest(path)
+    assert data.n_rows == 19_600 and dropped == 400
+    assert peak < 2.5 * (path.stat().st_size + data.n_rows * 5 * 8)
 
 
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.linalg"])
@@ -701,6 +758,28 @@ def test_estimates_do_not_move_when_a_covariate_is_moved(tmp_path, moved, n):
         residual_lines.append(result.stdout.splitlines()[-1])
     np.testing.assert_allclose(estimates[1], estimates[0], rtol=1e-9, atol=0)
     assert residual_lines[1] == residual_lines[0]
+
+
+@pytest.mark.parametrize("outcome, treatment", [("stratum_2", "t"), ("y", "stratum_3")])
+def test_ps_keeps_its_stratum_columns_apart_from_the_data(tmp_path, outcome, treatment):
+    # PS adds a 0/1 column per propensity stratum; a data column whose name
+    # such a column would take is still read as the data.
+    base = two_arm_csv(tmp_path / "base.csv", seed=9)
+    with open(base, newline="") as fh:
+        records = list(csv.reader(fh))
+    renamed = write_csv(tmp_path / "renamed.csv", [outcome, treatment, "x"], records[1:])
+    runner = CliRunner()
+    estimates = []
+    for path, names in ((base, ("y", "t")), (renamed, (outcome, treatment))):
+        out = str(tmp_path / f"est-{Path(path).stem}")
+        result = runner.invoke(main, [
+            "estimate", path, "--outcome", names[0], "--treatment", names[1],
+            "--covariates", "x", "--method", "PS", "--b", "50", "--seed", "3",
+            "--out", out])
+        assert result.exit_code == 0, result.stderr
+        with open(out + ".csv", newline="") as fh:
+            estimates.append(list(csv.reader(fh))[1][1:])
+    assert estimates[1] == estimates[0]
 
 
 # simulate output.
