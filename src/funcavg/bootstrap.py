@@ -25,8 +25,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DataError, FuncavgError, ParameterError, ResampleError
-from .intervals import IntervalEstimate, check_alpha
+from .errors import (DataError, FuncavgError, ParameterError, ResampleError, check_alpha,
+                     check_count, finite_array)
+from .intervals import IntervalEstimate
 from .rng import RngStream
 
 __all__ = [
@@ -79,9 +80,7 @@ class BootstrapConfig:
     max_failure_share: float = 0.0
 
     def __post_init__(self):
-        if not (isinstance(self.replicates, (int, np.integer)) and self.replicates >= 2):
-            raise ParameterError(
-                f"replicates must be an integer of at least 2, got {self.replicates!r}")
+        check_count(self.replicates, "replicates", 2)
         if self.resample_size not in ("full", "sqrt"):
             raise ParameterError(
                 f"resample_size must be 'full' or 'sqrt', got {self.resample_size!r}")
@@ -102,12 +101,8 @@ class BootstrapDistribution:
     replicates: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        reps = np.asarray(self.replicates, dtype=float)
-        object.__setattr__(self, "replicates", reps)
-        if reps.ndim != 1 or reps.size == 0:
-            raise DataError("replicates must form a non-empty 1-D array")
-        if not (np.isfinite(self.statistic) and np.all(np.isfinite(reps))):
-            raise DataError("statistic and replicates must all be finite")
+        finite_array(self.statistic, "statistic", ndims=(0,))
+        object.__setattr__(self, "replicates", finite_array(self.replicates, "replicates"))
 
     @property
     def pooled_min(self) -> float:
@@ -142,16 +137,6 @@ def index_blocks(gen: np.random.Generator, n: int, b: int, m: int):
     ``start .. start + k - 1``, drawn in order, so chunking changes none."""
     for start, stop in row_chunks(b, m):
         yield start, gen.integers(0, n, size=(stop - start, m))
-
-
-def _as_resample_input(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim not in (1, 2) or arr.shape[0] == 0:
-        raise DataError(f"resample input must be a non-empty 1-D or 2-D array, "
-                        f"got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise DataError("resample input contains non-finite values")
-    return arr
 
 
 def resample(values, config: BootstrapConfig,
@@ -197,7 +182,7 @@ def resample(values, config: BootstrapConfig,
     DataError
         If more replicates fail than ``config.max_failure_share`` allows.
     """
-    arr = _as_resample_input(values)
+    arr = finite_array(values, "resample input", ndims=(1, 2))
     n = arr.shape[0]
     m = config.size_for(n)
     b = config.replicates

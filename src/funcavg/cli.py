@@ -35,7 +35,7 @@ import numpy as np
 from .bootstrap import BootstrapConfig, hoeffding_ci, resample
 from .dataset import Dataset
 from .diagnostics import ecdf, mean_midrange_distance, residual_support_symmetry, sum_symmetry_gap
-from .errors import CsvParseError, DataError, FuncavgError, SchemaError
+from .errors import CsvParseError, DataError, FuncavgError, SchemaError, check_count
 from .estimators import TwoArmSample, contrast, midrange
 from .formula import ModelSpec, Term
 from .intervals import IntervalEstimate
@@ -208,13 +208,10 @@ def _resolve_seed(flag_value) -> int:
         return flag_value
     env = os.environ.get("FUNCAVG_SEED", "0")
     try:
-        seed = int(env)
-    except ValueError:
-        seed = -1  # rejected below, with the text as given
-    if seed < 0:
+        return check_count(int(env), "FUNCAVG_SEED", 0)
+    except ValueError:  # from int(), or check_count's ParameterError
         raise click.UsageError(
-            f"FUNCAVG_SEED must be a non-negative integer, got {env!r}")
-    return seed
+            f"FUNCAVG_SEED must be a non-negative integer, got {env!r}") from None
 
 
 def _check_out_dir(ctx, param, prefix):

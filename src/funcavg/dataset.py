@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, SchemaError
+from .errors import DataError, SchemaError, finite_array
 
 
 @dataclass(frozen=True)
@@ -22,22 +22,13 @@ class Dataset:
     def __post_init__(self):
         if not self.columns:
             raise DataError("dataset needs at least one column")
-        clean: dict[str, np.ndarray] = {}
-        length = None
-        for name, values in self.columns.items():
-            arr = np.asarray(values, dtype=float)
-            if arr.ndim != 1:
-                raise DataError(f"column {name!r} must be 1-D, got shape {arr.shape}")
-            if length is None:
-                length = arr.size
-            elif arr.size != length:
+        clean = {name: finite_array(values, f"column {name!r}")
+                 for name, values in self.columns.items()}
+        length = next(iter(clean.values())).size
+        for name, arr in clean.items():
+            if arr.size != length:
                 raise SchemaError(
                     f"column {name!r} has {arr.size} rows, expected {length}")
-            if not np.all(np.isfinite(arr)):
-                raise DataError(f"column {name!r} contains non-finite values")
-            clean[name] = arr
-        if length == 0:
-            raise DataError("dataset has zero rows")
         object.__setattr__(self, "columns", clean)
 
     @property

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
-from .errors import ParameterError
+from .errors import ParameterError, check_count, check_probability
 from .rng import RngStream
 
 __all__ = [
@@ -85,8 +85,7 @@ class BernoulliSpec:
     p: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.p) and 0.0 <= self.p <= 1.0):
-            raise ParameterError(f"p must lie in [0, 1], got {self.p}")
+        check_probability(self.p, "p")
 
 
 @dataclass(frozen=True)
@@ -97,20 +96,12 @@ class BinomialSpec:
     p: float
 
     def __post_init__(self):
-        if not (isinstance(self.trials, (int, np.integer)) and self.trials >= 1):
-            raise ParameterError(f"trials must be a positive integer, got {self.trials}")
-        if not (np.isfinite(self.p) and 0.0 <= self.p <= 1.0):
-            raise ParameterError(f"p must lie in [0, 1], got {self.p}")
+        check_count(self.trials, "trials", 1)
+        check_probability(self.p, "p")
 
     @property
     def support(self) -> tuple[int, int]:
         return (0, self.trials)
-
-
-def _check_size(n) -> int:
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ParameterError(f"sample size must be a positive integer, got {n!r}")
-    return int(n)
 
 
 def sample_truncated_normal(spec: TruncatedNormalSpec, n, rng: RngStream) -> np.ndarray:
@@ -130,7 +121,7 @@ def sample_truncated_normal(spec: TruncatedNormalSpec, n, rng: RngStream) -> np.
         Float array of shape ``(n,)`` with every value inside
         ``[spec.lower, spec.upper]``.
     """
-    n = _check_size(n)
+    n = check_count(n, "n", 1)
     u = rng.generator().random(n)
     a = (spec.lower - spec.mu) / spec.sigma
     b = (spec.upper - spec.mu) / spec.sigma
@@ -152,7 +143,7 @@ def sample_truncated_normal(spec: TruncatedNormalSpec, n, rng: RngStream) -> np.
 
 def sample_bernoulli(spec: BernoulliSpec, n, rng: RngStream) -> np.ndarray:
     """Draw ``n`` Bernoulli(p) values as an integer 0/1 array."""
-    n = _check_size(n)
+    n = check_count(n, "n", 1)
     return (rng.generator().random(n) < spec.p).astype(np.int64)
 
 
@@ -171,7 +162,7 @@ def sample_bernoulli_probs(probs, rng: RngStream) -> np.ndarray:
 
 def sample_binomial(spec: BinomialSpec, n, rng: RngStream) -> np.ndarray:
     """Draw ``n`` Binomial(trials, p) counts as an integer array."""
-    n = _check_size(n)
+    n = check_count(n, "n", 1)
     return rng.generator().binomial(spec.trials, spec.p, size=n).astype(np.int64)
 
 

@@ -1,11 +1,18 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the checks that raise them.
 
 Everything raised on bad input or a failed numerical procedure derives from
 :class:`FuncavgError`, so callers (the CLI in particular) can distinguish
 "your data or parameters are wrong" from genuine bugs.
+
+The rules every module shares are stated here once, next to the exception
+each raises: :func:`check_count` for counts and seeds, :func:`check_alpha`
+and :func:`check_probability` for levels and probabilities, and
+:func:`finite_array` for the arrays estimators and fits take.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class FuncavgError(Exception):
@@ -18,6 +25,51 @@ class ParameterError(FuncavgError, ValueError):
 
 class DataError(FuncavgError, ValueError):
     """A data array violates a precondition (empty, non-finite, wrong shape)."""
+
+
+def check_count(value, name: str, minimum: int, below: int | None = None) -> int:
+    """``value`` as an ``int``, if it is an integer of at least ``minimum``
+    and, given ``below``, less than that; else :class:`ParameterError`.
+
+    A ``bool`` is refused, though Python counts it as an ``int``, and so
+    are floats and strings, whole or not.
+    """
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and minimum <= value and (below is None or value < below)):
+        return int(value)
+    bounds = f"of at least {minimum}" if below is None else f"in [{minimum}, {below})"
+    raise ParameterError(f"{name} must be an integer {bounds}, got {value!r}")
+
+
+def check_alpha(alpha: float) -> float:
+    """``alpha`` as a float, if it lies strictly inside (0, 1); else
+    :class:`ParameterError`.  NaN fails the comparison, so it is refused."""
+    if not 0.0 < alpha < 1.0:
+        raise ParameterError(f"alpha must lie strictly inside (0, 1), got {alpha}")
+    return float(alpha)
+
+
+def check_probability(p, name: str) -> float:
+    """``p`` as a float, if it lies in [0, 1]; else :class:`ParameterError`."""
+    if not 0.0 <= p <= 1.0:
+        raise ParameterError(f"{name} must lie in [0, 1], got {p}")
+    return float(p)
+
+
+def finite_array(values, name: str, ndims: tuple[int, ...] = (1,)) -> np.ndarray:
+    """``values`` as a float array, if it has one of ``ndims`` dimensions, at
+    least one entry and only finite ones; else :class:`DataError` naming
+    ``name``."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim not in ndims:
+        raise DataError(f"{name} must be {' or '.join(f'{d}-D' for d in ndims)}, "
+                        f"got shape {arr.shape}")
+    if arr.size == 0:
+        raise DataError(f"{name} must not be empty, got shape {arr.shape}")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise DataError(f"{name} must be finite, got {arr.flat[np.argmin(finite)]}")
+    return arr
 
 
 class SingularDesignError(FuncavgError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import row_chunks
-from .errors import DataError, ResampleError
+from .errors import DataError, ResampleError, finite_array
 
 __all__ = [
     "as_sample",
@@ -34,14 +34,7 @@ def as_sample(values) -> np.ndarray:
     Raises :class:`~funcavg.errors.DataError` when the input is empty,
     not one-dimensional, or contains non-finite entries.
     """
-    x = np.asarray(values, dtype=float)
-    if x.ndim != 1:
-        raise DataError(f"sample must be 1-D, got shape {x.shape}")
-    if x.size == 0:
-        raise DataError("sample must contain at least one value")
-    if not np.all(np.isfinite(x)):
-        raise DataError("sample contains non-finite values")
-    return x
+    return finite_array(values, "sample")
 
 
 def discrete_plugin_average(values) -> float:

@@ -6,13 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
-
-
-def check_alpha(alpha: float) -> float:
-    if not (np.isfinite(alpha) and 0.0 < alpha < 1.0):
-        raise ParameterError(f"alpha must lie strictly inside (0, 1), got {alpha}")
-    return float(alpha)
+from .errors import ParameterError, check_alpha
 
 
 @dataclass(frozen=True)

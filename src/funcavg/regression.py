@@ -33,9 +33,9 @@ from scipy.special import stdtrit
 from .bootstrap import BootstrapConfig, percentile_ci, resample
 from .dataset import Dataset
 from .errors import (ConvergenceError, DataError, ParameterError, SingularDesignError,
-                     StratificationError)
+                     StratificationError, check_alpha, finite_array)
 from .formula import ModelSpec, Term
-from .intervals import IntervalEstimate, check_alpha
+from .intervals import IntervalEstimate
 from .rng import RngStream
 
 __all__ = [
@@ -63,16 +63,11 @@ class DesignMatrix:
     column_names: tuple[str, ...]
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = finite_array(self.matrix, "design matrix", ndims=(2,))
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "column_names", tuple(self.column_names))
-        if m.ndim != 2 or m.shape[0] == 0 or m.shape[1] == 0:
-            raise DataError(f"design matrix must be 2-D and non-empty, "
-                            f"got shape {m.shape}")
         if len(self.column_names) != m.shape[1]:
             raise DataError(f"{len(self.column_names)} names for {m.shape[1]} columns")
-        if not np.all(np.isfinite(m)):
-            raise DataError("design matrix contains non-finite values")
 
 
 def _evaluate_terms(dataset: Dataset, terms: Sequence[Term]) -> DesignMatrix:
@@ -150,13 +145,11 @@ def ols_fit(design: DesignMatrix, response) -> RegressionFit:
     :class:`~funcavg.errors.SingularDesignError` naming the first column
     that adds no new direction.
     """
-    y = np.asarray(response, dtype=float)
+    y = finite_array(response, "response")
     x = design.matrix
     n, p = x.shape
     if y.shape != (n,):
         raise DataError(f"response shape {y.shape} does not match design rows {n}")
-    if not np.all(np.isfinite(y)):
-        raise DataError("response contains non-finite values")
     if n <= p:
         raise DataError(f"need more observations than design columns, "
                         f"got n={n}, p={p}")
@@ -313,9 +306,7 @@ def propensity_strata(scores) -> np.ndarray:
     :class:`~funcavg.errors.StratificationError` is raised rather than
     silently fitting with fewer strata.
     """
-    probs = np.asarray(scores, dtype=float)
-    if probs.ndim != 1 or probs.size == 0:
-        raise DataError("propensity scores must form a non-empty 1-D array")
+    probs = finite_array(scores, "propensity scores")
     if probs.size < _N_STRATA:
         raise DataError(f"cannot form {_N_STRATA} strata from {probs.size} rows")
     cuts = np.quantile(probs, np.arange(1, _N_STRATA) / _N_STRATA)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import check_count
 
 _KEY_BOUND = 2 ** 32
 
@@ -39,18 +39,15 @@ class RngStream:
     key: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        if isinstance(self.key, (int, np.integer)):
-            object.__setattr__(self, "key", (self.key,))
-        else:
-            object.__setattr__(self, "key", tuple(self.key))
+        try:
+            key = tuple(self.key)
+        except TypeError:  # a single key part
+            key = (self.key,)
         # Checked here, so that a bad value is a ParameterError at the call
         # that made it, not a TypeError from SeedSequence in generator().
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
-        for part in self.key:
-            if not (isinstance(part, (int, np.integer)) and 0 <= part < _KEY_BOUND):
-                raise ParameterError(
-                    f"stream key parts must be integers in [0, 2^32), got {part!r}")
+        object.__setattr__(self, "seed", check_count(self.seed, "seed", 0))
+        object.__setattr__(self, "key", tuple(
+            [check_count(part, "stream key part", 0, _KEY_BOUND) for part in key]))
 
     def child(self, *indices: int) -> "RngStream":
         """Derive a sub-stream by extending the key path."""

@@ -61,9 +61,10 @@ from .distributions import (
     sample_binomial,
     sample_truncated_normal,
 )
-from .errors import CsvParseError, ParameterError, SchemaError
+from .errors import (CsvParseError, ParameterError, SchemaError, check_alpha, check_count,
+                     check_probability)
 from .estimators import contrast, discrete_plugin_average, midrange, sample_mean
-from .intervals import IntervalEstimate, check_alpha
+from .intervals import IntervalEstimate
 from .regression import DesignMatrix, ols_fit, t_ci, u_concentration_ci
 from .rng import RngStream
 
@@ -140,29 +141,20 @@ class ExperimentSpec:
 
     def __post_init__(self):
         labels = variant_labels(self.experiment)  # validates the id
-        grid = tuple(self.n_grid)
+        # 4 is the smallest size every interval recipe here accepts.
+        grid = tuple(check_count(n, "each n_grid entry", 4) for n in self.n_grid)
         if not grid:
             raise ParameterError("n_grid must not be empty")
-        for n in grid:
-            # 4 is the smallest size every interval recipe here accepts.
-            if not (isinstance(n, (int, np.integer)) and n >= 4):
-                raise ParameterError(
-                    f"sample sizes must be integers of at least 4, got {n!r}")
-        grid = tuple(int(n) for n in grid)
         object.__setattr__(self, "n_grid", grid)
         if len(set(grid)) != len(grid):
             raise ParameterError(f"n_grid has repeated sizes: {grid}")
-        if not (isinstance(self.iterations, (int, np.integer)) and self.iterations >= 1):
-            raise ParameterError(
-                f"iterations must be a positive integer, got {self.iterations!r}")
-        if not (isinstance(self.replicates, (int, np.integer)) and self.replicates >= 2):
-            raise ParameterError(
-                f"replicates must be an integer of at least 2, got {self.replicates!r}")
+        for name, minimum in (("iterations", 1), ("replicates", 2), ("seed", 0)):
+            object.__setattr__(self, name, check_count(getattr(self, name), name, minimum))
         check_alpha(self.alpha)
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.variants is not None:
             chosen = tuple(self.variants)
+            if not chosen:
+                raise ParameterError("variants must not be empty; None runs them all")
             object.__setattr__(self, "variants", chosen)
             unknown = [v for v in chosen if v not in labels]
             if unknown:
@@ -213,8 +205,7 @@ class ReportRow:
     power: float | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError(f"sample size must be at least 1, got {self.n}")
+        check_count(self.n, "n", 1)
         if not math.isfinite(self.target):
             raise ParameterError(f"target is not finite: {self.target!r}")
         if not math.isfinite(self.mean_estimate):
@@ -229,9 +220,8 @@ class ReportRow:
             if self.mean_lower > self.mean_upper:
                 raise ParameterError(
                     f"mean lower {self.mean_lower} exceeds mean upper {self.mean_upper}")
-            for name, value in (("coverage", self.coverage), ("power", self.power)):
-                if not 0.0 <= value <= 1.0:
-                    raise ParameterError(f"{name} must lie in [0, 1], got {value}")
+            check_probability(self.coverage, "coverage")
+            check_probability(self.power, "power")
 
 
 @dataclass(frozen=True)

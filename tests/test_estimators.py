@@ -1,4 +1,5 @@
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from funcavg.bootstrap import BootstrapConfig, resample
+from funcavg.bootstrap import BootstrapConfig, BootstrapDistribution, resample
+from funcavg.dataset import Dataset
 from funcavg.errors import DataError, ResampleError
 from funcavg.rng import RngStream
 from funcavg.estimators import (
@@ -18,6 +20,7 @@ from funcavg.estimators import (
     paired_contrast,
     sample_mean,
 )
+from funcavg.regression import DesignMatrix, ols_fit, propensity_strata
 
 
 def test_plugin_average_counts_each_distinct_value_once():
@@ -38,10 +41,37 @@ def test_sample_mean():
     assert sample_mean([1, 2, 3, 6]) == 3.0
 
 
+def _fit_of(response):
+    x = np.arange(6.0)
+    return ols_fit(DesignMatrix(np.column_stack([np.ones(6), x]), ("intercept", "x")),
+                   response)
+
+
+_NAN = float("nan")
+
+# Every site of the one finite-array rule: the name its DataError gives, the
+# call, and an empty, a wrong-dimension and a non-finite input.  A NaN score
+# used to be blamed on tied propensity scores.
+ARRAY_SITES = [
+    ("sample", as_sample, ([], [[1, 2]], [1.0, _NAN], [1.0, float("inf")])),
+    ("resample input", lambda v: resample(v, BootstrapConfig(10, RngStream(0)), midrange),
+     ([], np.ones((2, 2, 2)), [[1.0, 0.0], [_NAN, 1.0]])),
+    ("replicates", lambda v: BootstrapDistribution(1.0, v), ([], [[1.0, 2.0]], [1.0, _NAN])),
+    ("statistic", lambda v: BootstrapDistribution(v, [1.0, 2.0]), ([], [1.0], _NAN)),
+    ("design matrix", lambda v: DesignMatrix(v, ("a", "b")),
+     (np.empty((0, 2)), [1.0, 2.0], [[1.0, 2.0], [_NAN, 1.0]])),
+    ("response", _fit_of, ([], np.ones((6, 1)), [1.0, 2.0, _NAN, 4.0, 5.0, 6.0])),
+    ("propensity scores", propensity_strata,
+     ([], [[0.1, 0.2]], [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, _NAN])),
+    ("column 'y'", lambda v: Dataset({"y": v}), ([], [[1.0, 2.0]], [1.0, _NAN])),
+]
+
+
 def test_sample_validation():
-    for bad in ([], [[1, 2]], [1.0, float("nan")], [1.0, float("inf")]):
-        with pytest.raises(DataError):
-            as_sample(bad)
+    for name, call, bad_inputs in ARRAY_SITES:
+        for bad in bad_inputs:
+            with pytest.raises(DataError, match=f"^{re.escape(name)} must "):
+                call(bad)
 
 
 @given(

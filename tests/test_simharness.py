@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -100,7 +101,8 @@ def test_spec_rejects_bad_grid_and_counts():
     with pytest.raises(ParameterError):
         ExperimentSpec("table2", n_grid=(100, 100))
     for grid in [(500.7, 60.2), (500.0,), ("500",)]:
-        with pytest.raises(ParameterError, match="integers"):
+        message = f"each n_grid entry must be an integer of at least 4, got {grid[0]!r}"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             ExperimentSpec("table2", n_grid=grid)
     assert ExperimentSpec("table2", n_grid=np.array([60, 500])).n_grid == (60, 500)
     with pytest.raises(ParameterError):
@@ -111,6 +113,8 @@ def test_spec_rejects_bad_grid_and_counts():
         ExperimentSpec("table2", replicates=1)
     with pytest.raises(ParameterError):
         ExperimentSpec("table2", alpha=1.5)
+    with pytest.raises(ParameterError, match="variants must not be empty"):
+        ExperimentSpec("table2", variants=())
 
 
 def test_spec_rejects_unknown_variant():
