@@ -25,8 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (DataError, FuncavgError, ParameterError, ResampleError, check_alpha,
-                     check_count, finite_array)
+from .errors import (DataError, ParameterError, ResampleError, check_alpha, check_count,
+                     finite_array)
 from .intervals import IntervalEstimate
 from .rng import RngStream
 
@@ -56,7 +56,8 @@ def sqrt_resample_size(n: int) -> int:
 
 @dataclass(frozen=True)
 class BootstrapConfig:
-    """How to resample: how many replicates, how large, from which stream.
+    """How :func:`resample` draws: how many replicates, how large, from
+    which stream.
 
     Parameters
     ----------
@@ -64,29 +65,21 @@ class BootstrapConfig:
         Number of bootstrap replicates ``B``, at least 2: the intervals
         read a spread off them, and one replicate has none.
     rng : RngStream
-        Stream all index draws come from.
+        Stream the sampler draws from.
     resample_size : {"full", "sqrt"}
         ``"full"`` draws ``n`` rows per replicate, ``"sqrt"`` draws
         ``round(sqrt(n))``.
-    max_failure_share : float
-        Share of replicates, in ``[0, 1)``, whose statistic may raise a
-        :class:`~funcavg.errors.FuncavgError` and be dropped.  At the
-        default of 0 every failure is an error.
     """
 
     replicates: int
     rng: RngStream
     resample_size: str = "full"
-    max_failure_share: float = 0.0
 
     def __post_init__(self):
         check_count(self.replicates, "replicates", 2)
         if self.resample_size not in ("full", "sqrt"):
             raise ParameterError(
                 f"resample_size must be 'full' or 'sqrt', got {self.resample_size!r}")
-        if not 0.0 <= self.max_failure_share < 1.0:
-            raise ParameterError(f"max_failure_share must lie in [0, 1), "
-                                 f"got {self.max_failure_share!r}")
 
     def size_for(self, n: int) -> int:
         """Resolve the per-replicate draw count for a sample of size ``n``."""
@@ -134,87 +127,51 @@ def row_chunks(b: int, width: int):
 
 def index_blocks(gen: np.random.Generator, n: int, b: int, m: int):
     """``(start, idx)``: the ``(k, m)`` row indices below ``n`` of replicates
-    ``start .. start + k - 1``, drawn in order, so chunking changes none."""
+    ``start .. start + k - 1``, drawn in order, so chunking changes none.
+    The S and PS refit bootstraps draw their rows here."""
     for start, stop in row_chunks(b, m):
         yield start, gen.integers(0, n, size=(stop - start, m))
 
 
 def resample(values, config: BootstrapConfig,
              statistic: Callable[[np.ndarray], float]) -> BootstrapDistribution:
-    """Evaluate ``statistic`` on the sample and on bootstrap resamples of it.
+    """Evaluate ``statistic`` on the sample and draw its bootstrap replicates
+    from the statistic's sampler.
 
     ``values`` may be 1-D (a plain sample) or 2-D (rows resampled jointly,
-    for paired outcome/treatment data); rows are drawn with replacement.
-    For the original sample a float array is passed to the statistic as
-    itself.  Results do not depend on internal chunk sizes: in the loop,
-    replicate ``k`` consumes a fixed slice of the index stream, and a
-    sampler's draws come off the stream in one order, however chunked.
-
-    A replicate whose statistic raises a
-    :class:`~funcavg.errors.FuncavgError` is dropped while no more than
-    ``config.max_failure_share`` of the replicates fail.
-
-    A statistic may carry a ``batch`` attribute to skip the per-replicate
-    calls.  With ``config.max_failure_share == 0``, ``resample`` calls
-    ``statistic.batch(arr)`` once, after the statistic succeeded on the
-    sample, with the float array it draws rows from.  It returns ``None``,
-    and the loop runs as usual, or a sampler ``sampler(gen, b, m) -> (b,)``
-    that draws all ``b`` replicate values of ``m`` rows each from ``gen``.
-    Where the statistic would raise, the sampler raises
+    for paired outcome/treatment data).  After the statistic succeeded on
+    the sample, ``statistic.batch(arr)`` is called once with the float
+    array the rows come from; it returns a sampler ``sampler(gen, b, m) ->
+    (b,)`` that draws all ``b`` replicate values of ``m`` rows each from
+    ``gen``, off the stream in one order however chunked.  Where the
+    statistic would raise, the sampler raises
     :class:`~funcavg.errors.ResampleError` with the first failing
-    replicate's index and the statistic's message.  ``midrange`` and
-    ``discrete_plugin_average`` draw each replicate from its exact
-    bootstrap law (the ranks of the two extremes, or multinomial counts
-    over the distinct values): other draws than the loop's, the same law.
-    ``sample_mean``'s sampler reads ``(outcome, label)`` rows only; like
-    the contrasts of the other two, it first draws each replicate's
-    treated count, Binomial(m, n1 / n), then draws each arm's rows from
-    that arm alone.  :func:`~funcavg.estimators.contrast` forwards
-    ``batch``; any other statistic keeps the loop, the only caller of
-    :func:`index_blocks`.
+    replicate's index and the statistic's message.  The samplers of
+    ``midrange``, ``discrete_plugin_average`` and, on ``(outcome, label)``
+    rows, ``sample_mean`` are described in :mod:`funcavg.estimators`;
+    :func:`~funcavg.estimators.contrast` forwards them.
 
     Raises
     ------
+    ParameterError
+        If the statistic has no ``batch``, or its ``batch`` returns ``None``
+        for this input.
     ResampleError
-        If the statistic raises on a replicate that may not be dropped,
-        raises anything other than a ``FuncavgError``, or returns a
-        non-finite value; the replicate index is reported.
-    DataError
-        If more replicates fail than ``config.max_failure_share`` allows.
+        If the sampler returns a non-finite value; the first such replicate
+        is reported.
     """
     arr = finite_array(values, "resample input", ndims=(1, 2))
-    n = arr.shape[0]
-    m = config.size_for(n)
-    b = config.replicates
-
     t0 = float(statistic(arr))
     batch = getattr(statistic, "batch", None)
-    sampler = batch(arr) if batch is not None and not config.max_failure_share else None
-    gen = config.rng.generator()
-    dropped = np.zeros(b, dtype=bool)
-    if sampler is not None:
-        reps = sampler(gen, b, m)
-    else:
-        reps = np.empty(b, dtype=float)
-        for start, idx in index_blocks(gen, n, b, m):
-            for k, rows in enumerate(idx, start):
-                try:
-                    reps[k] = statistic(arr[rows])
-                except Exception as exc:
-                    if not (config.max_failure_share and isinstance(exc, FuncavgError)):
-                        raise ResampleError(k, str(exc)) from exc
-                    dropped[k] = True
-
-    bad = np.flatnonzero(~(np.isfinite(reps) | dropped))
+    sampler = batch(arr) if batch is not None else None
+    if sampler is None:
+        name = getattr(statistic, "__name__", repr(statistic))
+        raise ParameterError(f"{name} has no bootstrap sampler for {arr.ndim}-D input")
+    reps = sampler(config.rng.generator(), config.replicates, config.size_for(arr.shape[0]))
+    bad = np.flatnonzero(~np.isfinite(reps))
     if bad.size:
         raise ResampleError(int(bad[0]), "statistic returned a non-finite value")
-    failed = int(dropped.sum())
-    if failed > config.max_failure_share * b:
-        raise DataError(
-            f"{failed} of {b} bootstrap replicates failed, more than the "
-            f"{config.max_failure_share:.0%} tolerated; the statistic is too "
-            "fragile on this data to bootstrap")
-    return BootstrapDistribution(statistic=t0, replicates=reps[~dropped])
+    return BootstrapDistribution(statistic=t0, replicates=reps)
 
 
 def hoeffding_ci(dist: BootstrapDistribution, alpha: float = 0.05) -> IntervalEstimate:

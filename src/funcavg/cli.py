@@ -215,8 +215,12 @@ def _resolve_seed(flag_value) -> int:
 
 
 def _check_out_dir(ctx, param, prefix):
-    # Output is written last, so a missing directory is refused before the work.
-    folder = os.path.dirname(prefix or "")
+    # Output is written last, so a bad prefix is refused before the work.
+    if prefix is None:
+        return None
+    folder, name = os.path.split(prefix)
+    if name in ("", os.curdir, os.pardir):
+        raise click.BadParameter(f"{prefix!r} names no file; give a file name prefix")
     if folder and not os.path.isdir(folder):
         raise click.BadParameter(f"directory {folder!r} does not exist")
     return prefix

@@ -91,12 +91,12 @@ def paired_contrast(rows: np.ndarray, estimator) -> float:
     """Treated-minus-control ``estimator`` on ``(outcome, label)`` rows.
 
     Rows with label 1 form the treated arm, all others the control arm.
-    This is the per-replicate kernel for bootstrapping a contrast, so it
-    assumes what :meth:`TwoArmSample.from_labels` checks once on the full
-    columns: 0/1 labels and finite outcomes.  The one fault a resample
-    can introduce, an empty arm, raises :class:`~funcavg.errors.DataError`.
-    With :func:`sample_mean` it is the least-squares slope of outcome on
-    an intercept and the label.
+    It gives a bootstrapped contrast its point, and the tests a reference
+    to check the samplers against, so it assumes what
+    :meth:`TwoArmSample.from_labels` checks once on the full columns: 0/1
+    labels and finite outcomes.  An empty arm raises
+    :class:`~funcavg.errors.DataError`.  With :func:`sample_mean` it is
+    the least-squares slope of outcome on an intercept and the label.
     """
     mask = rows[:, 1] == 1
     treated = rows[mask, 0]
@@ -109,8 +109,8 @@ def paired_contrast(rows: np.ndarray, estimator) -> float:
 def contrast(estimator):
     """:func:`paired_contrast` bound to ``estimator``, as a resample statistic.
 
-    It forwards ``estimator.batch`` when there is one, so
-    :func:`~funcavg.bootstrap.resample` can batch the contrast.
+    It forwards ``estimator.batch`` when there is one: the sampler
+    :func:`~funcavg.bootstrap.resample` draws the contrast's replicates from.
     """
     statistic = functools.partial(paired_contrast, estimator=estimator)
     batch = getattr(estimator, "batch", None)
@@ -122,7 +122,7 @@ def contrast(estimator):
 # Samplers.  Each ``batch`` factory takes the array ``resample`` draws rows
 # from (after the statistic has succeeded on it), a 1-D sample or
 # ``(outcome, label)`` rows, and returns ``sampler(gen, b, m) -> (b,)``, the
-# values of ``b`` replicates of ``m`` draws, or ``None`` to keep the loop.
+# values of ``b`` replicates of ``m`` draws, or ``None`` where it has none.
 # The midrange and the plug-in draw each replicate from its exact law, not
 # from row indices.  The midrange reads only the ranks ``I <= J`` of the
 # extremes of ``m`` draws from ``n`` sorted values, with ``P(I >= i, J <= j)
@@ -204,7 +204,7 @@ def _plugin_sampler(arr: np.ndarray):
 
 def _mean_sampler(arr: np.ndarray):
     if arr.ndim == 1:
-        return None  # no caller bootstraps a plain mean
+        return None  # no caller bootstraps a plain mean; resample refuses it
     arms = _arms(arr)
     share = arms[1].size / arr.shape[0]
 

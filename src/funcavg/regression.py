@@ -30,10 +30,11 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import stdtrit
 
-from .bootstrap import BootstrapConfig, percentile_ci, resample
+from .bootstrap import BootstrapDistribution, index_blocks, percentile_ci
 from .dataset import Dataset
-from .errors import (ConvergenceError, DataError, ParameterError, SingularDesignError,
-                     StratificationError, check_alpha, finite_array)
+from .errors import (ConvergenceError, DataError, FuncavgError, ParameterError, ResampleError,
+                     SingularDesignError, StratificationError, check_alpha, check_count,
+                     finite_array)
 from .formula import ModelSpec, Term
 from .intervals import IntervalEstimate
 from .rng import RngStream
@@ -109,10 +110,7 @@ class RegressionFit:
                 raise ParameterError(
                     f"no coefficient named {coefficient!r}; available: "
                     f"{', '.join(self.design.column_names)}") from None
-        idx = int(coefficient)
-        if not 0 <= idx < len(self.coefficients):
-            raise ParameterError(f"coefficient index {idx} out of range")
-        return idx
+        return check_count(coefficient, "coefficient index", 0, len(self.coefficients))
 
     def coefficient(self, coefficient: int | str) -> float:
         return float(self.coefficients[self.coefficient_index(coefficient)])
@@ -343,24 +341,45 @@ def standardization_contrast(dataset: Dataset, model: ModelSpec, treatment: str)
     return float(np.mean(diff))
 
 
+# Share of the refits that may raise a package error and be dropped.
+_MAX_FAILED_REFITS = 0.05
+
+
 def _percentile_over_refits(dataset: Dataset, rng: RngStream, replicates: int,
                             alpha: float, point_fn: Callable[[Dataset], float]
                             ) -> IntervalEstimate:
-    """Percentile interval of ``point_fn`` over bootstrap row resamples,
-    dropping refits that fail as long as no more than 5% of them do."""
+    """Percentile interval of ``point_fn`` over bootstrap row resamples.
+
+    The point is fitted on the dataset as given: a row copy makes strided
+    CSV columns contiguous, and that can move a fit in the last bits.
+    Replicate ``k`` refits on row ``k`` of the :func:`index_blocks` draw.
+    A refit that raises a package error is dropped, as long as no more
+    than 5% are; any other exception, or a non-finite value, is a
+    :class:`~funcavg.errors.ResampleError` naming the replicate.
+    """
     alpha = check_alpha(alpha)
-    every_row = np.arange(dataset.n_rows, dtype=float)
-
-    def refit(rows: np.ndarray) -> float:
-        # resample passes ``every_row`` itself for the original sample, which
-        # is fitted on the dataset as given: a row copy makes strided CSV
-        # columns contiguous, and that can move a fit in the last bits.
-        if rows is every_row:
-            return point_fn(dataset)
-        return point_fn(dataset.take(rows.astype(np.intp)))
-
-    config = BootstrapConfig(replicates, rng, max_failure_share=0.05)
-    return percentile_ci(resample(every_row, config, refit), alpha)
+    b = check_count(replicates, "replicates", 2)
+    point = point_fn(dataset)
+    n = dataset.n_rows
+    kept = []
+    for start, idx in index_blocks(rng.generator(), n, b, n):
+        for k, rows in enumerate(idx, start):
+            try:
+                value = point_fn(dataset.take(rows))
+            except FuncavgError:
+                continue
+            except Exception as exc:
+                raise ResampleError(k, str(exc)) from exc
+            if not math.isfinite(value):
+                raise ResampleError(k, "statistic returned a non-finite value")
+            kept.append(value)
+    failed = b - len(kept)
+    if failed > _MAX_FAILED_REFITS * b:
+        raise DataError(
+            f"{failed} of {b} bootstrap replicates failed, more than the "
+            f"{_MAX_FAILED_REFITS:.0%} tolerated; the statistic is too fragile on "
+            "this data to bootstrap")
+    return percentile_ci(BootstrapDistribution(point, np.array(kept)), alpha)
 
 
 def standardization_bootstrap_se(dataset: Dataset, model: ModelSpec, treatment: str,
@@ -369,10 +388,10 @@ def standardization_bootstrap_se(dataset: Dataset, model: ModelSpec, treatment: 
     """Percentile interval for the standardized 1 vs 0 contrast under row
     resampling.
 
-    Each replicate refits the model from scratch on a resampled dataset,
-    through :func:`~funcavg.bootstrap.resample`.  Replicates whose refit
-    raises a package error are dropped; more than 5% of them failing
-    aborts with an error instead of quietly reporting a fragile interval.
+    Each replicate refits the model from scratch on a resampled dataset.
+    Replicates whose refit raises a package error are dropped; more than
+    5% of them failing aborts with an error instead of quietly reporting a
+    fragile interval.
 
     The name is older than the return value, which is an interval and not
     a standard error; it stays because perfbench's tracer wraps this

@@ -13,9 +13,11 @@ from funcavg.bootstrap import (
     resample,
     sqrt_resample_size,
 )
+from funcavg.dataset import Dataset
 from funcavg.distributions import TruncatedNormalSpec, sample_truncated_normal
 from funcavg.errors import DataError, ParameterError, ResampleError
-from funcavg.estimators import midrange
+from funcavg.estimators import contrast, midrange, sample_mean
+from funcavg.regression import _percentile_over_refits
 from funcavg.rng import RngStream
 
 # Frozen closed-form multipliers at alpha = 0.05.
@@ -116,112 +118,139 @@ def test_resample_is_equivariant_under_affine_maps():
     assert ci1.upper == pytest.approx(3.0 * ci0.upper - 7.0, rel=1e-12)
 
 
+def numbered(n, **columns):
+    """A dataset whose column ``i`` numbers its ``n`` rows."""
+    return Dataset({"i": np.arange(float(n)), **columns})
+
+
+def refit(dataset, point_fn, replicates, seed=(3,)):
+    return _percentile_over_refits(dataset, RngStream(*seed), replicates, 0.05, point_fn)
+
+
 def test_resample_chunking_does_not_change_results(monkeypatch):
     import funcavg.bootstrap as bs
     x = sample_truncated_normal(TruncatedNormalSpec(0, 20, 10, 5), 300,
                                 RngStream(8, (0,)))
     cfg = BootstrapConfig(replicates=40, rng=RngStream(8, (1,)))
-    # midrange runs its sampler; the lambda, with no ``batch``, the loop.
-    statistics = (midrange, lambda rows: midrange(rows))
-    whole = [resample(x, cfg, statistic) for statistic in statistics]
+
+    def run():
+        # midrange's sampler, and the rows of each refit's draw.
+        drawn = []
+        refit(numbered(300), lambda ds: drawn.append(ds.column("i")) or 0.0, 40, (8, (1,)))
+        return resample(x, cfg, midrange).replicates, np.array(drawn)
+
+    whole = run()
     monkeypatch.setattr(bs, "_CHUNK_CELLS", 900)  # forces many small chunks
-    split = [resample(x, cfg, statistic) for statistic in statistics]
+    split = run()
     for a, b in zip(whole, split):
-        assert np.array_equal(a.replicates, b.replicates)
+        assert np.array_equal(a, b)
+
+
+def test_resample_refuses_a_statistic_without_a_sampler():
+    cfg = BootstrapConfig(replicates=10, rng=RngStream(0))
+    with pytest.raises(ParameterError, match="^<lambda> has no bootstrap sampler"):
+        resample(np.arange(8.0), cfg, lambda s: float(s.mean()))
+    # The mean's sampler reads (outcome, label) rows only.
+    with pytest.raises(ParameterError, match="^sample_mean has no bootstrap sampler for 1-D"):
+        resample(np.arange(8.0), cfg, sample_mean)
 
 
 def test_resample_rows_jointly_for_two_column_data():
-    rows = np.column_stack([np.arange(50.0), np.arange(50.0) * 2.0])
-    cfg = BootstrapConfig(replicates=30, rng=RngStream(2, (0,)))
-    # Row pairing must survive resampling: column 1 is exactly twice column 0.
-    def paired_gap(block):
-        return float(np.max(np.abs(block[:, 1] - 2.0 * block[:, 0])))
-    d = resample(rows, cfg, paired_gap)
-    assert np.all(d.replicates == 0.0)
+    # Row pairing must survive resampling: column ``twice`` is exactly twice
+    # column ``i`` in every refit's rows.
+    def paired_gap(ds):
+        return float(np.max(np.abs(ds.column("twice") - 2.0 * ds.column("i"))))
+
+    ci = refit(numbered(50, twice=np.arange(50.0) * 2.0), paired_gap, 30)
+    assert (ci.point, ci.lower, ci.upper) == (0.0, 0.0, 0.0)
 
 
 def test_resample_reports_failing_replicate():
     calls = {"n": 0}
 
-    def flaky(sample):
+    def flaky(ds):
         calls["n"] += 1
         if calls["n"] == 5:  # original + replicates 0..2 fine, replicate 3 fails
             raise ValueError("boom")
-        return float(sample.mean())
+        return float(ds.column("i").mean())
 
-    with pytest.raises(ResampleError) as err:
-        resample(np.arange(20.0), BootstrapConfig(replicates=10, rng=RngStream(0)),
-                 flaky)
+    with pytest.raises(ResampleError, match="^replicate 3: boom$") as err:
+        refit(numbered(20), flaky, 10)
     assert err.value.replicate == 3
 
 
 def test_resample_rejects_non_finite_statistic():
-    with pytest.raises(ResampleError):
-        resample(np.arange(8.0), BootstrapConfig(replicates=4, rng=RngStream(0)),
-                 lambda s: float("nan"))
+    # One treated outcome near the largest double: a replicate that draws
+    # it twice overflows the treated arm's sum.  The sampler's first
+    # non-finite replicate is the one named.
+    rows = np.column_stack([np.r_[1.7e308, np.zeros(19)], np.r_[np.ones(10), np.zeros(10)]])
+    cfg = BootstrapConfig(replicates=40, rng=RngStream(0))
+    with np.errstate(over="ignore"):
+        reps = sample_mean.batch(rows)(cfg.rng.generator(), 40, 20)
+        with pytest.raises(ResampleError, match="non-finite") as err:
+            resample(rows, cfg, contrast(sample_mean))
+    assert np.isfinite(contrast(sample_mean)(rows))
+    assert err.value.replicate == np.flatnonzero(~np.isfinite(reps))[0] > 0
 
 
 def test_resample_row_draws_match_one_draw_per_replicate():
     # The reference loop: one integers(0, n, size=n) call per replicate.
     # Philox spends one 32-bit word per index for n < 2**32, so the
-    # engine's (rows, n) blocks give the same indices.
+    # refits' (rows, n) blocks give the same indices.
     n, b = 37, 25
     drawn = []
-    resample(np.arange(float(n)), BootstrapConfig(b, RngStream(5, (2,))),
-             lambda rows: drawn.append(rows.astype(np.intp)) or 0.0)
+    refit(numbered(n), lambda ds: drawn.append(ds.column("i")) or 0.0, b, (5, (2,)))
     gen = RngStream(5, (2,)).generator()
     expected = [gen.integers(0, n, size=n) for _ in range(b)]
+    assert np.array_equal(drawn[0], np.arange(n))  # the point: the dataset as given
     assert np.array_equal(np.array(drawn[1:]), np.array(expected))
 
 
-def fails_on(replicates, error):
-    """Sample mean that raises ``error`` on the given replicate indices, or
-    returns NaN there when ``error`` is None."""
+def fails_on(replicates, error, returned=None):
+    """Mean row number that raises ``error`` on the given replicate indices,
+    or returns NaN there when ``error`` is None; appends every value it
+    returns to ``returned``."""
     calls = {"n": -1}  # the first call is the original sample
 
-    def statistic(sample):
+    def statistic(ds):
         k = calls["n"]
         calls["n"] += 1
         if k in replicates:
             if error is None:
                 return float("nan")
             raise error
-        return float(sample.mean())
+        value = float(ds.column("i").mean())
+        if returned is not None:
+            returned.append(value)
+        return value
 
     return statistic
 
 
 def test_resample_drops_package_errors_within_the_failure_share():
-    x = np.arange(20.0)
-    plain = resample(x, BootstrapConfig(40, RngStream(3)), fails_on((), None))
-    tolerant = BootstrapConfig(40, RngStream(3), max_failure_share=0.05)
-    d = resample(x, tolerant, fails_on((3, 17), DataError("degenerate")))
-    assert np.array_equal(d.replicates, np.delete(plain.replicates, [3, 17]))
-    assert d.statistic == plain.statistic
-    # At the default share of 0 the same failure names its replicate.
-    with pytest.raises(ResampleError) as err:
-        resample(x, BootstrapConfig(40, RngStream(3)),
-                 fails_on((3,), DataError("degenerate")))
-    assert err.value.replicate == 3
+    values = []
+    refit(numbered(20), fails_on((), None, values), 40)
+    point, plain = values[0], np.array(values[1:])
+    ci = refit(numbered(20), fails_on((3, 17), DataError("degenerate")), 40)
+    assert ci == percentile_ci(dist(point, np.delete(plain, [3, 17])))
+    assert ci != percentile_ci(dist(point, plain))
 
 
 def test_resample_failure_share_limits():
-    x = np.arange(20.0)
-    tolerant = BootstrapConfig(40, RngStream(3), max_failure_share=0.05)
-    with pytest.raises(DataError, match="3 of 40"):
-        resample(x, tolerant, fails_on((1, 2, 30), DataError("degenerate")))
+    with pytest.raises(DataError, match="^3 of 40 bootstrap replicates failed, more than "
+                                        "the 5% tolerated"):
+        refit(numbered(20), fails_on((1, 2, 30), DataError("degenerate")), 40)
     # Anything but a package error is a bug, never dropped.
     with pytest.raises(ResampleError) as err:
-        resample(x, tolerant, fails_on((6,), ZeroDivisionError("bug")))
+        refit(numbered(20), fails_on((6,), ZeroDivisionError("bug")), 40)
     assert err.value.replicate == 6
     assert isinstance(err.value.__cause__, ZeroDivisionError)
     # A non-finite value is not a failure the share covers.
     with pytest.raises(ResampleError, match="non-finite") as err:
-        resample(x, tolerant, fails_on((5,), None))
+        refit(numbered(20), fails_on((5,), None), 40)
     assert err.value.replicate == 5
-    for share in (-0.1, 1.0, float("nan")):
-        with pytest.raises(ParameterError):
-            BootstrapConfig(40, RngStream(3), max_failure_share=share)
+    with pytest.raises(ParameterError, match="^replicates must be an integer of at least 2"):
+        refit(numbered(20), fails_on((), None), 1)
 
 
 def test_config_validation():

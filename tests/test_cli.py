@@ -583,16 +583,21 @@ def test_undecodable_bytes_exit_one(tmp_path, command):
 
 
 @pytest.mark.parametrize("command", ["estimate", "simulate", "diagnose"])
-def test_out_in_a_missing_directory_is_a_usage_error(tmp_path, command):
+def test_out_in_a_missing_directory_is_a_usage_error(tmp_path, monkeypatch, command):
     # The bad cell would fail ingest with exit 1, so exit 2 and no seed
-    # echo show that the prefix was refused before any work.
+    # echo show that the prefix was refused before any work.  A prefix
+    # with no file name would write hidden files such as ``.csv`` or ``..csv``.
+    monkeypatch.chdir(tmp_path)
     path = write_csv(tmp_path / "d.csv", ["y", "t"], [["1.0", "0"], ["oops", "1"]])
-    prefix = str(tmp_path / "missing" / "out")
-    result = CliRunner().invoke(main, [*_command_args(command, path), "--out", prefix])
-    assert result.exit_code == 2
-    assert "does not exist" in result.stderr
-    assert "seed:" not in result.stderr
-    assert not (tmp_path / "missing").exists()
+    cases = [(str(tmp_path / "missing" / "out"), "does not exist"),
+             ("", "names no file"), (f"{tmp_path}{os.sep}", "names no file"),
+             (".", "names no file")]
+    for prefix, message in cases:
+        result = CliRunner().invoke(main, [*_command_args(command, path), "--out", prefix])
+        assert result.exit_code == 2
+        assert message in result.stderr
+        assert "seed:" not in result.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
 
 
 @pytest.mark.parametrize("command", ["estimate", "simulate", "diagnose"])

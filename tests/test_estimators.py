@@ -1,4 +1,3 @@
-import functools
 import re
 
 import numpy as np
@@ -7,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from funcavg.bootstrap import BootstrapConfig, BootstrapDistribution, resample
+from funcavg.bootstrap import BootstrapConfig, BootstrapDistribution, index_blocks, resample
 from funcavg.dataset import Dataset
-from funcavg.errors import DataError, ResampleError
+from funcavg.errors import DataError, ParameterError, ResampleError
 from funcavg.rng import RngStream
 from funcavg.estimators import (
     TwoArmSample,
@@ -120,16 +119,25 @@ def test_paired_contrast_matches_the_arm_split_and_rejects_an_empty_arm():
     lone = np.column_stack([np.arange(40.0), np.eye(40)[0]])
     for est in (midrange, sample_mean):
         with pytest.raises(ResampleError, match="replicate"):
-            resample(lone, BootstrapConfig(50, RngStream(3)),
-                     functools.partial(paired_contrast, estimator=est))
+            resample(lone, BootstrapConfig(50, RngStream(3)), contrast(est))
 
 
-# Samplers.  Each draws from the exact bootstrap law, not from the loop's
-# row indices (tests/test_bootstrap_law.py checks the law).
+# Samplers.  Each draws from the exact bootstrap law, not from row indices
+# (tests/test_bootstrap_law.py checks the law).
 
-def _loop_only(statistic):
-    """``statistic`` without its ``batch`` attribute."""
-    return lambda rows: statistic(rows)
+def _looped(values, config, statistic):
+    """Reference replicates: ``statistic`` on the rows of each replicate of
+    the index draw, and the first failure as a ResampleError naming it."""
+    arr = np.asarray(values, dtype=float)
+    reps = np.empty(config.replicates)
+    m = config.size_for(arr.shape[0])
+    for start, idx in index_blocks(config.rng.generator(), arr.shape[0], config.replicates, m):
+        for k, rows in enumerate(idx, start):
+            try:
+                reps[k] = statistic(arr[rows])
+            except DataError as exc:
+                raise ResampleError(k, str(exc)) from exc
+    return reps
 
 
 def _kernel_cases():
@@ -158,7 +166,7 @@ def _kernel_cases():
 @pytest.mark.parametrize("size", ["full", "sqrt"])
 @pytest.mark.parametrize("values,statistic", _kernel_cases())
 def test_batch_kernels_match_the_per_row_loop(monkeypatch, cells, size, values, statistic):
-    """The sampler's replicates follow the law of the per-row loop's.
+    """The sampler's replicates follow the law of the reference loop's.
 
     The two draw differently, so they agree in law, not bit for bit.  A
     two-sample Kolmogorov-Smirnov test of 2,000 sampler replicates against
@@ -169,16 +177,15 @@ def test_batch_kernels_match_the_per_row_loop(monkeypatch, cells, size, values, 
     monkeypatch.setattr(bs, "_CHUNK_CELLS", cells)
     assert statistic.batch(values) is not None
     drawn = resample(values, BootstrapConfig(2000, RngStream(4), size), statistic)
-    looped = resample(values, BootstrapConfig(2000, RngStream(5), size),
-                      _loop_only(statistic))
-    assert stats.ks_2samp(drawn.replicates, looped.replicates).pvalue >= 1e-3
+    looped = _looped(values, BootstrapConfig(2000, RngStream(5), size), statistic)
+    assert stats.ks_2samp(drawn.replicates, looped).pvalue >= 1e-3
 
 
 @pytest.mark.parametrize("estimator", [midrange, discrete_plugin_average, sample_mean])
 @pytest.mark.parametrize("lone_label", [1.0, 0.0])
 def test_batched_contrast_reports_an_empty_arm_like_the_loop(estimator, lone_label):
-    # Both paths raise a ResampleError with the statistic's message for the
-    # first replicate that leaves an arm empty.  The samplers draw from the
+    # The sampler and the reference loop both raise a ResampleError with the
+    # statistic's message for the first replicate that leaves an arm empty.  The samplers draw from the
     # exact law, not the loop's indices, so the replicates they name differ;
     # test_sampler_names_the_first_replicate_with_an_empty_arm checks theirs.
     labels = np.full(40, 1.0 - lone_label)
@@ -190,20 +197,9 @@ def test_batched_contrast_reports_an_empty_arm_like_the_loop(estimator, lone_lab
     with pytest.raises(ResampleError) as batched:
         resample(rows, config, statistic)
     with pytest.raises(ResampleError) as looped:
-        resample(rows, config, _loop_only(statistic))
+        _looped(rows, config, statistic)
     for err in (batched.value, looped.value):
         assert str(err) == f"replicate {err.replicate}: both treatment arms must be non-empty"
-
-
-@pytest.mark.parametrize("estimator", [midrange, discrete_plugin_average, sample_mean])
-def test_contrast_with_a_failure_share_still_drops_replicates(estimator):
-    labels = np.zeros(40)
-    labels[:2] = 1.0
-    rows = np.column_stack([np.arange(40.0), labels])
-    config = BootstrapConfig(50, RngStream(3), max_failure_share=0.5)
-    got = resample(rows, config, contrast(estimator)).replicates
-    assert 0 < got.size < 50  # some replicates lost the treated arm
-    assert np.array_equal(got, resample(rows, config, _loop_only(contrast(estimator))).replicates)
 
 
 # Sampler edge cases.
@@ -280,8 +276,11 @@ def test_sampler_names_the_first_replicate_with_an_empty_arm(monkeypatch, estima
 def test_sampler_on_constant_samples(estimator):
     x = np.full(50, -3.25)
     if estimator is sample_mean:
-        assert estimator.batch(x) is None  # a plain sample keeps the loop
-    assert np.all(resample(x, BootstrapConfig(30, RngStream(4)), estimator).replicates == -3.25)
+        with pytest.raises(ParameterError, match="no bootstrap sampler"):
+            resample(x, BootstrapConfig(30, RngStream(4)), estimator)
+    else:
+        assert np.all(resample(x, BootstrapConfig(30, RngStream(4)), estimator).replicates
+                      == -3.25)
     # Any label other than 1 is control, as in paired_contrast.
     rows = np.column_stack([np.r_[np.full(20, 6.0), np.full(30, 1.5)],
                             np.r_[np.ones(20), np.zeros(15), np.full(15, 2.0)]])

@@ -10,22 +10,23 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "funcavg"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "funcavg"
 
-# perfbench/tracing.py traces a run by replacing these names in the module's
-# namespace, so each must stay imported there even where the module no
-# longer calls it.
-PERFBENCH_WRAPS = {
-    "simharness": {"midrange", "discrete_plugin_average", "resample", "hoeffding_ci",
-                   "hoeffding_u_ci", "percentile_ci", "popoviciu_check",
-                   "sample_truncated_normal", "sample_bernoulli",
-                   "sample_bernoulli_probs", "sample_binomial", "round_to_integers",
-                   "ols_fit"},
-    "cli": {"midrange", "resample", "hoeffding_ci", "ols_fit", "build_design",
-            "standardization_bootstrap_se", "ps_stratified_contrast", "ecdf",
-            "sum_symmetry_gap", "mean_midrange_distance", "residual_support_symmetry"},
-    "regression": {"ols_fit", "logistic_fit", "build_design", "design_from_columns"},
-}
+
+def perfbench_wraps() -> dict[str, set[str]]:
+    """Module name -> names perfbench/tracing.py's ``_MODULE_WRAPS`` replaces
+    in that module's namespace, read from its source with ``ast``.
+
+    The tracer traces a run by replacing these names, so each must stay
+    imported in its module even where the module no longer calls it.
+    """
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    table = next(node.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "_MODULE_WRAPS"
+                         for t in node.targets))
+    return {module.id: {elt.value for names in layers.values for elt in names.elts}
+            for module, layers in zip(table.keys, table.values)}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -57,4 +58,11 @@ def test_the_check_finds_an_unused_import():
                                         if p.name != "__init__.py"))
 def test_module_uses_every_name_it_imports(path):
     unused = set(unused_imports((PACKAGE / path).read_text(encoding="utf-8")))
-    assert unused - PERFBENCH_WRAPS.get(path[:-3], set()) == set()
+    assert unused - perfbench_wraps().get(path[:-3], set()) == set()
+
+
+def test_perfbench_wraps_are_read_from_the_tracer():
+    wraps = perfbench_wraps()
+    assert set(wraps) == {"simharness", "cli", "regression"}
+    assert {"resample", "ols_fit", "write_report"} <= wraps["simharness"]
+    assert {"ingest_csv", "standardization_bootstrap_se"} <= wraps["cli"]

@@ -105,6 +105,21 @@ def test_ols_recovers_treatment_coefficient():
     assert fit.coefficient("t") == pytest.approx(20.0, abs=0.2)
 
 
+def test_coefficient_index_is_a_count_below_p():
+    ds = linear_arm_data(60, seed=31)
+    fit = ols_fit(*build_design(ds, ARM_MODEL))
+    assert fit.coefficient(1) == fit.coefficient(np.int64(1)) == fit.coefficient("t")
+    # A float or a bool used to be truncated to a valid index.
+    for bad in (1.7, True, -1, 2):
+        with pytest.raises(ParameterError, match=r"^coefficient index must be an integer "
+                                                 r"in \[0, 2\), got "):
+            fit.coefficient(bad)
+    with pytest.raises(ParameterError, match="coefficient index"):
+        t_ci(fit, 1.0)
+    with pytest.raises(ParameterError, match="no coefficient named 'x'"):
+        fit.coefficient("x")
+
+
 def test_t_and_u_interval_means_match_reference_values():
     """Mean endpoints over 1000 fits at n=500 land on the frozen targets."""
     lowers_t, uppers_t, lowers_u, uppers_u, wider = [], [], [], [], 0

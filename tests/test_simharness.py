@@ -239,9 +239,8 @@ def test_report_bytes_match_pinned_digest(experiment):
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
 def test_every_bootstrap_runs_a_batch_kernel(experiment):
-    # resample calls a statistic's sampler whenever ``batch`` returns one.
-    # A table that falls back to the per-row loop still reports its rows,
-    # only several times slower; this makes that a failure.
+    # resample runs only a statistic's sampler and refuses a statistic
+    # without one; this names the table and estimator that would hit that.
     definition = _experiments()[experiment]
     for vi, (_, parameter, _) in enumerate(definition.variants):
         data, _ = definition.draw(parameter, 60, RngStream(7, (definition.number, vi)))
