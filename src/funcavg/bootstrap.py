@@ -165,7 +165,7 @@ def resample(values, config: BootstrapConfig,
     batch = getattr(statistic, "batch", None)
     sampler = batch(arr) if batch is not None else None
     if sampler is None:
-        name = getattr(statistic, "__name__", repr(statistic))
+        name = getattr(statistic, "__name__", type(statistic).__name__)
         raise ParameterError(f"{name} has no bootstrap sampler for {arr.ndim}-D input")
     reps = sampler(config.rng.generator(), config.replicates, config.size_for(arr.shape[0]))
     bad = np.flatnonzero(~np.isfinite(reps))

@@ -4,6 +4,9 @@ Supports are always bounded and known, because the estimands downstream are
 functionals of the support rather than of moments.  Each sampler takes an
 explicit :class:`~funcavg.rng.RngStream` so that simulation runs are
 reproducible draw for draw.
+
+The truncated-normal sampler imports ``scipy.special`` on its first call,
+so importing this module costs no scipy.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 from .errors import ParameterError, check_count, check_probability
 from .rng import RngStream
@@ -121,6 +123,8 @@ def sample_truncated_normal(spec: TruncatedNormalSpec, n, rng: RngStream) -> np.
         Float array of shape ``(n,)`` with every value inside
         ``[spec.lower, spec.upper]``.
     """
+    from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
+
     n = check_count(n, "n", 1)
     u = rng.generator().random(n)
     a = (spec.lower - spec.mu) / spec.sigma

@@ -111,8 +111,11 @@ def contrast(estimator):
 
     It forwards ``estimator.batch`` when there is one: the sampler
     :func:`~funcavg.bootstrap.resample` draws the contrast's replicates from.
+    Its ``__name__`` is ``contrast(<estimator name>)``, for messages.
     """
     statistic = functools.partial(paired_contrast, estimator=estimator)
+    name = getattr(estimator, "__name__", type(estimator).__name__)
+    statistic.__name__ = f"contrast({name})"
     batch = getattr(estimator, "batch", None)
     if batch is not None:
         statistic.batch = batch

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .bootstrap import BootstrapDistribution, index_blocks, percentile_ci
 from .dataset import Dataset
@@ -167,8 +166,11 @@ def t_ci(fit: RegressionFit, coefficient: int | str = 1,
     """Classical Student-t interval for one coefficient."""
     alpha = check_alpha(alpha)
     j = fit.coefficient_index(coefficient)
-    # The Student-t quantile; ``scipy.stats.t.ppf`` computes it with this
-    # same function, without the cost of importing ``scipy.stats``.
+    # The Student-t quantile, the function ``scipy.stats.t.ppf`` uses.  Its
+    # ``scipy.special`` import is deferred to the first call, so commands
+    # that never build a t interval never pay for it.
+    from scipy.special import stdtrit
+
     crit = float(stdtrit(fit.df_residual, 1.0 - alpha / 2.0))
     half = crit * float(fit.standard_errors[j])
     b = float(fit.coefficients[j])

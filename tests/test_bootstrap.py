@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from funcavg.bootstrap import (
 from funcavg.dataset import Dataset
 from funcavg.distributions import TruncatedNormalSpec, sample_truncated_normal
 from funcavg.errors import DataError, ParameterError, ResampleError
-from funcavg.estimators import contrast, midrange, sample_mean
+from funcavg.estimators import contrast, midrange, paired_contrast, sample_mean
 from funcavg.regression import _percentile_over_refits
 from funcavg.rng import RngStream
 
@@ -153,6 +154,20 @@ def test_resample_refuses_a_statistic_without_a_sampler():
     # The mean's sampler reads (outcome, label) rows only.
     with pytest.raises(ParameterError, match="^sample_mean has no bootstrap sampler for 1-D"):
         resample(np.arange(8.0), cfg, sample_mean)
+
+
+def test_statistic_without_a_sampler_is_named_without_addresses():
+    cfg = BootstrapConfig(replicates=10, rng=RngStream(0))
+    rows = np.array([[1.0, 0.0], [2.0, 1.0], [3.0, 0.0], [4.0, 1.0]])
+    with pytest.raises(ParameterError) as info:
+        resample(rows, cfg, contrast(lambda y: float(y.max())))
+    assert str(info.value).startswith("contrast(<lambda>) has no bootstrap sampler")
+    assert "0x" not in str(info.value)
+    # A statistic with no ``__name__`` at all is named by its type.
+    with pytest.raises(ParameterError, match="^partial has no bootstrap sampler") as info:
+        resample(rows, cfg, functools.partial(paired_contrast, estimator=max))
+    assert "0x" not in str(info.value)
+    assert contrast(midrange).__name__ == "contrast(midrange)"
 
 
 def test_resample_rows_jointly_for_two_column_data():

@@ -389,15 +389,45 @@ def test_ingest_of_a_dirty_file_holds_little_beyond_its_bytes_and_columns(tmp_pa
     assert peak < 2.5 * (path.stat().st_size + data.n_rows * 5 * 8)
 
 
-@pytest.mark.parametrize("module", ["scipy.stats", "scipy.linalg"])
-def test_cli_import_leaves_scipy_stats_out(module):
+def fresh_python(code, cwd=None):
+    """Stdout of ``code`` run in a fresh interpreter that imports this package."""
     src = str(Path(funcavg.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    probe = f"import sys, funcavg.cli; print({module!r} in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
+    result = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    return result.stdout
+
+
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.linalg", "scipy.special"])
+def test_cli_import_leaves_scipy_stats_out(module):
+    # The package alone, then the CLI on top of it.
+    probe = (f"import sys, funcavg; print({module!r} in sys.modules)\n"
+             f"import funcavg.cli; print({module!r} in sys.modules)")
+    assert fresh_python(probe).splitlines()[-2:] == ["False", "False"]
+
+
+# Only a command that builds a t interval or draws a truncated normal loads
+# ``scipy.special``; the last two cases show the probe sees it when it does.
+@pytest.mark.parametrize("argv, loads", [
+    (["estimate", "d.csv", "--outcome", "y", "--treatment", "t", "--method", "Av"], False),
+    (["estimate", "d.csv", "--outcome", "y", "--treatment", "t", "--covariates", "x",
+      "--method", "S", "--b", "20"], False),
+    (["estimate", "d.csv", "--outcome", "y", "--treatment", "t", "--covariates", "x",
+      "--method", "PS", "--b", "20"], False),
+    (["diagnose", "d.csv", "--outcome", "y", "--treatment", "t", "--covariates", "x"],
+     False),
+    (["--help"], False),
+    (["estimate", "d.csv", "--outcome", "y", "--treatment", "t", "--covariates", "x",
+      "--method", "MR"], True),
+    (["simulate", "--table", "2", "--m", "1", "--b", "20"], True),
+], ids=["Av", "S", "PS", "diagnose", "help", "MR", "simulate"])
+def test_only_commands_that_use_scipy_special_load_it(tmp_path, argv, loads):
+    two_arm_csv(tmp_path / "d.csv")
+    probe = ("import sys\nfrom funcavg.cli import main\n"
+             f"assert main({argv!r}, standalone_mode=False) in (0, None)\n"
+             "print('scipy.special' in sys.modules)")
+    assert fresh_python(probe, cwd=tmp_path).splitlines()[-1] == str(loads)
 
 
 # Exit codes.

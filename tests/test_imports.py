@@ -1,8 +1,12 @@
-"""Every name a module imports is used in it.
+"""Every name a module imports is used in it, and no module imports scipy
+when it is imported.
 
-There is no linter in the toolchain, so this test stands in for one rule of
-one: it parses each module with ``ast`` and fails on an imported name that
-no expression in the module reads and ``__all__`` does not export.
+There is no linter in the toolchain, so these tests stand in for two rules
+of one: they parse each module with ``ast`` and fail on an imported name
+that no expression in the module reads and ``__all__`` does not export, and
+on a ``scipy`` import that runs at import time rather than inside a
+function.  ``scipy.special`` alone costs about 0.3 s, which every command,
+``--help`` included, would pay.
 """
 
 import ast
@@ -54,8 +58,48 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports(source) == ["pi", "DataError"]
 
 
-@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py")
-                                        if p.name != "__init__.py"))
+def import_time_scipy_imports(source: str) -> list[int]:
+    """Lines of the ``scipy`` imports in ``source`` that run when it is
+    imported: every one outside a function body (class bodies run too)."""
+    lines = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                modules = [child.module or ""]
+            else:
+                modules = []
+            if any(m.split(".")[0] == "scipy" for m in modules):
+                lines.append(child.lineno)
+            visit(child)
+
+    visit(ast.parse(source))
+    return lines
+
+
+def test_the_check_finds_an_import_time_scipy_import():
+    source = ("import scipy\nimport numpy, scipy.special as sp\n"
+              "from scipy.special import ndtr\nfrom .scipy import x\n"
+              "import scipyx\nif True:\n    from scipy import stats\n"
+              "class C:\n    from scipy.special import stdtrit\n"
+              "    def m(self):\n        import scipy.linalg\n"
+              "def f():\n    from scipy.special import ndtri\n    return ndtri\n")
+    assert import_time_scipy_imports(source) == [1, 2, 3, 7, 9]
+
+
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", MODULES)
+def test_module_imports_scipy_only_inside_functions(path):
+    assert import_time_scipy_imports((PACKAGE / path).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", [name for name in MODULES if name != "__init__.py"])
 def test_module_uses_every_name_it_imports(path):
     unused = set(unused_imports((PACKAGE / path).read_text(encoding="utf-8")))
     assert unused - perfbench_wraps().get(path[:-3], set()) == set()
