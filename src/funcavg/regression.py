@@ -1,9 +1,13 @@
 """Regression fits and coefficient intervals, classical and range-based.
 
-OLS runs through a thin QR factorization ``X = QR``.  Coefficients are
-linear in the response, ``beta_s = w_s . y`` with ``w_s`` row ``s`` of
-``R^-1 Q^T``; the intervals need only ``||w_s||_2``, which are the row norms
-of ``R^-1`` as ``Q`` has orthonormal columns, so the fit keeps just those.
+OLS factors the augmented matrix ``[X | y]`` once, keeping only its
+triangular factor: the leading p-by-p block is the ``R`` of ``X = QR`` and
+the last column above the diagonal is ``Q^T y``, so the coefficients solve
+``R b = Q^T y`` without ``Q`` ever being formed (Bjorck 1996, *Numerical
+Methods for Least Squares Problems*).  Coefficients are linear in the
+response, ``beta_s = w_s . y`` with ``w_s`` row ``s`` of ``R^-1 Q^T``; the
+intervals need only ``||w_s||_2``, which are the row norms of ``R^-1`` as
+``Q`` has orthonormal columns, so the fit keeps just those.
 Alongside the Student-t interval this module provides one driven entirely
 by the residual extremes: valid for symmetric bounded errors, no variance
 estimate involved.
@@ -71,7 +75,9 @@ class DesignMatrix:
 
 
 def _evaluate_terms(dataset: Dataset, terms: Sequence[Term]) -> DesignMatrix:
-    matrix = np.empty((dataset.n_rows, 1 + len(terms)))
+    # Column-major: each column is written contiguously, and the least-squares
+    # solve copies the whole block into its augmented array at once.
+    matrix = np.empty((dataset.n_rows, 1 + len(terms)), order="F")
     matrix[:, 0] = 1.0
     for j, term in enumerate(terms, start=1):
         matrix[:, j] = term.evaluate(dataset)
@@ -116,11 +122,25 @@ class RegressionFit:
 
 
 def _qr_solve(matrix: np.ndarray, rhs: np.ndarray, names: tuple[str, ...]):
-    """``(b, R)``: least squares ``matrix @ b ~ rhs`` by thin QR, raising
-    :class:`~funcavg.errors.SingularDesignError` at the first dependent column."""
-    q, r = np.linalg.qr(matrix)
-    _check_rank(r, matrix.shape, names)
-    return np.linalg.solve(r, q.T @ rhs), r
+    """``(b, R)``: least squares ``matrix @ b ~ rhs`` from the triangular
+    factor of ``[matrix | rhs]``, whose leading block is ``R`` and whose
+    last column holds ``Q^T rhs``.
+
+    Requires strictly more rows than columns, and raises
+    :class:`~funcavg.errors.SingularDesignError` at the first dependent
+    column.
+    """
+    n, p = matrix.shape
+    if n <= p:
+        raise DataError(f"need more observations than design columns, "
+                        f"got n={n}, p={p}")
+    augmented = np.empty((n, p + 1), order="F")
+    augmented[:, :p] = matrix
+    augmented[:, p] = rhs
+    r = np.linalg.qr(augmented, mode="r")
+    r_x = r[:p, :p]
+    _check_rank(r_x, (n, p), names)
+    return np.linalg.solve(r_x, r[:p, p]), r_x
 
 
 def _check_rank(r: np.ndarray, shape: tuple[int, int], names: tuple[str, ...]) -> None:
@@ -135,8 +155,10 @@ def _check_rank(r: np.ndarray, shape: tuple[int, int], names: tuple[str, ...]) -
 
 
 def ols_fit(design: DesignMatrix, response) -> RegressionFit:
-    """Ordinary least squares via thin QR.
+    """Ordinary least squares from the R factor of ``[X | y]``.
 
+    The residuals are ``y - X b``; the weight norms are the row norms of
+    ``R^-1`` and the residual variance is read off the residuals.
     Requires strictly more rows than columns so the residual variance has
     at least one degree of freedom.  A rank-deficient design raises
     :class:`~funcavg.errors.SingularDesignError` naming the first column
@@ -147,9 +169,6 @@ def ols_fit(design: DesignMatrix, response) -> RegressionFit:
     n, p = x.shape
     if y.shape != (n,):
         raise DataError(f"response shape {y.shape} does not match design rows {n}")
-    if n <= p:
-        raise DataError(f"need more observations than design columns, "
-                        f"got n={n}, p={p}")
     beta, r = _qr_solve(x, y, design.column_names)
     r_inv = np.linalg.solve(r, np.eye(p))
     squared_norms = np.sum(r_inv * r_inv, axis=1)
@@ -331,12 +350,18 @@ def standardization_contrast(dataset: Dataset, model: ModelSpec, treatment: str)
     a term with no other factor); terms without the treatment cancel.  So
     squares and interactions involving the treatment shift with it, and
     for a model with no treatment interactions this is exactly
-    ``beta_treatment``.
+    ``beta_treatment``.  A model with no term that mentions the treatment
+    is a :class:`~funcavg.errors.ParameterError`, as its contrast would be
+    0 whatever the data.  Only the coefficients are computed, not the
+    residuals or variances of :func:`ols_fit`.
     """
     dataset.column(treatment)
-    fit = ols_fit(*build_design(dataset, model))
+    if not any(term.mentions(treatment) for term in model.terms):
+        raise ParameterError(f"no model term mentions the treatment {treatment!r}")
+    design, y = build_design(dataset, model)
+    coefficients, _ = _qr_solve(design.matrix, y, design.column_names)
     diff = np.zeros(dataset.n_rows)
-    for coef, term in zip(fit.coefficients[1:], model.terms):
+    for coef, term in zip(coefficients[1:], model.terms):
         if term.mentions(treatment):
             others = tuple(name for name in term.factors if name != treatment)
             diff += coef * (Term(others).evaluate(dataset) if others else 1.0)

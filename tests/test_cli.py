@@ -690,11 +690,11 @@ def test_estimate_av_bytes_match_pinned_digest(tmp_path):
 
 
 @pytest.mark.parametrize("method, digest", [
-    ("LR", "09e00af41268644724be16f2a74c8d3bb935f0282534648bbaf8b64b104c4d73"),
-    ("MR", "c876cf02ba87fa8040544728c336cfa9058b00dcc1f9f1f325eebb3d0563e84e"),
-    ("S", "774057f19a3b299b513feea1a4a47b85673e0dad722995675e30b00efafc7e4e"),
-    ("PS", "02f567e7b00906a3ca888585dd1d398a7fbccd9f335313fde7748dd9f7608e56"),
-])
+    ("LR", "7a74f5b018d89d7695b5595d3e6ce906141ce99a873378f2620d45ce781c7f21"),
+    ("MR", "26aad99ec935bb4a2ba597302d5637d27d787bd68dcde672d4617535f357101e"),
+    ("S", "f7cb92c3a280fd8191ee3a02d1deeeed1dd6d785d94dfe741ba720b16f587e0a"),
+    ("PS", "3a41a750c655d8426c8ef44cc7880c5b46a9f529e17106bfda3842c868979de1"),
+], ids=["LR", "MR", "S", "PS"])  # named by method, so a re-pin keeps the test ids
 def test_estimate_refit_bytes_match_pinned_digest(tmp_path, method, digest):
     # As the Av digest above, for the methods that fit a model: LR and MR
     # once, S and PS on every bootstrap replicate.

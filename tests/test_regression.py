@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -95,8 +96,44 @@ def test_ols_rejects_rank_deficiency_naming_column():
 
 
 def test_ols_requires_more_rows_than_columns():
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="need more observations"):
         ols_fit(DesignMatrix(np.ones((2, 2)), ("intercept", "x")), np.ones(2))
+    # The contrast solves the same least squares without ols_fit.
+    ds = Dataset({"y": np.array([1.0, 2.0]), "t": np.array([0.0, 1.0])})
+    with pytest.raises(DataError, match="need more observations"):
+        standardization_contrast(ds, ARM_MODEL, "t")
+
+
+def _exact_least_squares(rows, response):
+    """Least-squares coefficients in exact rational arithmetic: the normal
+    equations of ``Fraction`` entries, by Gaussian elimination."""
+    p = len(rows[0])
+    a = [[sum(r[i] * r[j] for r in rows) for j in range(p)]
+         + [sum(r[i] * y for r, y in zip(rows, response))] for i in range(p)]
+    for c in range(p):
+        for r in range(c + 1, p):
+            factor = a[r][c] / a[c][c]
+            a[r] = [u - factor * v for u, v in zip(a[r], a[c])]
+    b = [Fraction(0)] * p
+    for i in reversed(range(p)):
+        b[i] = (a[i][p] - sum(a[i][j] * b[j] for j in range(i + 1, p))) / a[i][i]
+    return b
+
+
+def test_ols_keeps_its_digits_on_an_ill_conditioned_design():
+    # 1, x, x^2 at x = 1000 + k/8: every entry, and every response on its
+    # 1/64 grid, is exact in binary, and the design's condition number is
+    # about 5e11.  An orthogonal factorization keeps about 3e-11 relative
+    # error here; the normal equations X^T X b = X^T y, which square the
+    # condition number, lose about 5e-5.
+    xs = [Fraction(8000 + k, 8) for k in range(40)]
+    ys = [Fraction((k * k) % 17 - 5 * (k % 3), 64) for k in range(40)]
+    rows = [[Fraction(1), x, x * x] for x in xs]
+    exact = np.array([float(b) for b in _exact_least_squares(rows, ys)])
+    design = DesignMatrix(np.array(rows, dtype=float), ("intercept", "x", "x^2"))
+    assert np.linalg.cond(design.matrix) > 1e11
+    fit = ols_fit(design, np.array(ys, dtype=float))
+    np.testing.assert_allclose(fit.coefficients, exact, rtol=1e-8)
 
 
 def test_ols_recovers_treatment_coefficient():
@@ -424,6 +461,18 @@ def test_standardization_equals_slope_without_interactions():
     assert contrast == pytest.approx(fit.coefficient("t"), rel=1e-14)
 
 
+def test_standardization_needs_a_term_with_the_treatment():
+    # Such a model's contrast is 0 whatever the data, and its bootstrap
+    # would report a (0, 0) interval; the point fit raises before any refit.
+    ds = Dataset({"y": np.arange(10.0), "t": np.tile([0.0, 1.0], 5),
+                  "x": np.linspace(0.0, 1.0, 10)})
+    model = ModelSpec("y", (Term(("x",)),))
+    with pytest.raises(ParameterError, match="no model term mentions the treatment 't'"):
+        standardization_contrast(ds, model, "t")
+    with pytest.raises(ParameterError, match="treatment 't'"):
+        standardization_bootstrap_se(ds, model, "t", RngStream(3), replicates=20)
+
+
 def test_standardization_with_interaction_centered_covariate():
     n = 4000
     t = sample_bernoulli(BernoulliSpec(0.5), n, RngStream(15, (0,)))
@@ -574,19 +623,40 @@ def test_ps_refits_drop_failures_within_the_budget(monkeypatch):
                                 RngStream(4, (1,)), replicates=100)
     assert len(completed) == 1 + 98  # the point estimate, then the refits
     assert (ci.point, ci.lower, ci.upper) == \
-        (1.7220673047341322, 0.6791088418918039, 3.0211546612886244)
+        (1.7220673047341317, 0.6791088418918034, 3.021154661288625)
+
+
+def _qr_modes(monkeypatch):
+    """The ``mode`` of every ``np.linalg.qr`` call made from here on."""
+    modes = []
+    qr = np.linalg.qr
+
+    def recorded(a, mode="reduced"):
+        modes.append(mode)
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", recorded)
+    return modes
 
 
 def test_ps_refits_factor_each_design_twice(monkeypatch):
     # One QR per logistic fit (the design, factored once before its Newton
-    # steps) and one per OLS fit, for the point and each of the B refits.
-    calls = []
-    qr = np.linalg.qr
-    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
+    # steps) and one per OLS fit, for the point and each of the B refits;
+    # each keeps only its triangular factor.
+    modes = _qr_modes(monkeypatch)
     ci = ps_stratified_contrast(ps_pipeline_data(2000, seed=71), "y", "t", ["l"],
                                 RngStream(72, (0,)), replicates=20)
     assert math.isfinite(ci.point)
-    assert len(calls) == 2 * (20 + 1)
+    assert modes == ["r"] * (2 * (20 + 1))
+
+
+def test_standardization_refits_factor_each_design_once(monkeypatch):
+    # One R-only QR of [X | y] for the point and each of the B refits.
+    modes = _qr_modes(monkeypatch)
+    ci = standardization_bootstrap_se(linear_arm_data(300, seed=8), ARM_MODEL, "t",
+                                      RngStream(6, (1,)), replicates=20)
+    assert math.isfinite(ci.point)
+    assert modes == ["r"] * (20 + 1)
 
 
 def test_bootstrap_se_errors_when_refits_keep_failing():

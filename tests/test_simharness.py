@@ -224,9 +224,9 @@ def test_restricting_variants_reproduces_the_same_rows():
 PINNED_DIGESTS = {
     "table2": "5b280512ebf8b8b0c01a9119dfa1664b2cd8648c722ed262cc882d5c94e9d8bc",
     "table3": "1e864987844db258870e1fe78375ae46f0d7befa18321ebaaaba597e158ffc59",
-    "table4": "ae43f8a1bb606c2431c1da5b66656f0998d97a244a1c52ded4d3652a11093e48",
-    "table5": "90e570329dfc8eb16ddc5e021c4622cf51fe4063748e387c624df730888b7996",
-    "table6": "ad2f45dcf39b997774b53f64a13568da8200665b82f67744f7c92b9831660543",
+    "table4": "88aae6462c6dff8ad68579a9b71bb428d8d24226fea1ed20703785a7823db378",
+    "table5": "2806f7f3f1fa88d8ddad9a566c051171a7bae87a33ce33cac5afc7c3822fb82f",
+    "table6": "8b0add489a76c35a5cb5cefa025425b5dd19de58e3f57e62cde9e05b8a21b8a5",
 }
 
 
