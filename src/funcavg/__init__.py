@@ -18,7 +18,7 @@ from .bootstrap import (
     resample,
     sqrt_resample_size,
 )
-from .dataset import Dataset
+from .dataset import Dataset, TwoArmSample
 from .diagnostics import (
     EcdfCurve,
     SupportSymmetryReport,
@@ -49,14 +49,7 @@ from .errors import (
     SingularDesignError,
     StratificationError,
 )
-from .estimators import (
-    TwoArmSample,
-    contrast,
-    discrete_plugin_average,
-    midrange,
-    paired_contrast,
-    sample_mean,
-)
+from .estimators import discrete_plugin_average, midrange, sample_mean
 from .formula import ModelSpec, Term
 from .intervals import IntervalEstimate
 from .regression import (
@@ -122,7 +115,6 @@ __all__ = [
     "TruncatedNormalSpec",
     "TwoArmSample",
     "build_design",
-    "contrast",
     "desk_spec",
     "design_from_columns",
     "discrete_plugin_average",
@@ -136,7 +128,6 @@ __all__ = [
     "mean_midrange_distance",
     "midrange",
     "ols_fit",
-    "paired_contrast",
     "percentile_ci",
     "popoviciu_check",
     "propensity_strata",

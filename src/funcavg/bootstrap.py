@@ -25,6 +25,7 @@ from typing import Callable
 
 import numpy as np
 
+from .dataset import TwoArmSample
 from .errors import (DataError, ParameterError, ResampleError, check_alpha, check_count,
                      finite_array)
 from .intervals import IntervalEstimate
@@ -133,26 +134,29 @@ def index_blocks(gen: np.random.Generator, n: int, b: int, m: int):
         yield start, gen.integers(0, n, size=(stop - start, m))
 
 
-def resample(values, config: BootstrapConfig,
+def resample(sample, config: BootstrapConfig,
              statistic: Callable[[np.ndarray], float]) -> BootstrapDistribution:
     """Evaluate ``statistic`` on the sample and draw its bootstrap replicates
     from the statistic's sampler.
 
-    ``values`` may be 1-D (a plain sample) or 2-D (rows resampled jointly,
-    for paired outcome/treatment data).  After the statistic succeeded on
-    the sample, ``statistic.batch(arr)`` is called once with the float
-    array the rows come from; it returns a sampler ``sampler(gen, b, m) ->
-    (b,)`` that draws all ``b`` replicate values of ``m`` rows each from
-    ``gen``, off the stream in one order however chunked.  Where the
-    statistic would raise, the sampler raises
-    :class:`~funcavg.errors.ResampleError` with the first failing
-    replicate's index and the statistic's message.  The samplers of
-    ``midrange``, ``discrete_plugin_average`` and, on ``(outcome, label)``
-    rows, ``sample_mean`` are described in :mod:`funcavg.estimators`;
-    :func:`~funcavg.estimators.contrast` forwards them.
+    ``sample`` is a 1-D array, or a :class:`~funcavg.dataset.TwoArmSample`,
+    whose statistic is the contrast ``statistic(treated) -
+    statistic(control)``.  Each replicate draws
+    ``config.size_for(len(sample))`` rows, over both arms together.  After
+    the statistic succeeded on the sample, ``statistic.batch(sample)`` is
+    called once; it returns a sampler ``sampler(gen, b, m) -> (b,)`` that
+    draws all ``b`` replicate values of ``m`` rows each from ``gen``, off the
+    stream in one order however chunked.  Where the statistic would raise,
+    the sampler raises :class:`~funcavg.errors.ResampleError` with the first
+    failing replicate's index and the statistic's message.  The samplers of
+    ``midrange``, ``discrete_plugin_average`` and, of two arms only,
+    ``sample_mean`` are described in :mod:`funcavg.estimators`.
 
     Raises
     ------
+    DataError
+        If ``sample`` is neither a two-arm sample nor a non-empty, finite
+        1-D array.
     ParameterError
         If the statistic has no ``batch``, or its ``batch`` returns ``None``
         for this input.
@@ -160,14 +164,18 @@ def resample(values, config: BootstrapConfig,
         If the sampler returns a non-finite value; the first such replicate
         is reported.
     """
-    arr = finite_array(values, "resample input", ndims=(1, 2))
-    t0 = float(statistic(arr))
+    if isinstance(sample, TwoArmSample):
+        t0 = float(statistic(sample.treated) - statistic(sample.control))
+    else:
+        sample = finite_array(sample, "resample input")
+        t0 = float(statistic(sample))
     batch = getattr(statistic, "batch", None)
-    sampler = batch(arr) if batch is not None else None
+    sampler = batch(sample) if batch is not None else None
     if sampler is None:
         name = getattr(statistic, "__name__", type(statistic).__name__)
-        raise ParameterError(f"{name} has no bootstrap sampler for {arr.ndim}-D input")
-    reps = sampler(config.rng.generator(), config.replicates, config.size_for(arr.shape[0]))
+        kind = "two-arm" if isinstance(sample, TwoArmSample) else "1-D"
+        raise ParameterError(f"{name} has no bootstrap sampler for {kind} input")
+    reps = sampler(config.rng.generator(), config.replicates, config.size_for(len(sample)))
     bad = np.flatnonzero(~np.isfinite(reps))
     if bad.size:
         raise ResampleError(int(bad[0]), "statistic returned a non-finite value")

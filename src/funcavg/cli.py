@@ -33,10 +33,10 @@ import click
 import numpy as np
 
 from .bootstrap import BootstrapConfig, hoeffding_ci, resample
-from .dataset import Dataset
+from .dataset import Dataset, TwoArmSample
 from .diagnostics import ecdf, mean_midrange_distance, residual_support_symmetry, sum_symmetry_gap
 from .errors import CsvParseError, DataError, FuncavgError, SchemaError, check_count
-from .estimators import TwoArmSample, contrast, midrange
+from .estimators import midrange
 from .formula import ModelSpec, Term
 from .intervals import IntervalEstimate
 from .regression import (
@@ -295,11 +295,8 @@ def _estimate_rows(data: Dataset, outcome: str, treatment: str, covariates,
                 data, outcome, treatment, covariates, stream,
                 replicates=replicates, alpha=alpha)
         else:  # Av
-            values = data.column(outcome)
-            labels = data.column(treatment)
-            TwoArmSample.from_labels(values, labels)  # validates the arms
-            paired = np.column_stack([values, labels])
-            dist = resample(paired, BootstrapConfig(replicates, stream), contrast(midrange))
+            arms = TwoArmSample.from_labels(data.column(outcome), data.column(treatment))
+            dist = resample(arms, BootstrapConfig(replicates, stream), midrange)
             ci = hoeffding_ci(dist, alpha)
         rows.append((parameter, method, ci))
     return rows

@@ -1,4 +1,5 @@
-"""Rectangular, all-numeric datasets passed between ingestion and fitting."""
+"""The data shapes passed between ingestion, fitting and the bootstrap:
+rectangular all-numeric datasets and two-arm samples."""
 
 from __future__ import annotations
 
@@ -53,3 +54,41 @@ class Dataset:
         object.__setattr__(subset, "columns",
                            {name: arr[idx] for name, arr in self.columns.items()})
         return subset
+
+
+EMPTY_ARM = "both treatment arms must be non-empty"
+
+
+@dataclass(frozen=True)
+class TwoArmSample:
+    """Outcomes split by a binary treatment label, the one form of two-arm
+    data: :func:`~funcavg.bootstrap.resample` bootstraps the contrast
+    ``estimator(treated) - estimator(control)`` from it."""
+
+    treated: np.ndarray
+    control: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "treated", finite_array(self.treated, "treated arm"))
+        object.__setattr__(self, "control", finite_array(self.control, "control arm"))
+
+    def __len__(self) -> int:
+        """Rows in both arms together."""
+        return self.treated.size + self.control.size
+
+    @classmethod
+    def from_labels(cls, values, labels) -> "TwoArmSample":
+        """Split ``values`` by a 0/1 label array of the same length; label 1
+        is treated.  Any other label, or an empty arm, is a
+        :class:`~funcavg.errors.DataError`."""
+        y = finite_array(values, "sample")
+        t = np.asarray(labels)
+        if t.shape != y.shape:
+            raise DataError(
+                f"labels shape {t.shape} does not match values shape {y.shape}")
+        if not np.isin(t, (0, 1)).all():
+            raise DataError("labels must contain only 0 and 1")
+        mask = t == 1
+        if mask.all() or not mask.any():
+            raise DataError(EMPTY_ARM)
+        return cls(treated=y[mask], control=y[~mask])

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
-from .estimators import as_sample
+from .errors import DataError, finite_array
 
 __all__ = [
     "EcdfCurve",
@@ -65,7 +64,7 @@ class EcdfCurve:
 
 
 def ecdf(sample) -> EcdfCurve:
-    x = as_sample(sample)
+    x = finite_array(sample, "sample")
     values, counts = np.unique(x, return_counts=True)
     heights = np.cumsum(counts) / x.size
     heights[-1] = 1.0  # guard the top step against accumulated rounding
@@ -95,7 +94,7 @@ def mean_midrange_distance(sample) -> float:
     genuinely differ, exactly the situation in which mean-targeting and
     support-targeting estimators answer different questions.
     """
-    x = as_sample(sample)
+    x = finite_array(sample, "sample")
     return float(abs(x.mean() - (x.min() + x.max()) / 2.0))
 
 
@@ -116,7 +115,7 @@ def residual_support_symmetry(residuals) -> SupportSymmetryReport:
     range-based coefficient interval assumes symmetric errors, so values
     well away from zero argue against using it.
     """
-    r = as_sample(residuals)
+    r = finite_array(residuals, "sample")
     hi, lo = float(r.max()), float(r.min())
     if hi == lo:
         raise DataError("residual support symmetry needs a nondegenerate range")

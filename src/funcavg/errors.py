@@ -41,19 +41,30 @@ def check_count(value, name: str, minimum: int, below: int | None = None) -> int
     raise ParameterError(f"{name} must be an integer {bounds}, got {value!r}")
 
 
-def check_alpha(alpha: float) -> float:
-    """``alpha`` as a float, if it lies strictly inside (0, 1); else
+def _real(value) -> float | None:
+    """``value`` as a float if it is a real number, else ``None``.  As in
+    :func:`check_count`, a ``bool`` is refused, and so are strings, ``None``
+    and sequences."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        return float(value)
+    return None
+
+
+def check_alpha(alpha) -> float:
+    """``alpha`` as a float, if it is a number strictly inside (0, 1); else
     :class:`ParameterError`.  NaN fails the comparison, so it is refused."""
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must lie strictly inside (0, 1), got {alpha}")
-    return float(alpha)
+    value = _real(alpha)
+    if value is None or not 0.0 < value < 1.0:
+        raise ParameterError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
+    return value
 
 
 def check_probability(p, name: str) -> float:
-    """``p`` as a float, if it lies in [0, 1]; else :class:`ParameterError`."""
-    if not 0.0 <= p <= 1.0:
-        raise ParameterError(f"{name} must lie in [0, 1], got {p}")
-    return float(p)
+    """``p`` as a float, if it is a number in [0, 1]; else :class:`ParameterError`."""
+    value = _real(p)
+    if value is None or not 0.0 <= value <= 1.0:
+        raise ParameterError(f"{name} must lie in [0, 1], got {p!r}")
+    return value
 
 
 def finite_array(values, name: str, ndims: tuple[int, ...] = (1,)) -> np.ndarray:

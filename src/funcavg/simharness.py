@@ -26,9 +26,7 @@ Determinism contract: every iteration draws from its own child stream
 keyed by (experiment number, variant index, sample-size index, iteration
 index) under the experiment's base seed, and per-iteration results land in
 arrays indexed by iteration before any aggregation.  Reports are
-therefore byte-reproducible and independent of execution order.  Wall
-time is recorded on the report object but deliberately left out of
-emitted files.
+therefore byte-reproducible and independent of execution order.
 """
 
 from __future__ import annotations
@@ -37,8 +35,7 @@ import csv
 import functools
 import io
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -51,6 +48,7 @@ from .bootstrap import (
     popoviciu_check,
     resample,
 )
+from .dataset import TwoArmSample
 from .distributions import (
     BernoulliSpec,
     BinomialSpec,
@@ -63,7 +61,7 @@ from .distributions import (
 )
 from .errors import (CsvParseError, ParameterError, SchemaError, check_alpha, check_count,
                      check_probability)
-from .estimators import contrast, discrete_plugin_average, midrange, sample_mean
+from .estimators import discrete_plugin_average, midrange, sample_mean
 from .intervals import IntervalEstimate
 from .regression import DesignMatrix, ols_fit, t_ci, u_concentration_ci
 from .rng import RngStream
@@ -97,8 +95,9 @@ class _Experiment:
     """One experiment: its variants, its data draw and what it estimates.
 
     ``variants`` holds ``(label, parameter, target)`` in stream-key order.
-    ``draw(parameter, n, stream)`` returns the data to resample and, for
-    two-arm designs, the OLS fit of outcome on treatment, whose slope is
+    ``draw(parameter, n, stream)`` returns the data to resample, one sample
+    or a :class:`~funcavg.dataset.TwoArmSample`, and, for two-arm designs,
+    the OLS fit of outcome on treatment, whose slope is
     reported as the ``ols`` estimate.  The draw uses the iteration
     stream's child 0, and ``bootstraps[k]`` draws its indices from child
     ``k + 1``.  ``fit_recipes`` are the ``recipe(fit, coefficient, alpha)``
@@ -150,7 +149,7 @@ class ExperimentSpec:
             raise ParameterError(f"n_grid has repeated sizes: {grid}")
         for name, minimum in (("iterations", 1), ("replicates", 2), ("seed", 0)):
             object.__setattr__(self, name, check_count(getattr(self, name), name, minimum))
-        check_alpha(self.alpha)
+        object.__setattr__(self, "alpha", check_alpha(self.alpha))
         if self.variants is not None:
             chosen = tuple(self.variants)
             if not chosen:
@@ -232,8 +231,6 @@ class ExperimentReport:
     :func:`~funcavg.bootstrap.popoviciu_check`, which holds for every valid
     distribution at every alpha, so a failure means a bookkeeping bug, not
     unusual data.
-    ``wall_time`` is in seconds and is never written to report files, so
-    emitted artifacts stay byte-identical across reruns.
     """
 
     spec: ExperimentSpec
@@ -241,7 +238,6 @@ class ExperimentReport:
     range_checks_passed: int
     range_checks_total: int
     streams_used: int
-    wall_time: float = field(compare=False)
 
 
 def empirical_coverage(intervals, target: float) -> float:
@@ -325,32 +321,32 @@ def _confounded_treatment(n: int, stream: RngStream) -> tuple[np.ndarray, np.nda
         attempt += 1
 
 
-def _paired_with_fit(outcome: np.ndarray, treated: np.ndarray):
-    """``(outcome, treatment)`` rows and the OLS fit of outcome on treatment."""
+def _arms_with_fit(outcome: np.ndarray, treated: np.ndarray):
+    """The two arms of ``outcome`` and the OLS fit of outcome on treatment."""
     design = DesignMatrix(
         np.column_stack([np.ones(outcome.size), treated]), ("intercept", "t"))
-    return np.column_stack([outcome, treated]), ols_fit(design, outcome)
+    return TwoArmSample.from_labels(outcome, treated), ols_fit(design, outcome)
 
 
 def _draw_confounded_continuous(noise_law, n, stream):
     """Outcomes 100 + 10 T + 50 C + e, e truncated normal on [-50, 50]."""
     confounder, treated = _confounded_treatment(n, stream)
     noise = sample_truncated_normal(noise_law, n, stream.child(0, 1))
-    return _paired_with_fit(100.0 + 10.0 * treated + 50.0 * confounder + noise, treated)
+    return _arms_with_fit(100.0 + 10.0 * treated + 50.0 * confounder + noise, treated)
 
 
 def _draw_confounded_discrete(noise_law, n, stream):
     """Outcomes 10 C + e + 5 T with binomial noise: a run of integers."""
     confounder, treated = _confounded_treatment(n, stream)
     noise = sample_binomial(noise_law, n, stream.child(0, 1)).astype(float)
-    return _paired_with_fit(10.0 * confounder + noise + 5.0 * treated, treated)
+    return _arms_with_fit(10.0 * confounder + noise + 5.0 * treated, treated)
 
 
 def _draw_slope(error_law, n, stream):
     """Outcomes 100 + 20 T + U, T Bernoulli(.3), U bounded and symmetric."""
     treated = sample_bernoulli(BernoulliSpec(0.3), n, stream.child(0, 0))
     noise = sample_truncated_normal(error_law, n, stream.child(0, 1))
-    return _paired_with_fit(100.0 + 20.0 * treated + noise, treated)
+    return _arms_with_fit(100.0 + 20.0 * treated + noise, treated)
 
 
 def _experiments() -> dict[str, _Experiment]:
@@ -380,19 +376,19 @@ def _experiments() -> dict[str, _Experiment]:
             ("tau=5", TruncatedNormalSpec(-50.0, 50.0, 0.0, 5.0), 10.0),
             ("tau=25", TruncatedNormalSpec(-50.0, 50.0, 0.0, 25.0), 10.0),
         ), _draw_confounded_continuous, (
-            _Bootstrap("midrange", contrast(midrange), "full", hoeffding),
+            _Bootstrap("midrange", midrange, "full", hoeffding),
         )),
         "table5": _Experiment(5, (
             ("tau=30", BinomialSpec(30, 0.5), 5.0),
             ("tau=50", BinomialSpec(50, 0.5), 5.0),
         ), _draw_confounded_discrete, (
-            _Bootstrap("plugin", contrast(discrete_plugin_average), "full", u_recipes),
-            _Bootstrap("midrange", contrast(midrange), "full", u_recipes),
+            _Bootstrap("plugin", discrete_plugin_average, "full", u_recipes),
+            _Bootstrap("midrange", midrange, "full", u_recipes),
         )),
         "table6": _Experiment(6, (
             ("slope", TruncatedNormalSpec(-10.0, 10.0, 0.0, 2.0), 20.0),
         ), _draw_slope, (
-            _Bootstrap("ols", contrast(sample_mean), "full", hoeffding),
+            _Bootstrap("ols", sample_mean, "full", hoeffding),
         ), fit_recipes=(t_ci, u_concentration_ci)),
     }
 
@@ -411,7 +407,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     ``ols`` bootstrap thus restates the slope as the difference of arm
     means) and read all of its recipes off the same replicates.
     """
-    start = time.perf_counter()
     experiment = _experiments()[spec.experiment]
     passed = 0
     rows: list[ReportRow] = []
@@ -442,7 +437,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
         spec=spec, rows=tuple(rows),
         range_checks_passed=passed,
         range_checks_total=streams * len(experiment.bootstraps),
-        streams_used=streams, wall_time=time.perf_counter() - start)
+        streams_used=streams)
 
 
 # Emission.  CSV carries exact shortest-round-trip floats so a report can
@@ -486,8 +481,8 @@ def aligned_table(lines) -> list[str]:
 def report_text(report: ExperimentReport) -> str:
     """Aligned table plus the run's parameters and self-check tallies.
 
-    Deliberately excludes wall time: the text file is part of the
-    byte-for-byte reproducibility contract.
+    It holds nothing that varies between runs, such as timings: the text
+    file is part of the byte-for-byte reproducibility contract.
     """
     header = ("variant", "n", "estimator", "method", "estimate",
               "interval", "EC", "EP")

@@ -14,10 +14,10 @@ from funcavg.bootstrap import (
     resample,
     sqrt_resample_size,
 )
-from funcavg.dataset import Dataset
+from funcavg.dataset import Dataset, TwoArmSample
 from funcavg.distributions import TruncatedNormalSpec, sample_truncated_normal
 from funcavg.errors import DataError, ParameterError, ResampleError
-from funcavg.estimators import contrast, midrange, paired_contrast, sample_mean
+from funcavg.estimators import midrange, sample_mean
 from funcavg.regression import _percentile_over_refits
 from funcavg.rng import RngStream
 
@@ -151,23 +151,21 @@ def test_resample_refuses_a_statistic_without_a_sampler():
     cfg = BootstrapConfig(replicates=10, rng=RngStream(0))
     with pytest.raises(ParameterError, match="^<lambda> has no bootstrap sampler"):
         resample(np.arange(8.0), cfg, lambda s: float(s.mean()))
-    # The mean's sampler reads (outcome, label) rows only.
+    # The mean's sampler reads two arms only.
     with pytest.raises(ParameterError, match="^sample_mean has no bootstrap sampler for 1-D"):
         resample(np.arange(8.0), cfg, sample_mean)
 
 
 def test_statistic_without_a_sampler_is_named_without_addresses():
     cfg = BootstrapConfig(replicates=10, rng=RngStream(0))
-    rows = np.array([[1.0, 0.0], [2.0, 1.0], [3.0, 0.0], [4.0, 1.0]])
+    arms = TwoArmSample(treated=[2.0, 4.0], control=[1.0, 3.0])
     with pytest.raises(ParameterError) as info:
-        resample(rows, cfg, contrast(lambda y: float(y.max())))
-    assert str(info.value).startswith("contrast(<lambda>) has no bootstrap sampler")
-    assert "0x" not in str(info.value)
+        resample(arms, cfg, lambda y: float(y.max()))
+    assert str(info.value) == "<lambda> has no bootstrap sampler for two-arm input"
     # A statistic with no ``__name__`` at all is named by its type.
     with pytest.raises(ParameterError, match="^partial has no bootstrap sampler") as info:
-        resample(rows, cfg, functools.partial(paired_contrast, estimator=max))
+        resample(arms, cfg, functools.partial(max))
     assert "0x" not in str(info.value)
-    assert contrast(midrange).__name__ == "contrast(midrange)"
 
 
 def test_resample_rows_jointly_for_two_column_data():
@@ -198,13 +196,13 @@ def test_resample_rejects_non_finite_statistic():
     # One treated outcome near the largest double: a replicate that draws
     # it twice overflows the treated arm's sum.  The sampler's first
     # non-finite replicate is the one named.
-    rows = np.column_stack([np.r_[1.7e308, np.zeros(19)], np.r_[np.ones(10), np.zeros(10)]])
+    arms = TwoArmSample(treated=np.r_[1.7e308, np.zeros(9)], control=np.zeros(10))
     cfg = BootstrapConfig(replicates=40, rng=RngStream(0))
     with np.errstate(over="ignore"):
-        reps = sample_mean.batch(rows)(cfg.rng.generator(), 40, 20)
+        reps = sample_mean.batch(arms)(cfg.rng.generator(), 40, 20)
         with pytest.raises(ResampleError, match="non-finite") as err:
-            resample(rows, cfg, contrast(sample_mean))
-    assert np.isfinite(contrast(sample_mean)(rows))
+            resample(arms, cfg, sample_mean)
+    assert np.isfinite(sample_mean(arms.treated) - sample_mean(arms.control))
     assert err.value.replicate == np.flatnonzero(~np.isfinite(reps))[0] > 0
 
 

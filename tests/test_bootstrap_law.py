@@ -19,7 +19,8 @@ import pytest
 from scipy import stats
 
 from funcavg.bootstrap import BootstrapConfig, resample
-from funcavg.estimators import contrast, discrete_plugin_average, midrange, sample_mean
+from funcavg.dataset import TwoArmSample
+from funcavg.estimators import discrete_plugin_average, midrange, sample_mean
 from funcavg.rng import RngStream
 
 ALPHA = 1e-3  # false-alarm rate of each test
@@ -114,13 +115,12 @@ def test_plugin_presence_follows_the_exact_law(size, seed):
 N_TREATED, N_CONTROL, MARK = 40, 80, 1e6
 
 
-def two_arm_rows():
+def two_arms():
     treated = np.zeros(N_TREATED)
     treated[0] = 1.0
     control = np.zeros(N_CONTROL)
     control[0] = MARK
-    return np.column_stack([np.concatenate([treated, control]),
-                            np.repeat([1.0, 0.0], [N_TREATED, N_CONTROL])])
+    return TwoArmSample(treated=treated, control=control)
 
 
 def marked_row_law(m):
@@ -151,11 +151,11 @@ def test_two_arm_split_is_binomial(estimator, seed):
     p < 1e-3: a false alarm in at most 1 run in 1,000, up to the
     chi-square approximation.
     """
-    rows = two_arm_rows()
+    arms = two_arms()
     b = 20_000
     config = BootstrapConfig(b, RngStream(9103, (seed,)))
-    law = b * marked_row_law(config.size_for(rows.shape[0]))
-    reps = resample(rows, config, contrast(estimator)).replicates
+    law = b * marked_row_law(config.size_for(len(arms)))
+    reps = resample(arms, config, estimator).replicates
     if estimator is sample_mean:
         c_seen = reps < 0.0
         t_seen = reps > 0.0
@@ -185,9 +185,8 @@ def test_mean_contrast_moments_follow_the_exact_law():
     """
     treated = np.arange(20.0) ** 1.5
     control = (np.arange(40.0) % 7.0) * 3.0
-    rows = np.column_stack([np.concatenate([treated, control]),
-                            np.repeat([1.0, 0.0], [treated.size, control.size])])
-    n, b = rows.shape[0], 100_000
+    arms = TwoArmSample(treated=treated, control=control)
+    n, b = len(arms), 100_000
     config = BootstrapConfig(b, RngStream(9104))
     m = config.size_for(n)
     k = np.arange(1, m)
@@ -196,7 +195,7 @@ def test_mean_contrast_moments_follow_the_exact_law():
     mean = treated.mean() - control.mean()
     variance = treated.var() * float(weight @ (1.0 / k)) \
         + control.var() * float(weight @ (1.0 / (m - k)))
-    reps = resample(rows, config, contrast(sample_mean)).replicates
+    reps = resample(arms, config, sample_mean).replicates
     z = stats.norm.isf(ALPHA / 4)
     assert abs(reps.mean() - mean) <= z * np.sqrt(variance / b)
     centred = reps - reps.mean()

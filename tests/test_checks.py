@@ -1,4 +1,5 @@
-"""The shared count rule at every site that takes a count or a seed."""
+"""The shared count and level rules at every site that takes a count, a
+seed, a level or a probability."""
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from funcavg.distributions import (
     sample_binomial,
     sample_truncated_normal,
 )
-from funcavg.errors import ParameterError, check_count
+from funcavg.errors import ParameterError, check_alpha, check_count, check_probability
 from funcavg.rng import RngStream
 from funcavg.simharness import ExperimentReport, ExperimentSpec, report_text
 
@@ -50,7 +51,7 @@ def test_a_spec_stores_its_counts_as_ints_and_prints_them_plainly():
     for value in (*spec.n_grid, spec.iterations, spec.replicates, spec.seed):
         assert type(value) is int
     report = ExperimentReport(spec=spec, rows=(), range_checks_passed=0,
-                              range_checks_total=0, streams_used=0, wall_time=0.0)
+                              range_checks_total=0, streams_used=0)
     assert ("experiment=table2  iterations=200  replicates=500  alpha=0.05  seed=3"
             in report_text(report).splitlines())
 
@@ -68,3 +69,33 @@ def test_check_count_bounds_and_message():
     with pytest.raises(ParameterError) as err:
         check_count(-1, "part", 0, 8)
     assert str(err.value) == "part must be an integer in [0, 8), got -1"
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(check_alpha, id="check_alpha"),
+    pytest.param(lambda v: check_probability(v, "p"), id="check_probability"),
+    pytest.param(lambda v: ExperimentSpec("table2", alpha=v), id="spec-alpha"),
+    pytest.param(BernoulliSpec, id="bernoulli-p"),
+    pytest.param(lambda v: BinomialSpec(3, v), id="binomial-p"),
+])
+def test_a_level_or_probability_must_be_a_number(make):
+    # A string, None or a sequence used to raise a raw TypeError, and True
+    # passed as 1.0.
+    for bad in ("0.05", None, [0.05], (0.5,), True, np.True_, False):
+        with pytest.raises(ParameterError, match=r"must lie .*, got "):
+            make(bad)
+
+
+def test_levels_and_probabilities_come_back_as_floats():
+    for value in (0.05, np.float32(0.25), np.float64(0.5)):
+        assert type(check_alpha(value)) is float
+        assert type(check_probability(value, "p")) is float
+    assert check_probability(np.int64(1), "p") == 1.0
+    spec = ExperimentSpec("table2", alpha=np.float64(0.1))
+    assert type(spec.alpha) is float and spec.alpha == 0.1
+    for bad in (0.0, 1.0, float("nan")):
+        with pytest.raises(ParameterError, match="alpha must lie strictly inside"):
+            check_alpha(bad)
+    with pytest.raises(ParameterError) as err:
+        check_probability("1", "coverage")
+    assert str(err.value) == "coverage must lie in [0, 1], got '1'"

@@ -14,8 +14,9 @@ import funcavg
 from funcavg import cli
 from funcavg.bootstrap import BootstrapConfig, hoeffding_ci, resample
 from funcavg.cli import METHOD_NAMES, ingest_csv, main
+from funcavg.dataset import TwoArmSample
 from funcavg.errors import CsvParseError, DataError, SchemaError
-from funcavg.estimators import contrast, midrange
+from funcavg.estimators import midrange
 from funcavg.rng import RngStream
 
 
@@ -656,10 +657,9 @@ def test_estimate_csv_matches_direct_library_call(tmp_path):
     assert result.exit_code == 0
 
     data, _ = ingest_csv(path, ("y", "t"))
-    paired = np.column_stack([data.column("y"), data.column("t")])
+    arms = TwoArmSample.from_labels(data.column("y"), data.column("t"))
     stream = RngStream(13).child(METHOD_NAMES.index("Av"))
-    expected = hoeffding_ci(
-        resample(paired, BootstrapConfig(80, stream), contrast(midrange)), 0.05)
+    expected = hoeffding_ci(resample(arms, BootstrapConfig(80, stream), midrange), 0.05)
 
     with open(out + ".csv", newline="") as fh:
         rows = list(csv.reader(fh))

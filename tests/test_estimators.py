@@ -7,18 +7,10 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from funcavg.bootstrap import BootstrapConfig, BootstrapDistribution, index_blocks, resample
-from funcavg.dataset import Dataset
+from funcavg.dataset import EMPTY_ARM, Dataset, TwoArmSample
 from funcavg.errors import DataError, ParameterError, ResampleError
 from funcavg.rng import RngStream
-from funcavg.estimators import (
-    TwoArmSample,
-    as_sample,
-    contrast,
-    discrete_plugin_average,
-    midrange,
-    paired_contrast,
-    sample_mean,
-)
+from funcavg.estimators import discrete_plugin_average, midrange, sample_mean
 from funcavg.regression import DesignMatrix, ols_fit, propensity_strata
 
 
@@ -52,9 +44,12 @@ _NAN = float("nan")
 # call, and an empty, a wrong-dimension and a non-finite input.  A NaN score
 # used to be blamed on tied propensity scores.
 ARRAY_SITES = [
-    ("sample", as_sample, ([], [[1, 2]], [1.0, _NAN], [1.0, float("inf")])),
+    ("sample", midrange, ([], [[1, 2]], [1.0, _NAN], [1.0, float("inf")])),
+    ("treated arm", lambda v: TwoArmSample(treated=v, control=[1.0]), ([], [[1.0]], [_NAN])),
+    ("control arm", lambda v: TwoArmSample(treated=[1.0], control=v), ([], [[1.0]], [_NAN])),
+    # (outcome, label) rows are not two-arm data: only a TwoArmSample is.
     ("resample input", lambda v: resample(v, BootstrapConfig(10, RngStream(0)), midrange),
-     ([], np.ones((2, 2, 2)), [[1.0, 0.0], [_NAN, 1.0]])),
+     ([], [[1.0, 0.0], [2.0, 1.0]], np.ones((2, 2, 2)), [1.0, _NAN])),
     ("replicates", lambda v: BootstrapDistribution(1.0, v), ([], [[1.0, 2.0]], [1.0, _NAN])),
     ("statistic", lambda v: BootstrapDistribution(v, [1.0, 2.0]), ([], [1.0], _NAN)),
     ("design matrix", lambda v: DesignMatrix(v, ("a", "b")),
@@ -94,6 +89,7 @@ def test_two_arm_from_labels():
     assert two.treated.tolist() == [5.0, 7.0]
     assert two.control.tolist() == [1.0, 3.0]
     assert two.treated.size == 2 and two.control.size == 2
+    assert len(two) == 4
 
 
 def test_two_arm_rejects_empty_or_bad_labels():
@@ -107,34 +103,67 @@ def test_two_arm_rejects_empty_or_bad_labels():
         TwoArmSample.from_labels([1.0, 2.0], [0])
 
 
-def test_paired_contrast_matches_the_arm_split_and_rejects_an_empty_arm():
-    rows = np.array([[5.0, 1], [1.0, 0], [7.0, 1], [3.0, 0], [2.0, 0]])
-    two = TwoArmSample.from_labels(rows[:, 0], rows[:, 1])
+def test_two_arm_resample_is_the_arm_contrast_drawn_over_all_rows():
+    # Ten copies of each row, so that no replicate leaves an arm empty.
+    two = TwoArmSample.from_labels(np.tile([5.0, 1.0, 7.0, 3.0, 2.0], 10),
+                                   np.tile([1, 0, 1, 0, 0], 10))
     for est in (midrange, discrete_plugin_average, sample_mean):
-        assert paired_contrast(rows, est) == est(two.treated) - est(two.control)
-    with pytest.raises(DataError, match="non-empty"):
-        paired_contrast(rows[rows[:, 1] == 0], midrange)
+        got = resample(two, BootstrapConfig(20, RngStream(0)), est)
+        assert got.statistic == est(two.treated) - est(two.control)
+    # Each replicate draws round(sqrt(n0 + n1)) rows, not per-arm sizes:
+    # sqrt(30 + 6) = 6, against round(sqrt(30)) + round(sqrt(6)) = 7.
+    two = TwoArmSample(treated=np.arange(6.0), control=np.arange(30.0))
+    assert len(two) == 36
+    seen = []
+
+    def recorded(values):
+        return float(np.max(values))
+
+    def batch(sample):
+        def sampler(gen, b, m):
+            seen.append((len(sample), m))
+            return np.zeros(b)
+        return sampler
+
+    recorded.batch = batch
+    for size, m in (("sqrt", 6), ("full", 36)):
+        resample(two, BootstrapConfig(5, RngStream(0), size), recorded)
+        assert seen.pop() == (36, m)
     # One treated row among 40: some resample leaves the arm empty, and
     # resample names that replicate.
-    lone = np.column_stack([np.arange(40.0), np.eye(40)[0]])
+    lone = TwoArmSample(treated=[0.0], control=np.arange(1.0, 40.0))
     for est in (midrange, sample_mean):
         with pytest.raises(ResampleError, match="replicate"):
-            resample(lone, BootstrapConfig(50, RngStream(3)), contrast(est))
+            resample(lone, BootstrapConfig(50, RngStream(3)), est)
 
 
 # Samplers.  Each draws from the exact bootstrap law, not from row indices
 # (tests/test_bootstrap_law.py checks the law).
 
-def _looped(values, config, statistic):
-    """Reference replicates: ``statistic`` on the rows of each replicate of
-    the index draw, and the first failure as a ResampleError naming it."""
-    arr = np.asarray(values, dtype=float)
+def _looped(sample, config, estimator):
+    """Reference replicates: ``estimator`` on the rows of each replicate of
+    the index draw (of two arms, on its treated rows minus on its control
+    rows), and the first failure as a ResampleError naming it."""
+    if isinstance(sample, TwoArmSample):
+        values = np.concatenate([sample.treated, sample.control])
+        treated = np.arange(len(sample)) < sample.treated.size
+    else:
+        values, treated = np.asarray(sample, dtype=float), None
+
+    def statistic(rows):
+        if treated is None:
+            return estimator(values[rows])
+        arm = treated[rows]
+        if arm.all() or not arm.any():
+            raise DataError(EMPTY_ARM)
+        return estimator(values[rows[arm]]) - estimator(values[rows[~arm]])
+
     reps = np.empty(config.replicates)
-    m = config.size_for(arr.shape[0])
-    for start, idx in index_blocks(config.rng.generator(), arr.shape[0], config.replicates, m):
+    m = config.size_for(len(sample))
+    for start, idx in index_blocks(config.rng.generator(), len(sample), config.replicates, m):
         for k, rows in enumerate(idx, start):
             try:
-                reps[k] = statistic(arr[rows])
+                reps[k] = statistic(rows)
             except DataError as exc:
                 raise ResampleError(k, str(exc)) from exc
     return reps
@@ -145,20 +174,20 @@ def _kernel_cases():
     n = 400
     continuous = rng.normal(5.0, 3.0, n)
     integers = rng.binomial(30, 0.4, n) + 10.0 * rng.integers(0, 2, n)
-    # Any label other than 1 counts as control, as in paired_contrast.  Half
-    # the rows are treated, so that a 20-draw resample leaves an arm empty
-    # with chance about 2e-6: with a third treated it is 3e-4, and 2,000
-    # replicates would likely hit one.
+    # Half the rows are treated, so that a 20-draw resample leaves an arm
+    # empty with chance about 2e-6: with a third treated it is 3e-4, and
+    # 2,000 replicates would likely hit one.
     labels = rng.choice([0.0, 1.0, 2.0], size=n, p=[0.25, 0.5, 0.25])
+
+    def arms(y):
+        return TwoArmSample(treated=y[labels == 1], control=y[labels != 1])
+
     return [
         pytest.param(continuous, midrange, id="midrange"),
         pytest.param(integers, discrete_plugin_average, id="plugin"),
-        pytest.param(np.column_stack([continuous, labels]), contrast(midrange),
-                     id="midrange-contrast"),
-        pytest.param(np.column_stack([integers, labels]),
-                     contrast(discrete_plugin_average), id="plugin-contrast"),
-        pytest.param(np.column_stack([continuous, labels]), contrast(sample_mean),
-                     id="mean-contrast"),
+        pytest.param(arms(continuous), midrange, id="midrange-contrast"),
+        pytest.param(arms(integers), discrete_plugin_average, id="plugin-contrast"),
+        pytest.param(arms(continuous), sample_mean, id="mean-contrast"),
     ]
 
 
@@ -190,14 +219,13 @@ def test_batched_contrast_reports_an_empty_arm_like_the_loop(estimator, lone_lab
     # test_sampler_names_the_first_replicate_with_an_empty_arm checks theirs.
     labels = np.full(40, 1.0 - lone_label)
     labels[0] = lone_label
-    rows = np.column_stack([np.arange(40.0), labels])
+    arms = TwoArmSample.from_labels(np.arange(40.0), labels)
     config = BootstrapConfig(50, RngStream(3))
-    statistic = contrast(estimator)
-    assert statistic.batch(rows) is not None
+    assert estimator.batch(arms) is not None
     with pytest.raises(ResampleError) as batched:
-        resample(rows, config, statistic)
+        resample(arms, config, estimator)
     with pytest.raises(ResampleError) as looped:
-        _looped(rows, config, statistic)
+        _looped(arms, config, estimator)
     for err in (batched.value, looped.value):
         assert str(err) == f"replicate {err.replicate}: both treatment arms must be non-empty"
 
@@ -235,14 +263,14 @@ def test_sampler_on_one_value_and_one_draw(estimator):
 @pytest.mark.parametrize("estimator", CONTRASTS)
 def test_sampler_with_an_arm_holding_one_row(estimator):
     # Treated holds one row: every replicate that keeps it is 9 - 2.
-    rows = np.column_stack([np.r_[9.0, np.full(30, 2.0)], np.r_[1.0, np.zeros(30)]])
+    arms = TwoArmSample(treated=[9.0], control=np.full(30, 2.0))
     kept = 0
     for seed in range(20):
         with pytest.raises(ResampleError) as err:
-            resample(rows, BootstrapConfig(60, RngStream(seed)), contrast(estimator))
+            resample(arms, BootstrapConfig(60, RngStream(seed)), estimator)
         first = err.value.replicate
         if first >= 2:
-            got = resample(rows, BootstrapConfig(first, RngStream(seed)), contrast(estimator))
+            got = resample(arms, BootstrapConfig(first, RngStream(seed)), estimator)
             assert np.all(got.replicates == 7.0)
             kept += 1
     assert kept > 0
@@ -256,18 +284,17 @@ def test_sampler_names_the_first_replicate_with_an_empty_arm(monkeypatch, estima
     # it, so the first k replicates run clean and replicate k fails.
     import funcavg.bootstrap as bs
     monkeypatch.setattr(bs, "_CHUNK_CELLS", cells)
-    rows = np.column_stack([np.arange(60.0), (np.arange(60) < 2).astype(float)])
-    statistic = contrast(estimator)
+    arms = TwoArmSample(treated=np.arange(2.0), control=np.arange(2.0, 60.0))
     firsts = []
     for seed in range(5):
         with pytest.raises(ResampleError, match="non-empty") as err:
-            resample(rows, BootstrapConfig(400, RngStream(seed)), statistic)
+            resample(arms, BootstrapConfig(400, RngStream(seed)), estimator)
         first = err.value.replicate
         firsts.append(first)
         if first >= 2:
-            resample(rows, BootstrapConfig(first, RngStream(seed)), statistic)
+            resample(arms, BootstrapConfig(first, RngStream(seed)), estimator)
         with pytest.raises(ResampleError) as again:
-            resample(rows, BootstrapConfig(max(first + 1, 2), RngStream(seed)), statistic)
+            resample(arms, BootstrapConfig(max(first + 1, 2), RngStream(seed)), estimator)
         assert again.value.replicate == first
     assert max(firsts) >= 2
 
@@ -281,10 +308,8 @@ def test_sampler_on_constant_samples(estimator):
     else:
         assert np.all(resample(x, BootstrapConfig(30, RngStream(4)), estimator).replicates
                       == -3.25)
-    # Any label other than 1 is control, as in paired_contrast.
-    rows = np.column_stack([np.r_[np.full(20, 6.0), np.full(30, 1.5)],
-                            np.r_[np.ones(20), np.zeros(15), np.full(15, 2.0)]])
-    got = resample(rows, BootstrapConfig(30, RngStream(4)), contrast(estimator))
+    arms = TwoArmSample(treated=np.full(20, 6.0), control=np.full(30, 1.5))
+    got = resample(arms, BootstrapConfig(30, RngStream(4)), estimator)
     assert np.all(got.replicates == 4.5)
 
 
@@ -301,12 +326,11 @@ def test_sampler_treats_signed_zeros_as_one_value(estimator):
     assert np.array_equal(got, resample(np.abs(signed), config, estimator).replicates)
     assert set(got) <= possible
     # Ten copies of each row, so that no replicate leaves an arm empty.
-    signed_rows = np.tile(np.column_stack([signed, labels]), (10, 1))
-    plain_rows = np.abs(signed_rows)
+    signed_arms = TwoArmSample.from_labels(np.tile(signed, 10), np.tile(labels, 10))
+    plain_arms = TwoArmSample(np.abs(signed_arms.treated), np.abs(signed_arms.control))
     config = BootstrapConfig(200, RngStream(6))
-    statistic = contrast(estimator)
-    assert np.array_equal(resample(signed_rows, config, statistic).replicates,
-                          resample(plain_rows, config, statistic).replicates)
+    assert np.array_equal(resample(signed_arms, config, estimator).replicates,
+                          resample(plain_arms, config, estimator).replicates)
 
 
 def test_midrange_sampler_keeps_the_top_rank_inside_the_sample():
@@ -318,9 +342,9 @@ def test_midrange_sampler_keeps_the_top_rank_inside_the_sample():
         got = midrange.batch(x)(_TopUniforms(0), 40, m)
         assert np.all(got == got[0])
         assert 2.0 * got[0] - x.max() in x
-    rows = np.column_stack([x, (np.arange(500) % 3 == 0).astype(float)])
-    treated, control = x[rows[:, 1] == 1], x[rows[:, 1] == 0]
-    got = midrange.batch(rows)(_TopUniforms(1), 40, 500)
+    arms = TwoArmSample.from_labels(x, (np.arange(500) % 3 == 0).astype(float))
+    treated, control = arms.treated, arms.control
+    got = midrange.batch(arms)(_TopUniforms(1), 40, 500)
     possible = ((treated + treated.max()) / 2.0)[:, None] \
         - ((control + control.max()) / 2.0)[None, :]
     assert np.isin(got, possible).all()
@@ -331,11 +355,11 @@ def test_midrange_sampler_keeps_the_top_rank_inside_the_sample():
 def test_samplers_do_not_depend_on_the_chunk_size(monkeypatch, cells, estimator):
     import funcavg.bootstrap as bs
     rng = np.random.default_rng(13)
-    rows = np.column_stack([rng.binomial(40, 0.4, 300).astype(float),
-                            rng.integers(0, 3, 300).astype(float)])
-    cases = [(rows, contrast(estimator))]
+    y = rng.binomial(40, 0.4, 300).astype(float)
+    labels = rng.integers(0, 3, 300)
+    cases = [(TwoArmSample(treated=y[labels == 1], control=y[labels != 1]), estimator)]
     if estimator is not sample_mean:
-        cases.append((rows[:, 0], estimator))
+        cases.append((y, estimator))
     config = BootstrapConfig(70, RngStream(14))
     whole = [resample(data, config, statistic).replicates for data, statistic in cases]
     monkeypatch.setattr(bs, "_CHUNK_CELLS", cells)
