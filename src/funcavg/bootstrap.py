@@ -129,7 +129,7 @@ def row_chunks(b: int, width: int):
 def index_blocks(gen: np.random.Generator, n: int, b: int, m: int):
     """``(start, idx)``: the ``(k, m)`` row indices below ``n`` of replicates
     ``start .. start + k - 1``, drawn in order, so chunking changes none.
-    The S and PS refit bootstraps draw their rows here."""
+    The S and PS bootstraps draw their rows here."""
     for start, stop in row_chunks(b, m):
         yield start, gen.integers(0, n, size=(stop - start, m))
 

@@ -17,12 +17,15 @@ its Newton steps for the coefficients of the orthonormal basis ``Q``:
 each step solves a p-by-p system in the weighted Gram matrix ``Q^T W Q``
 instead of factoring an n-by-p weighted copy of the design.
 
-The causal helpers (standardization, propensity-score stratification)
-re-run their whole pipeline inside each bootstrap replicate, so their
-interval reflects every estimated stage.  :func:`standardization_contrast`
-owns both the fit and the contrast: it takes a dataset and a model built
-from :class:`~funcavg.formula.Term` objects, fits the model by OLS and
-standardizes the treatment contrast over the fitted predictions.
+The causal helpers bootstrap every estimated stage.
+:func:`standardization_contrast` owns both the fit and the contrast: it
+takes a dataset and a model built from :class:`~funcavg.formula.Term`
+objects, fits the model by OLS and standardizes the treatment contrast
+over the fitted predictions.  Its bootstrap does not refit a resampled
+dataset: a row resample is the dataset weighted by row counts, so each
+replicate is a p-by-p weighted solve in the basis ``Q`` of the design,
+factored once.  Propensity-score stratification re-runs its whole
+pipeline on each resampled dataset.
 """
 
 from __future__ import annotations
@@ -143,15 +146,29 @@ def _qr_solve(matrix: np.ndarray, rhs: np.ndarray, names: tuple[str, ...]):
     return np.linalg.solve(r_x, r[:p, p]), r_x
 
 
+def _rank_tolerance(shape: tuple[int, int]) -> float:
+    """``max(shape) * eps``: the smallest share of the largest pivot that a
+    pivot of a full-rank matrix of ``shape`` may hold."""
+    return max(shape) * np.finfo(float).eps
+
+
 def _check_rank(r: np.ndarray, shape: tuple[int, int], names: tuple[str, ...]) -> None:
     """Raise :class:`~funcavg.errors.SingularDesignError` at the first column
     whose pivot in ``r``, the triangular factor of a matrix of ``shape``, is
-    at most ``max(shape) * eps`` times the largest pivot."""
+    at most :func:`_rank_tolerance` times the largest pivot."""
     diag = np.abs(np.diag(r))
-    tol = max(shape) * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
+    tol = _rank_tolerance(shape) * (diag.max() if diag.size else 0.0)
     bad = np.flatnonzero(diag <= tol)
     if bad.size:
         raise SingularDesignError(names[int(bad[0])])
+
+
+def _orthonormal_basis(x: np.ndarray, names: tuple[str, ...]):
+    """``(Q, R)`` with ``X = QR``: ``R`` from an R-only QR of ``x``,
+    rank-checked by :func:`_check_rank`, and ``Q = X R^-1``."""
+    r = np.linalg.qr(x, mode="r")
+    _check_rank(r, x.shape, names)
+    return x @ np.linalg.inv(r), r
 
 
 def ols_fit(design: DesignMatrix, response) -> RegressionFit:
@@ -280,9 +297,7 @@ def logistic_fit(design: DesignMatrix, response) -> LogisticFit:
         raise DataError(f"need more observations than design columns, "
                         f"got n={n}, p={p}")
 
-    r0 = np.linalg.qr(x, mode="r")
-    _check_rank(r0, x.shape, design.column_names)
-    q = x @ np.linalg.inv(r0)
+    q, r0 = _orthonormal_basis(x, design.column_names)
     g, decrement = np.zeros(p), math.inf
     trace: list[tuple[int, float]] = []
     for iteration in range(1, _LOGIT_MAX_ITER + 1):
@@ -341,6 +356,16 @@ def propensity_strata(scores) -> np.ndarray:
     return labels
 
 
+def _treatment_shifts(dataset: Dataset, model: ModelSpec, treatment: str):
+    """``(j, shift)`` for each term that mentions ``treatment``: ``j`` indexes
+    its coefficient, and ``shift``, its value with the treatment at 1 minus
+    its value at 0, is the product of its other factors (1.0 if none)."""
+    for j, term in enumerate(model.terms, start=1):
+        if term.mentions(treatment):
+            others = tuple(name for name in term.factors if name != treatment)
+            yield j, (Term(others).evaluate(dataset) if others else 1.0)
+
+
 def standardization_contrast(dataset: Dataset, model: ModelSpec, treatment: str) -> float:
     """Fit ``model`` by OLS, then average the predicted outcome shift when
     everyone moves from treatment 0 to 1 (the g-formula contrast).
@@ -361,10 +386,8 @@ def standardization_contrast(dataset: Dataset, model: ModelSpec, treatment: str)
     design, y = build_design(dataset, model)
     coefficients, _ = _qr_solve(design.matrix, y, design.column_names)
     diff = np.zeros(dataset.n_rows)
-    for coef, term in zip(coefficients[1:], model.terms):
-        if term.mentions(treatment):
-            others = tuple(name for name in term.factors if name != treatment)
-            diff += coef * (Term(others).evaluate(dataset) if others else 1.0)
+    for j, shift in _treatment_shifts(dataset, model, treatment):
+        diff += coefficients[j] * shift
     return float(np.mean(diff))
 
 
@@ -372,34 +395,27 @@ def standardization_contrast(dataset: Dataset, model: ModelSpec, treatment: str)
 _MAX_FAILED_REFITS = 0.05
 
 
-def _percentile_over_refits(dataset: Dataset, rng: RngStream, replicates: int,
-                            alpha: float, point_fn: Callable[[Dataset], float]
-                            ) -> IntervalEstimate:
-    """Percentile interval of ``point_fn`` over bootstrap row resamples.
+def _refit(k: int, point_fn: Callable[[Dataset], float], dataset: Dataset,
+           rows: np.ndarray) -> float | None:
+    """Replicate ``k``: ``point_fn`` on the resample ``dataset.take(rows)``,
+    or ``None`` when it raises a package error, which drops the replicate.
+    Any other exception, or a non-finite value, is a
+    :class:`~funcavg.errors.ResampleError` naming the replicate."""
+    try:
+        value = point_fn(dataset.take(rows))
+    except FuncavgError:
+        return None
+    except Exception as exc:
+        raise ResampleError(k, str(exc)) from exc
+    if not math.isfinite(value):
+        raise ResampleError(k, "statistic returned a non-finite value")
+    return value
 
-    The point is fitted on the dataset as given: a row copy makes strided
-    CSV columns contiguous, and that can move a fit in the last bits.
-    Replicate ``k`` refits on row ``k`` of the :func:`index_blocks` draw.
-    A refit that raises a package error is dropped, as long as no more
-    than 5% are; any other exception, or a non-finite value, is a
-    :class:`~funcavg.errors.ResampleError` naming the replicate.
-    """
-    alpha = check_alpha(alpha)
-    b = check_count(replicates, "replicates", 2)
-    point = point_fn(dataset)
-    n = dataset.n_rows
-    kept = []
-    for start, idx in index_blocks(rng.generator(), n, b, n):
-        for k, rows in enumerate(idx, start):
-            try:
-                value = point_fn(dataset.take(rows))
-            except FuncavgError:
-                continue
-            except Exception as exc:
-                raise ResampleError(k, str(exc)) from exc
-            if not math.isfinite(value):
-                raise ResampleError(k, "statistic returned a non-finite value")
-            kept.append(value)
+
+def _refit_interval(point: float, kept: list[float], b: int,
+                    alpha: float) -> IntervalEstimate:
+    """Percentile interval of the ``kept`` values of ``b`` replicates, or a
+    :class:`~funcavg.errors.DataError` if more than 5% were dropped."""
     failed = b - len(kept)
     if failed > _MAX_FAILED_REFITS * b:
         raise DataError(
@@ -409,26 +425,132 @@ def _percentile_over_refits(dataset: Dataset, rng: RngStream, replicates: int,
     return percentile_ci(BootstrapDistribution(point, np.array(kept)), alpha)
 
 
+def _percentile_over_refits(dataset: Dataset, rng: RngStream, replicates: int,
+                            alpha: float, point_fn: Callable[[Dataset], float]
+                            ) -> IntervalEstimate:
+    """Percentile interval of ``point_fn`` over bootstrap row resamples.
+
+    The point is fitted on the dataset as given: a row copy makes strided
+    CSV columns contiguous, and that can move a fit in the last bits.
+    Replicate ``k`` refits on row ``k`` of the :func:`index_blocks` draw
+    (:func:`_refit`), and the interval is read off the kept refits
+    (:func:`_refit_interval`).
+    """
+    alpha = check_alpha(alpha)
+    b = check_count(replicates, "replicates", 2)
+    point = point_fn(dataset)
+    n = dataset.n_rows
+    kept = []
+    for start, idx in index_blocks(rng.generator(), n, b, n):
+        for k, rows in enumerate(idx, start):
+            value = _refit(k, point_fn, dataset, rows)
+            if value is not None:
+                kept.append(value)
+    return _refit_interval(point, kept, b, alpha)
+
+
+def _stacked_cholesky(grams: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a ``(k, p, p)`` stack; a matrix that
+    cannot be factored gets zeros, whose pivots pass no rank screen."""
+    try:
+        return np.linalg.cholesky(grams)
+    except np.linalg.LinAlgError:
+        factors = np.zeros_like(grams)
+        for i, gram in enumerate(grams):
+            try:
+                factors[i] = np.linalg.cholesky(gram)
+            except np.linalg.LinAlgError:
+                pass
+        return factors
+
+
+def _full_rank(pivots: np.ndarray, share: float) -> np.ndarray:
+    """Whether every pivot in each row of ``pivots`` exceeds ``share`` times
+    the row's largest."""
+    return (pivots > share * pivots.max(axis=-1, keepdims=True)).all(axis=-1)
+
+
 def standardization_bootstrap_se(dataset: Dataset, model: ModelSpec, treatment: str,
                                  rng: RngStream, replicates: int = 1000,
                                  alpha: float = 0.05) -> IntervalEstimate:
     """Percentile interval for the standardized 1 vs 0 contrast under row
     resampling.
 
-    Each replicate refits the model from scratch on a resampled dataset.
-    Replicates whose refit raises a package error are dropped; more than
-    5% of them failing aborts with an error instead of quietly reporting a
-    fragile interval.
+    The point is :func:`standardization_contrast` on the dataset as given.
+    The replicates do not refit a resampled dataset.  A row resample is
+    the dataset weighted by how often it draws each row, so the design is
+    factored once, ``X = QR``, and replicate ``b`` with row counts ``c_b``
+    solves the weighted normal equations in the basis ``Q``:
+    ``G_b g_b = Q^T diag(c_b) y``, where ``G_b = Q^T diag(c_b) Q`` is the
+    Gram matrix of ``sqrt(c_b) Q``, near-orthogonal for any resample that
+    keeps every direction.  Then ``beta_b = R^-1 g_b``, and the contrast
+    is ``sum_j beta_bj (c_b . D_j) / n`` over the treatment terms' shift
+    columns ``D_j``.  Each :func:`index_blocks` chunk of ``k`` replicates
+    takes ``p`` products of its ``(k, n)`` row counts, one per column of
+    ``Q``, and one stacked Cholesky factorisation, and its draws are those
+    of a refit per replicate.  The largest temporary is a weighted copy of
+    the counts, ``k * n`` doubles: at most ``2**16``, or ``n`` once a
+    replicate has more rows.
+
+    The rank test is a screen.  A resample that loses a direction leaves a
+    Cholesky pivot near ``sqrt(eps)`` of the largest, not near ``eps``.
+    So a replicate keeps its batched value only if every pivot of ``G_b``'s
+    factor exceeds ``sqrt(max(n, p) * eps)`` times the largest, the pivots
+    it implies for the resampled ``X`` (those times ``|diag R|``) pass a
+    refit's own rank test, and the value is finite.  Any other
+    replicate is refit on its rows, as :func:`ps_stratified_contrast`'s
+    replicates are.  So the replicates dropped, the 5% budget and the
+    errors raised are those of a refit on every resample.
 
     The name is older than the return value, which is an interval and not
     a standard error; it stays because perfbench's tracer wraps this
     function by name.
     """
+    alpha = check_alpha(alpha)
+    b = check_count(replicates, "replicates", 2)
+    point = standardization_contrast(dataset, model, treatment)
+    design, y = build_design(dataset, model)
+    q, r = _orthonormal_basis(design.matrix, design.column_names)
+    n, p = q.shape
+    terms, columns = zip(*_treatment_shifts(dataset, model, treatment))
+    shifts = np.stack([np.broadcast_to(column, n) for column in columns], axis=1)
+    # The columns of Q, then y, as contiguous rows to weight the counts by;
+    # the transpose is ``[Q | y]`` in Fortran order, the faster operand.
+    q_y = np.empty((p + 1, n))
+    q_y[:p], q_y[p] = q.T, y
+    tolerance = _rank_tolerance((n, p))
+    r_pivots = np.abs(np.diag(r))
 
     def point_fn(ds: Dataset) -> float:
         return standardization_contrast(ds, model, treatment)
 
-    return _percentile_over_refits(dataset, rng, replicates, alpha, point_fn)
+    kept = []
+    for start, idx in index_blocks(rng.generator(), n, b, n):
+        offsets = n * np.arange(len(idx))[:, None]
+        counts = np.bincount((idx + offsets).ravel(),
+                             minlength=idx.size).reshape(idx.shape).astype(float)
+        # Row j of every replicate's [G_b | Q^T diag(c_b) y] at once, so the
+        # one temporary is a weighted copy of the counts, not of k Q's.
+        products = np.empty((len(idx), p, p + 1))
+        for j in range(p):
+            products[:, j] = (counts * q_y[j]) @ q_y.T
+        chol = _stacked_cholesky(products[:, :, :p])
+        pivots = np.diagonal(chol, axis1=1, axis2=2)
+        ok = np.flatnonzero(_full_rank(pivots, math.sqrt(tolerance))
+                            & _full_rank(pivots * r_pivots, tolerance))
+        values = np.full(len(idx), np.nan)
+        if ok.size:
+            lower = chol[ok]
+            g = np.linalg.solve(lower.transpose(0, 2, 1),
+                                np.linalg.solve(lower, products[ok, :, p:]))[:, :, 0]
+            beta = np.linalg.solve(r, g.T)[list(terms)]
+            values[ok] = np.sum(beta.T * (counts[ok] @ shifts), axis=1) / n
+        for k, (rows, value) in enumerate(zip(idx, values), start):
+            if not math.isfinite(value):
+                value = _refit(k, point_fn, dataset, rows)
+            if value is not None:
+                kept.append(value)
+    return _refit_interval(point, kept, b, alpha)
 
 
 def ps_stratified_contrast(dataset: Dataset, outcome: str, treatment: str,

@@ -692,12 +692,13 @@ def test_estimate_av_bytes_match_pinned_digest(tmp_path):
 @pytest.mark.parametrize("method, digest", [
     ("LR", "7a74f5b018d89d7695b5595d3e6ce906141ce99a873378f2620d45ce781c7f21"),
     ("MR", "26aad99ec935bb4a2ba597302d5637d27d787bd68dcde672d4617535f357101e"),
-    ("S", "f7cb92c3a280fd8191ee3a02d1deeeed1dd6d785d94dfe741ba720b16f587e0a"),
+    ("S", "c0877bf41a37fb39b77646528e68394491431bcbecdd9307513673d11aa848a5"),
     ("PS", "3a41a750c655d8426c8ef44cc7880c5b46a9f529e17106bfda3842c868979de1"),
 ], ids=["LR", "MR", "S", "PS"])  # named by method, so a re-pin keeps the test ids
 def test_estimate_refit_bytes_match_pinned_digest(tmp_path, method, digest):
     # As the Av digest above, for the methods that fit a model: LR and MR
-    # once, S and PS on every bootstrap replicate.
+    # once, PS on every bootstrap replicate, and S once plus one weighted
+    # solve per replicate.
     path = two_arm_csv(tmp_path / "d.csv", seed=9)
     out = str(tmp_path / "est")
     result = CliRunner().invoke(main, [

@@ -27,6 +27,7 @@ from funcavg.errors import (
 from funcavg.formula import ModelSpec, Term
 from funcavg.regression import (
     DesignMatrix,
+    _percentile_over_refits,
     build_design,
     design_from_columns,
     logistic_fit,
@@ -651,12 +652,88 @@ def test_ps_refits_factor_each_design_twice(monkeypatch):
 
 
 def test_standardization_refits_factor_each_design_once(monkeypatch):
-    # One R-only QR of [X | y] for the point and each of the B refits.
+    # Two R-only QRs whatever B: one of [X | y] for the point, one of X for
+    # the basis every replicate is solved in.
     modes = _qr_modes(monkeypatch)
-    ci = standardization_bootstrap_se(linear_arm_data(300, seed=8), ARM_MODEL, "t",
-                                      RngStream(6, (1,)), replicates=20)
-    assert math.isfinite(ci.point)
-    assert modes == ["r"] * (20 + 1)
+    for replicates in (20, 200):
+        modes.clear()
+        ci = standardization_bootstrap_se(linear_arm_data(300, seed=8), ARM_MODEL, "t",
+                                          RngStream(6, (1,)), replicates=replicates)
+        assert math.isfinite(ci.point)
+        assert modes == ["r", "r"]
+
+
+def _refit_on_every_resample(ds, model, stream):
+    """The S interval as a refit on each of 200 resamples gives it."""
+    return _percentile_over_refits(ds, stream, 200, 0.05,
+                                   lambda d: standardization_contrast(d, model, "t"))
+
+
+def _outcome(fit):
+    """``fit()``'s interval, or the error it raises."""
+    try:
+        return fit()
+    except Exception as exc:
+        return exc
+
+
+@pytest.mark.parametrize("zeros", [2, 4])
+@pytest.mark.parametrize("seed", range(40))
+def test_standardization_drops_the_replicates_a_refit_drops(seed, zeros):
+    # c is 1 except on the first rows, so a resample that misses them all
+    # makes c a copy of the intercept.  Such a Gram's Cholesky pivot sits
+    # near sqrt(eps) of the largest, not near eps, so a screen at eps keeps
+    # singular replicates: it drops fewer than the refits at most seeds.
+    # With two such rows about 13% of resamples are singular and the 5%
+    # budget is blown; with four, about 1.6% are dropped and the interval
+    # is read off the rest.
+    g = np.random.default_rng(seed)
+    n = 60
+    c = np.ones(n)
+    c[:zeros] = 0.0
+    t = (g.random(n) < 0.5).astype(float)
+    x = g.uniform(size=n)
+    y = 1 + 2 * t + c + x + g.normal(size=n)
+    ds = Dataset({"y": y, "t": t, "c": c, "x": x})
+    model = ModelSpec("y", (Term(("t",)), Term(("c",)), Term(("x",))))
+    expected = _outcome(lambda: _refit_on_every_resample(ds, model, RngStream(seed, (1,))))
+    got = _outcome(lambda: standardization_bootstrap_se(ds, model, "t", RngStream(seed, (1,)),
+                                                        replicates=200))
+    if isinstance(expected, Exception):
+        assert type(got) is type(expected) and str(got) == str(expected)
+    else:
+        assert got.point == expected.point
+        assert got.lower == pytest.approx(expected.lower, abs=1e-10)
+        assert got.upper == pytest.approx(expected.upper, abs=1e-10)
+
+
+@pytest.mark.parametrize("offset, scale, factors, rel", [
+    (1e6, 1.0, (("t",), ("x",)), 1e-8),
+    (1e6, 1.0, (("t",), ("x",), ("t", "x")), 1e-8),
+    (0.0, 1.0, (("t",), ("x",), ("t", "x")), 1e-12),
+    (0.0, 4e-13, (("t",), ("x",)), 1e-12),
+], ids=["offset", "offset-interaction", "interaction", "tiny-scale"])
+def test_standardization_batched_replicates_match_refits_on_hard_designs(
+        offset, scale, factors, rel):
+    # A covariate offset by 1e6 costs both paths digits: against the same
+    # resamples of the unshifted column, each interval moves by about 1e-10
+    # relative (2e-9 for the refits with the interaction).  The t:x term's
+    # shift column is x, so its contrast weights every replicate's counts.
+    # At scale 4e-13 the design just passes the rank test, and a refit
+    # drops the resamples whose x pivot falls below it, though their
+    # pivots in the basis Q are healthy: S must drop them too.
+    g = np.random.default_rng(7)
+    n = 500
+    t = (g.random(n) < 0.5).astype(float)
+    x = g.uniform(size=n)
+    y = 1 + 2 * t + 3 * x + 1.5 * t * x + g.normal(size=n)
+    ds = Dataset({"y": y, "t": t, "x": offset + scale * x})
+    model = ModelSpec("y", tuple(Term(f) for f in factors))
+    expected = _refit_on_every_resample(ds, model, RngStream(3, (3,)))
+    got = standardization_bootstrap_se(ds, model, "t", RngStream(3, (3,)), replicates=200)
+    assert got.point == expected.point
+    assert got.lower == pytest.approx(expected.lower, rel=rel)
+    assert got.upper == pytest.approx(expected.upper, rel=rel)
 
 
 def test_bootstrap_se_errors_when_refits_keep_failing():
