@@ -4,10 +4,15 @@ OLS factors the augmented matrix ``[X | y]`` once, keeping only its
 triangular factor: the leading p-by-p block is the ``R`` of ``X = QR`` and
 the last column above the diagonal is ``Q^T y``, so the coefficients solve
 ``R b = Q^T y`` without ``Q`` ever being formed (Bjorck 1996, *Numerical
-Methods for Least Squares Problems*).  Coefficients are linear in the
-response, ``beta_s = w_s . y`` with ``w_s`` row ``s`` of ``R^-1 Q^T``; the
-intervals need only ``||w_s||_2``, which are the row norms of ``R^-1`` as
-``Q`` has orthonormal columns, so the fit keeps just those.
+Methods for Least Squares Problems*).  Every R factor here comes from row
+blocks (TSQR): each block of at most ``2**16`` cells is reduced to its own
+``R``, and one QR of the stacked block factors gives the ``R`` of the
+whole, so factoring a tall matrix never copies it whole (Demmel, Grigori,
+Hoemmen & Langou 2012, SIAM J. Sci. Comput. 34:A206-A239).  Coefficients
+are linear in the response, ``beta_s = w_s . y`` with ``w_s`` row ``s`` of
+``R^-1 Q^T``; the intervals need only ``||w_s||_2``, which are the row
+norms of ``R^-1`` as ``Q`` has orthonormal columns, so the fit keeps just
+those.
 Alongside the Student-t interval this module provides one driven entirely
 by the residual extremes: valid for symmetric bounded errors, no variance
 estimate involved.
@@ -36,7 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bootstrap import BootstrapDistribution, index_blocks, percentile_ci
+from .bootstrap import BootstrapDistribution, index_blocks, percentile_ci, row_chunks
 from .dataset import Dataset
 from .errors import (ConvergenceError, DataError, FuncavgError, ParameterError, ResampleError,
                      SingularDesignError, StratificationError, check_alpha, check_count,
@@ -78,8 +83,8 @@ class DesignMatrix:
 
 
 def _evaluate_terms(dataset: Dataset, terms: Sequence[Term]) -> DesignMatrix:
-    # Column-major: each column is written contiguously, and the least-squares
-    # solve copies the whole block into its augmented array at once.
+    # Column-major: each column is written contiguously, and each row block
+    # the least-squares solve copies out of it is one slice per column.
     matrix = np.empty((dataset.n_rows, 1 + len(terms)), order="F")
     matrix[:, 0] = 1.0
     for j, term in enumerate(terms, start=1):
@@ -124,10 +129,38 @@ class RegressionFit:
         return float(self.coefficients[self.coefficient_index(coefficient)])
 
 
+def _r_factor(matrix: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
+    """Triangular factor of ``[matrix | rhs]`` (of ``matrix`` alone when
+    ``rhs`` is None), factored by row blocks (TSQR).
+
+    Each :func:`~funcavg.bootstrap.row_chunks` block of at most ``2**16``
+    cells is copied into one small Fortran-ordered buffer and reduced to
+    its own R; the R of the stacked block factors is the R of the whole,
+    up to the signs of its rows, and as backward stable as one Householder
+    QR (Demmel, Grigori, Hoemmen & Langou 2012).  So the factorisation
+    never copies the whole matrix.  A matrix that fits in one block gets
+    exactly the one QR of it, with no second factorisation.
+    """
+    n, p = matrix.shape
+    width = p + (rhs is not None)
+    chunks = list(row_chunks(n, width))
+    block = np.empty((chunks[0][1], width), order="F")
+    factors = []
+    for start, stop in chunks:
+        rows = block[:stop - start]
+        rows[:, :p] = matrix[start:stop]
+        if rhs is not None:
+            rows[:, p] = rhs[start:stop]
+        factors.append(np.linalg.qr(rows, mode="r"))
+    if len(factors) == 1:
+        return factors[0]
+    return np.linalg.qr(np.concatenate(factors), mode="r")
+
+
 def _qr_solve(matrix: np.ndarray, rhs: np.ndarray, names: tuple[str, ...]):
     """``(b, R)``: least squares ``matrix @ b ~ rhs`` from the triangular
-    factor of ``[matrix | rhs]``, whose leading block is ``R`` and whose
-    last column holds ``Q^T rhs``.
+    factor of ``[matrix | rhs]`` (:func:`_r_factor`, by row blocks), whose
+    leading block is ``R`` and whose last column holds ``Q^T rhs``.
 
     Requires strictly more rows than columns, and raises
     :class:`~funcavg.errors.SingularDesignError` at the first dependent
@@ -137,10 +170,7 @@ def _qr_solve(matrix: np.ndarray, rhs: np.ndarray, names: tuple[str, ...]):
     if n <= p:
         raise DataError(f"need more observations than design columns, "
                         f"got n={n}, p={p}")
-    augmented = np.empty((n, p + 1), order="F")
-    augmented[:, :p] = matrix
-    augmented[:, p] = rhs
-    r = np.linalg.qr(augmented, mode="r")
+    r = _r_factor(matrix, rhs)
     r_x = r[:p, :p]
     _check_rank(r_x, (n, p), names)
     return np.linalg.solve(r_x, r[:p, p]), r_x
@@ -164,15 +194,17 @@ def _check_rank(r: np.ndarray, shape: tuple[int, int], names: tuple[str, ...]) -
 
 
 def _orthonormal_basis(x: np.ndarray, names: tuple[str, ...]):
-    """``(Q, R)`` with ``X = QR``: ``R`` from an R-only QR of ``x``,
+    """``(Q, R)`` with ``X = QR``: ``R`` from :func:`_r_factor` of ``x``,
     rank-checked by :func:`_check_rank`, and ``Q = X R^-1``."""
-    r = np.linalg.qr(x, mode="r")
+    r = _r_factor(x)
     _check_rank(r, x.shape, names)
     return x @ np.linalg.inv(r), r
 
 
 def ols_fit(design: DesignMatrix, response) -> RegressionFit:
-    """Ordinary least squares from the R factor of ``[X | y]``.
+    """Ordinary least squares from the R factor of ``[X | y]``, factored by
+    row blocks (:func:`_r_factor`), so the fit copies no more than one
+    block of the design at a time.
 
     The residuals are ``y - X b``; the weight norms are the row norms of
     ``R^-1`` and the residual variance is read off the residuals.

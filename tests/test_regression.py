@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit, logit
 
+from funcavg.bootstrap import row_chunks
 from funcavg.dataset import Dataset
 from funcavg.distributions import (
     BernoulliSpec,
@@ -28,6 +29,8 @@ from funcavg.formula import ModelSpec, Term
 from funcavg.regression import (
     DesignMatrix,
     _percentile_over_refits,
+    _qr_solve,
+    _r_factor,
     build_design,
     design_from_columns,
     logistic_fit,
@@ -141,6 +144,85 @@ def test_ols_recovers_treatment_coefficient():
     ds = linear_arm_data(2500, seed=31)
     fit = ols_fit(*build_design(ds, ARM_MODEL))
     assert fit.coefficient("t") == pytest.approx(20.0, abs=0.2)
+
+
+def _block_rows(width):
+    """Rows per :func:`_r_factor` block of a matrix ``width`` columns wide."""
+    _, step = next(row_chunks(1 << 30, width))
+    return step
+
+
+def _tall_design(n, p, seed):
+    """An intercept and ``p - 1`` normal columns, and a response on them."""
+    g = np.random.default_rng([seed, n, p])
+    x = np.empty((n, p), order="F")
+    x[:, 0] = 1.0
+    x[:, 1:] = g.normal(size=(n, p - 1))
+    return x, x @ g.normal(size=p) + g.normal(size=n)
+
+
+def _sign_normalised(r):
+    return r * np.sign(np.diag(r))[:, None]
+
+
+@pytest.mark.parametrize("p", range(2, 8))
+@pytest.mark.parametrize("rows", ["one-block", "one-block-plus-1", "short-last", "200k"])
+def test_blocked_r_factor_matches_one_qr(rows, p):
+    # [X | y] is p + 1 wide.  "short-last" leaves a last block of one row,
+    # fewer than p, whose factor is a single row.
+    step = _block_rows(p + 1)
+    n = {"one-block": step, "one-block-plus-1": step + 1, "short-last": 3 * step + 1,
+         "200k": 200_000}[rows]
+    x, y = _tall_design(n, p, seed=5)
+    augmented = np.column_stack([x, y])
+    reference = np.linalg.qr(augmented, mode="r")
+    r = _r_factor(x, y)
+    assert r.shape == (p + 1, p + 1)
+    scale = np.abs(np.diag(reference)).max()
+    assert np.abs(_sign_normalised(r) - _sign_normalised(reference)).max() <= 1e-12 * scale
+    # The coefficients read off the blocked factor are least squares, to
+    # 1e-12 of the largest (about 2e-15 on these designs).
+    beta, _ = _qr_solve(x, y, tuple(f"x{j}" for j in range(p)))
+    expected = np.linalg.lstsq(x, y, rcond=None)[0]
+    assert np.abs(beta - expected).max() <= 1e-12 * np.abs(expected).max()
+    if rows == "one-block":
+        # One block is exactly the one QR, with no second factorisation.
+        assert np.array_equal(r, reference)
+        assert np.array_equal(_r_factor(x), np.linalg.qr(x, mode="r"))
+
+
+def test_blocked_r_factor_names_the_dependent_column_of_a_tall_design():
+    # 50,000 rows are several blocks; the column that is the sum of two
+    # others is still named, as one QR of the whole design names it.
+    x, y = _tall_design(50_000, 4, seed=9)
+    x = np.column_stack([x, x[:, 1] + x[:, 2]])
+    assert len(list(row_chunks(50_000, x.shape[1] + 1))) > 1
+    names = ("intercept", "a", "b", "c", "a_plus_b")
+    with pytest.raises(SingularDesignError) as err:
+        ols_fit(DesignMatrix(x, names), y)
+    assert err.value.column == "a_plus_b"
+    with pytest.raises(SingularDesignError) as err:
+        logistic_fit(DesignMatrix(x, names), (y > np.median(y)).astype(float))
+    assert err.value.column == "a_plus_b"
+
+
+def test_ols_fit_of_a_tall_design_copies_no_whole_matrix():
+    # Factored by row blocks, the fit's largest temporaries are two
+    # n-vectors (the fitted values and the residuals), 3.2 MB here.  A QR of
+    # the whole [X | y] would hold it and numpy's copy of it, 19.2 MB,
+    # beside the 8 MB design.
+    import tracemalloc
+
+    x, y = _tall_design(200_000, 5, seed=3)
+    design = DesignMatrix(x, ("intercept", "a", "b", "c", "d"))
+    ols_fit(design, y)
+    tracemalloc.start()
+    try:
+        ols_fit(design, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes / 2
 
 
 def test_coefficient_index_is_a_count_below_p():
@@ -643,7 +725,11 @@ def _qr_modes(monkeypatch):
 def test_ps_refits_factor_each_design_twice(monkeypatch):
     # One QR per logistic fit (the design, factored once before its Newton
     # steps) and one per OLS fit, for the point and each of the B refits;
-    # each keeps only its triangular factor.
+    # each keeps only its triangular factor.  That counts one QR per
+    # factorisation only while a design fits in one row block: above one
+    # block a factorisation makes (blocks + 1) calls.  The widest matrix
+    # factored here is the outcome fit's [X | y], 7 columns at n = 2,000.
+    assert len(list(row_chunks(2000, 7))) == 1
     modes = _qr_modes(monkeypatch)
     ci = ps_stratified_contrast(ps_pipeline_data(2000, seed=71), "y", "t", ["l"],
                                 RngStream(72, (0,)), replicates=20)
@@ -653,7 +739,10 @@ def test_ps_refits_factor_each_design_twice(monkeypatch):
 
 def test_standardization_refits_factor_each_design_once(monkeypatch):
     # Two R-only QRs whatever B: one of [X | y] for the point, one of X for
-    # the basis every replicate is solved in.
+    # the basis every replicate is solved in.  Each is one QR because n = 300
+    # fits in one row block; above one block a factorisation makes
+    # (blocks + 1) calls.
+    assert len(list(row_chunks(300, 3))) == 1
     modes = _qr_modes(monkeypatch)
     for replicates in (20, 200):
         modes.clear()
@@ -707,23 +796,28 @@ def test_standardization_drops_the_replicates_a_refit_drops(seed, zeros):
         assert got.upper == pytest.approx(expected.upper, abs=1e-10)
 
 
-@pytest.mark.parametrize("offset, scale, factors, rel", [
-    (1e6, 1.0, (("t",), ("x",)), 1e-8),
-    (1e6, 1.0, (("t",), ("x",), ("t", "x")), 1e-8),
-    (0.0, 1.0, (("t",), ("x",), ("t", "x")), 1e-12),
-    (0.0, 4e-13, (("t",), ("x",)), 1e-12),
-], ids=["offset", "offset-interaction", "interaction", "tiny-scale"])
+@pytest.mark.parametrize("n, offset, scale, factors, rel", [
+    (500, 1e6, 1.0, (("t",), ("x",)), 1e-8),
+    (500, 1e6, 1.0, (("t",), ("x",), ("t", "x")), 1e-8),
+    (500, 0.0, 1.0, (("t",), ("x",), ("t", "x")), 1e-12),
+    (500, 0.0, 4e-13, (("t",), ("x",)), 1e-12),
+    (25_000, 1e6, 1.0, (("t",), ("x",)), 1e-8),
+], ids=["offset", "offset-interaction", "interaction", "tiny-scale", "offset-blocks"])
 def test_standardization_batched_replicates_match_refits_on_hard_designs(
-        offset, scale, factors, rel):
+        n, offset, scale, factors, rel):
     # A covariate offset by 1e6 costs both paths digits: against the same
     # resamples of the unshifted column, each interval moves by about 1e-10
     # relative (2e-9 for the refits with the interaction).  The t:x term's
     # shift column is x, so its contrast weights every replicate's counts.
     # At scale 4e-13 the design just passes the rank test, and a refit
     # drops the resamples whose x pivot falls below it, though their
-    # pivots in the basis Q are healthy: S must drop them too.
+    # pivots in the basis Q are healthy: S must drop them too.  That scale
+    # is tied to the rank tolerance at n = 500, max(n, p) * eps, so the case
+    # stays at that n.  At n = 25,000 both the basis and every refit factor
+    # their design by row blocks.
+    if n > 500:
+        assert len(list(row_chunks(n, len(factors) + 1))) > 1
     g = np.random.default_rng(7)
-    n = 500
     t = (g.random(n) < 0.5).astype(float)
     x = g.uniform(size=n)
     y = 1 + 2 * t + 3 * x + 1.5 * t * x + g.normal(size=n)
