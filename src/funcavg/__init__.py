@@ -26,6 +26,7 @@ from .diagnostics import (
     mean_midrange_distance,
     residual_support_symmetry,
     sum_symmetry_gap,
+    support_areas,
 )
 from .distributions import (
     BernoulliSpec,
@@ -147,6 +148,7 @@ __all__ = [
     "standardization_bootstrap_se",
     "standardization_contrast",
     "sum_symmetry_gap",
+    "support_areas",
     "t_ci",
     "true_functional_average",
     "u_concentration_ci",

@@ -34,7 +34,8 @@ import numpy as np
 
 from .bootstrap import BootstrapConfig, hoeffding_ci, resample
 from .dataset import Dataset, TwoArmSample
-from .diagnostics import ecdf, mean_midrange_distance, residual_support_symmetry, sum_symmetry_gap
+from .diagnostics import (ecdf, mean_midrange_distance, residual_support_symmetry,
+                          sum_symmetry_gap, support_areas)
 from .errors import CsvParseError, DataError, FuncavgError, SchemaError, check_count
 from .estimators import midrange
 from .formula import ModelSpec, Term
@@ -438,22 +439,22 @@ def diagnose(input_path, treatment, outcome, covariates, out):
                             "values; too many to group by")
         lines = [("group", "n", "gap", "gap/range", "mean-midrange",
                   "area-below", "area-above")]
-        curves = {}
+        kept = {}
         for g in distinct:
             sample = values[groups == g]
             label = _group_label(g)
-            if sample.size < 2 or sample.min() == sample.max():
+            width = sample.max() - sample.min()
+            if width == 0.0:
                 click.echo(f"warning: group {treatment}={label} has no spread; "
                            "skipped", err=True)
                 continue
-            curve = ecdf(sample)
-            curves[label] = curve
+            kept[label] = sample
             gap = sum_symmetry_gap(sample)
+            below, above = support_areas(sample)
             lines.append((label, str(sample.size), f"{gap:.4f}",
-                          f"{gap / curve.observed_range:.4f}",
+                          f"{gap / width:.4f}",
                           f"{mean_midrange_distance(sample):.4f}",
-                          f"{curve.area_below():.4f}",
-                          f"{curve.area_above():.4f}"))
+                          f"{below:.4f}", f"{above:.4f}"))
         rendered = aligned_table(lines)
         if covariates:
             design, y = build_design(
@@ -479,7 +480,8 @@ def diagnose(input_path, treatment, outcome, covariates, out):
     if out is not None:
         try:
             write_text(f"{out}.txt", text)
-            for label, curve in curves.items():
+            for label, sample in kept.items():
+                curve = ecdf(sample)
                 write_text(f"{out}_ecdf_{label}.csv", csv_text(
                     ("value", "cumulative_fraction"),
                     zip(curve.values.tolist(), curve.heights.tolist())))

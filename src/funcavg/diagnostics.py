@@ -5,6 +5,9 @@ probability mass is arranged so that the distribution function leaves
 equal areas below and above itself over the observed range.  These
 diagnostics measure how far a sample, or a fit's residuals, sit from that
 ideal; none of them is a hypothesis test, they are descriptive gauges.
+Both areas have closed forms, ``mean(max - x)`` and ``mean(x - min)``
+(:func:`support_areas`), so every gauge reads off the mean and the two
+extremes; :func:`ecdf` builds the step curve itself only to write it out.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ __all__ = [
     "EcdfCurve",
     "SupportSymmetryReport",
     "ecdf",
+    "support_areas",
     "sum_symmetry_gap",
     "mean_midrange_distance",
     "residual_support_symmetry",
@@ -27,7 +31,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EcdfCurve:
-    """Right-continuous empirical distribution function.
+    """Points of the right-continuous empirical distribution function.
 
     ``values`` holds the sorted distinct sample values, ``heights`` the
     cumulative fraction at each, ending at exactly 1.
@@ -36,31 +40,6 @@ class EcdfCurve:
     values: np.ndarray = field(repr=False)
     heights: np.ndarray = field(repr=False)
     n: int
-
-    def evaluate(self, x) -> np.ndarray:
-        """F(x): fraction of the sample at or below ``x``."""
-        x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self.values, x, side="right")
-        padded = np.concatenate([[0.0], self.heights])
-        return padded[idx]
-
-    @property
-    def observed_range(self) -> float:
-        return float(self.values[-1] - self.values[0])
-
-    def area_below(self) -> float:
-        """Integral of F over the observed range, exact for the step curve."""
-        if self.values.size < 2:
-            return 0.0
-        gaps = np.diff(self.values)
-        return float(np.sum(self.heights[:-1] * gaps))
-
-    def area_above(self) -> float:
-        """Integral of the survival curve 1 - F over the observed range."""
-        if self.values.size < 2:
-            return 0.0
-        gaps = np.diff(self.values)
-        return float(np.sum((1.0 - self.heights[:-1]) * gaps))
 
 
 def ecdf(sample) -> EcdfCurve:
@@ -71,20 +50,32 @@ def ecdf(sample) -> EcdfCurve:
     return EcdfCurve(values=values, heights=heights, n=x.size)
 
 
+def support_areas(sample) -> tuple[float, float]:
+    """Areas below the ECDF and above it, over the observed range.
+
+    Since ``E[X] = min + integral of (1 - F)``, the area below F is
+    ``mean(max - x)`` and the area above it ``mean(x - min)``.  Measured
+    from an extreme, the differences lose no digits to a common offset,
+    and no sort is needed.  Both areas are 0 when every value is equal.
+    """
+    x = finite_array(sample, "sample")
+    return float(np.mean(x.max() - x)), float(np.mean(x - x.min()))
+
+
 def sum_symmetry_gap(sample) -> float:
     """Area below the ECDF minus area above it, over the observed range.
 
     Zero for distributions that put mass symmetrically around the middle
     of their support; positive when mass piles up near the minimum (the
     curve rises early), negative when it piles up near the maximum.
-    Algebraically the gap equals ``2 * (midrange - mean)``, but it is
-    computed here from the step function itself.  Divided by the observed
+    The gap equals ``2 * (midrange - mean)``; divided by the observed
     range it is a scale-free number in ``[-1, 1]``.
     """
-    curve = ecdf(sample)
-    if curve.observed_range == 0.0:
+    x = finite_array(sample, "sample")
+    if x.min() == x.max():
         raise DataError("sum-symmetry gap needs a nondegenerate observed range")
-    return curve.area_below() - curve.area_above()
+    below, above = support_areas(x)
+    return below - above
 
 
 def mean_midrange_distance(sample) -> float:
@@ -92,10 +83,11 @@ def mean_midrange_distance(sample) -> float:
 
     Large values flag laws whose support midpoint and expectation
     genuinely differ, exactly the situation in which mean-targeting and
-    support-targeting estimators answer different questions.
+    support-targeting estimators answer different questions.  It is half
+    the absolute sum-symmetry gap, read off :func:`support_areas`.
     """
-    x = finite_array(sample, "sample")
-    return float(abs(x.mean() - (x.min() + x.max()) / 2.0))
+    below, above = support_areas(sample)
+    return abs(below - above) / 2.0
 
 
 @dataclass(frozen=True)
@@ -115,7 +107,7 @@ def residual_support_symmetry(residuals) -> SupportSymmetryReport:
     range-based coefficient interval assumes symmetric errors, so values
     well away from zero argue against using it.
     """
-    r = finite_array(residuals, "sample")
+    r = finite_array(residuals, "residuals")
     hi, lo = float(r.max()), float(r.min())
     if hi == lo:
         raise DataError("residual support symmetry needs a nondegenerate range")

@@ -89,9 +89,9 @@ class SingularDesignError(FuncavgError):
     ``column`` names the offending design column.
     """
 
-    def __init__(self, column: str, message: str | None = None):
+    def __init__(self, column: str):
         self.column = column
-        super().__init__(message or f"design matrix is singular: column {column!r} "
+        super().__init__(f"design matrix is singular: column {column!r} "
                          "is linearly dependent on the preceding columns")
 
 

@@ -26,7 +26,7 @@ from click.testing import CliRunner
 
 from funcavg.bootstrap import BootstrapDistribution, hoeffding_ci, hoeffding_u_ci
 from funcavg.cli import main
-from funcavg.diagnostics import ecdf
+from funcavg.diagnostics import ecdf, support_areas
 from funcavg.distributions import (
     TruncatedNormalSpec,
     sample_bernoulli_probs,
@@ -208,7 +208,8 @@ def test_criterion_08_property_suites(symmetric_report, skewed_report,
         assert np.max(np.abs(fit.coefficients - explicit)) <= 1e-6
 
     # Ecdf areas partition the observed range: exact in rational
-    # arithmetic over the same step curve, and to 1e-9 in float.
+    # arithmetic over the step curve, and the closed-form areas of
+    # support_areas match them to 1e-9 in float.
     rng = np.random.default_rng(ACCEPTANCE_SEED + 2)
     for _ in range(1000):
         size = int(rng.integers(2, 40))
@@ -231,8 +232,9 @@ def test_criterion_08_property_suites(symmetric_report, skewed_report,
             above += (1 - height) * gap
         full = Fraction(float(curve.values[-1])) - Fraction(float(curve.values[0]))
         assert below + above == full
-        assert curve.area_below() == approx(float(below), abs=1e-9)
-        assert curve.area_above() == approx(float(above), abs=1e-9)
+        area_below, area_above = support_areas(sample)
+        assert area_below == approx(float(below), abs=1e-9)
+        assert area_above == approx(float(above), abs=1e-9)
 
     # Coverage and power tallies are exact complements in float.
     covering = IntervalEstimate(point=0.5, lower=0.0, upper=1.0,

@@ -15,6 +15,7 @@ from funcavg import cli
 from funcavg.bootstrap import BootstrapConfig, hoeffding_ci, resample
 from funcavg.cli import METHOD_NAMES, ingest_csv, main
 from funcavg.dataset import TwoArmSample
+from funcavg.diagnostics import ecdf
 from funcavg.errors import CsvParseError, DataError, SchemaError
 from funcavg.estimators import midrange
 from funcavg.rng import RngStream
@@ -896,6 +897,53 @@ def test_diagnose_bytes_match_pinned_digest(tmp_path):
                     for name in ("diag.txt", "diag_ecdf_0.csv", "diag_ecdf_1.csv"))
     assert hashlib.sha256(body).hexdigest() == \
         "b192e3b8932ce4cde08fdfe3b93d01b82c50e675fb62b062a838de50792c4ef6"
+
+
+def test_diagnose_is_translation_invariant(tmp_path):
+    # Outcomes on a 1/8 grid stay exact in float after a shift by 1e13, so
+    # every gauge, a difference or a spread, must print the same digits.
+    rng = np.random.default_rng(29)
+    t = rng.integers(0, 2, size=1001)
+    y = np.floor(rng.beta(2.0, 5.0, size=t.size) * 80.0 + 8.0 * t) / 8.0
+    gauges = []
+    for offset in (0.0, 1e13):
+        path = write_csv(tmp_path / f"d{offset:g}.csv", ["y", "t"],
+                         [[repr(float(a + offset)), str(b)] for a, b in zip(y, t)])
+        result = CliRunner().invoke(main, [
+            "diagnose", path, "--treatment", "t", "--outcome", "y"])
+        assert result.exit_code == 0
+        gauges.append([line.split()[2:] for line in result.stdout.splitlines()[2:]])
+    assert len(gauges[0]) == 2
+    assert gauges[1] == gauges[0]
+
+
+def test_diagnose_table_builds_no_ecdf(tmp_path, monkeypatch):
+    path = write_csv(tmp_path / "d.csv", ["y", "t"],
+                     [["1.0", "0"], ["2.0", "0"], ["4.0", "0"],
+                      ["7.0", "1"], ["7.5", "2"], ["9.0", "2"]])
+    argv = ["diagnose", path, "--treatment", "t", "--outcome", "y"]
+    plain = CliRunner().invoke(main, argv)
+    assert plain.exit_code == 0
+
+    def refuse(sample):
+        raise AssertionError("the table built an ECDF")
+
+    monkeypatch.setattr(cli, "ecdf", refuse)
+    patched = CliRunner().invoke(main, argv)
+    assert patched.exit_code == 0
+    assert patched.stdout == plain.stdout
+
+    calls = []
+
+    def counted(sample):
+        calls.append(sample)
+        return ecdf(sample)
+
+    monkeypatch.setattr(cli, "ecdf", counted)
+    written = CliRunner().invoke(main, argv + ["--out", str(tmp_path / "diag")])
+    assert written.exit_code == 0
+    assert written.stdout == plain.stdout
+    assert [c.tolist() for c in calls] == [[1.0, 2.0, 4.0], [7.5, 9.0]]
 
 
 def test_diagnose_keeps_close_groups_apart(tmp_path):

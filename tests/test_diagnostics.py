@@ -11,6 +11,7 @@ from funcavg.diagnostics import (
     mean_midrange_distance,
     residual_support_symmetry,
     sum_symmetry_gap,
+    support_areas,
 )
 from funcavg.distributions import (
     BernoulliSpec,
@@ -25,19 +26,19 @@ from funcavg.rng import RngStream
 
 
 def test_ecdf_step_values():
-    curve = ecdf([1.0, 2.0, 3.0])
-    assert curve.evaluate(2.0) == pytest.approx(2 / 3)
-    assert curve.evaluate(0.5) == 0.0
-    assert curve.evaluate(3.0) == 1.0
-    assert curve.evaluate(2.5) == pytest.approx(2 / 3)
+    curve = ecdf([3.0, 1.0, 2.0])
+    assert curve.values.tolist() == [1.0, 2.0, 3.0]
+    assert curve.heights.tolist() == [pytest.approx(1 / 3), pytest.approx(2 / 3), 1.0]
+    assert curve.n == 3
 
 
 def test_ecdf_single_value_and_duplicates():
     curve = ecdf([4.0, 4.0, 4.0])
     assert curve.values.tolist() == [4.0]
-    assert curve.evaluate(4.0) == 1.0
-    assert curve.evaluate(3.999) == 0.0
+    assert curve.heights.tolist() == [1.0]
+    assert curve.n == 3
     dup = ecdf([0.0, 0.0, 1.0])
+    assert dup.values.tolist() == [0.0, 1.0]
     assert dup.heights.tolist() == [pytest.approx(2 / 3), 1.0]
 
 
@@ -54,12 +55,11 @@ def test_sum_symmetry_gap_hand_instances():
     assert sum_symmetry_gap([0.0, 1.0]) == pytest.approx(0.0, abs=1e-15)
     # Two thirds of the mass below the midpoint: area below the curve is
     # 2/3, above is 1/3.
-    curve = ecdf([0.0, 0.0, 1.0])
-    assert curve.area_below() == pytest.approx(2 / 3)
-    assert curve.area_above() == pytest.approx(1 / 3)
+    below, above = support_areas([0.0, 0.0, 1.0])
+    assert below == pytest.approx(2 / 3)
+    assert above == pytest.approx(1 / 3)
     assert sum_symmetry_gap([0.0, 0.0, 1.0]) == pytest.approx(1 / 3)
     assert sum_symmetry_gap([0.0, 1.0, 1.0]) == pytest.approx(-1 / 3)
-    assert sum_symmetry_gap([0.0, 0.0, 1.0]) / curve.observed_range == pytest.approx(1 / 3)
 
 
 def test_sum_symmetry_gap_degenerate_range():
@@ -75,27 +75,31 @@ def test_area_partition_identity_is_exact(values):
 
     Verified in rational arithmetic: every float is an exact fraction, so
     the step-function areas can be recomputed with no rounding at all.
+    The closed-form areas match them under a large common offset too.
     """
-    curve = ecdf(values)
-    below, above = curve.area_below(), curve.area_above()
-    vals = [Fraction(float(v)) for v in curve.values]
-    n = Fraction(curve.n)
-    counts = np.unique(np.asarray(values, dtype=float), return_counts=True)[1]
-    heights = []
-    running = Fraction(0)
-    for c in counts:
-        running += Fraction(int(c))
-        heights.append(running / n)
-    exact_below = sum(h * (v2 - v1)
-                      for h, v1, v2 in zip(heights[:-1], vals[:-1], vals[1:]))
-    exact_above = sum((1 - h) * (v2 - v1)
-                      for h, v1, v2 in zip(heights[:-1], vals[:-1], vals[1:]))
-    exact_range = vals[-1] - vals[0]
-    assert exact_below + exact_above == exact_range
-    scale = max(1.0, float(exact_range))
-    assert below == pytest.approx(float(exact_below), abs=1e-9 * scale)
-    assert above == pytest.approx(float(exact_above), abs=1e-9 * scale)
-    assert below + above == pytest.approx(float(exact_range), abs=1e-9 * scale)
+    for offset in (0.0, 1e6, 1e9, 1e12):
+        shifted = np.asarray(values, dtype=float) + offset
+        if shifted.max() == shifted.min():
+            continue  # the offset rounded every value to one float
+        below, above = support_areas(shifted)
+        uniq, counts = np.unique(shifted, return_counts=True)
+        vals = [Fraction(float(v)) for v in uniq]
+        n = Fraction(shifted.size)
+        heights = []
+        running = Fraction(0)
+        for c in counts:
+            running += Fraction(int(c))
+            heights.append(running / n)
+        exact_below = sum(h * (v2 - v1)
+                          for h, v1, v2 in zip(heights[:-1], vals[:-1], vals[1:]))
+        exact_above = sum((1 - h) * (v2 - v1)
+                          for h, v1, v2 in zip(heights[:-1], vals[:-1], vals[1:]))
+        exact_range = vals[-1] - vals[0]
+        assert exact_below + exact_above == exact_range
+        scale = max(1.0, float(exact_range))
+        assert below == pytest.approx(float(exact_below), abs=1e-9 * scale)
+        assert above == pytest.approx(float(exact_above), abs=1e-9 * scale)
+        assert below + above == pytest.approx(float(exact_range), abs=1e-9 * scale)
 
 
 def test_gap_tracks_midrange_minus_mean_identity():
@@ -138,6 +142,11 @@ def test_residual_support_symmetry_report():
     assert skew.asymmetry == pytest.approx(3.0 / 4.0)
     with pytest.raises(DataError):
         residual_support_symmetry(np.array([1.0, 1.0]))
+
+
+def test_residual_support_symmetry_names_its_input():
+    with pytest.raises(DataError, match="^residuals must be finite"):
+        residual_support_symmetry([1.0, float("nan")])
 
 
 def test_residual_symmetry_on_arm_model_fits():

@@ -7,7 +7,7 @@ import pytest
 
 from funcavg.bootstrap import BootstrapConfig, resample
 from funcavg.dataset import TwoArmSample
-from funcavg.distributions import TruncatedNormalSpec
+from funcavg.distributions import BinomialSpec, TruncatedNormalSpec
 from funcavg.errors import CsvParseError, ParameterError
 from funcavg.estimators import sample_mean
 from funcavg.intervals import IntervalEstimate
@@ -248,6 +248,39 @@ def test_every_bootstrap_runs_a_batch_kernel(experiment):
         for boot in definition.bootstraps:
             batch = getattr(boot.statistic, "batch", None)
             assert batch is not None and batch(data) is not None, (experiment, boot.estimator)
+
+
+def _narrowed(law, end):
+    """``law`` squeezed onto the lower (``end`` 0) or upper (1) end of its support."""
+    if isinstance(law, BinomialSpec):
+        return BinomialSpec(law.trials, float(end))
+    if end == 0:
+        return TruncatedNormalSpec(law.lower, law.lower + 1e-9, law.lower, 1.0)
+    return TruncatedNormalSpec(law.upper - 1e-9, law.upper, law.upper, 1.0)
+
+
+def _midpoint(*samples):
+    pooled = np.concatenate(samples)
+    return (pooled.min() + pooled.max()) / 2.0
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_targets_are_the_support_midpoints_of_their_draws(experiment):
+    # Each variant's target is a literal.  Drawing with the noise law
+    # pushed to either end of its support reaches the outcome's support
+    # corners, so the midpoint of the pooled draws (per arm, for a
+    # contrast) recovers what the literal should say.
+    definition = _experiments()[experiment]
+    for vi, (label, law, target) in enumerate(definition.variants):
+        lower, upper = (definition.draw(_narrowed(law, end), 400,
+                                        RngStream(11, (definition.number, vi, end)))[0]
+                        for end in (0, 1))
+        if isinstance(lower, TwoArmSample):
+            derived = (_midpoint(lower.treated, upper.treated)
+                       - _midpoint(lower.control, upper.control))
+        else:
+            derived = _midpoint(lower, upper)
+        assert derived == pytest.approx(target, abs=1e-6), (experiment, label)
 
 
 def test_range_checks_all_pass_at_alpha_half():
