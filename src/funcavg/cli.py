@@ -181,12 +181,15 @@ def _clean_matrix(raw: bytes, header_lines: int, width: int,
     per-cell loop must read them.
 
     ``np.loadtxt`` parses every cell as ``float`` does or raises (on text,
-    an empty cell, a quote, a bare sign, a non-ASCII digit or a changed
+    an empty cell, a quote, a bare sign, a non-ASCII character or a changed
     field count); it warns on a body without data, which is refused too.
-    It never sees a byte that is not UTF-8: ``ingest_csv`` refuses those
-    first.  It skips blank lines, which the line count below
-    catches; and it reads ``nan``, ``inf`` and ``1e999``, which the loop
-    drops or rejects.
+    It reads the bytes themselves, decoding them as latin-1, with no text
+    stream between: ``ingest_csv`` has refused any byte that is not UTF-8,
+    and the first byte of a non-ASCII character decodes to a letter, ``×``
+    or ``÷``, which no number holds, so a body row with one is the loop's
+    to read.  It skips blank lines, which the line count below catches;
+    and it reads ``nan``, ``inf`` and ``1e999``, which the loop drops or
+    rejects.
     """
     if b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n") + raw.endswith(b"\r"):
         return None  # a lone CR ends a line that the count below misses
@@ -194,7 +197,7 @@ def _clean_matrix(raw: bytes, header_lines: int, width: int,
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            full = np.loadtxt(_text(raw), delimiter=",", comments=None, dtype=float,
+            full = np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None, dtype=float,
                               skiprows=header_lines, ndmin=2)
         except (ValueError, UserWarning):
             return None

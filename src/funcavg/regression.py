@@ -29,8 +29,13 @@ objects, fits the model by OLS and standardizes the treatment contrast
 over the fitted predictions.  Its bootstrap does not refit a resampled
 dataset: a row resample is the dataset weighted by row counts, so each
 replicate is a p-by-p weighted solve in the basis ``Q`` of the design,
-factored once.  Propensity-score stratification re-runs its whole
-pipeline on each resampled dataset.
+factored once.  Propensity-score stratification factors its covariate
+design once as well: each replicate runs the logistic fit's Newton
+iterations in its rows of that basis, the strata of a chunk of replicates
+are cut together, and only the outcome model is refit per replicate.  A
+replicate that either shortcut cannot vouch for is refit on its resampled
+rows, so both bootstraps drop the replicates a refit on every resample
+drops.
 """
 
 from __future__ import annotations
@@ -193,11 +198,12 @@ def _check_rank(r: np.ndarray, shape: tuple[int, int], names: tuple[str, ...]) -
         raise SingularDesignError(names[int(bad[0])])
 
 
-def _orthonormal_basis(x: np.ndarray, names: tuple[str, ...]):
-    """``(Q, R)`` with ``X = QR``: ``R`` from :func:`_r_factor` of ``x``,
-    rank-checked by :func:`_check_rank`, and ``Q = X R^-1``."""
+def _orthonormal_basis(design: DesignMatrix):
+    """``(Q, R)`` with ``X = QR``: ``R`` from :func:`_r_factor` of the
+    design, rank-checked by :func:`_check_rank`, and ``Q = X R^-1``."""
+    x = design.matrix
     r = _r_factor(x)
-    _check_rank(r, x.shape, names)
+    _check_rank(r, x.shape, design.column_names)
     return x @ np.linalg.inv(r), r
 
 
@@ -329,8 +335,18 @@ def logistic_fit(design: DesignMatrix, response) -> LogisticFit:
         raise DataError(f"need more observations than design columns, "
                         f"got n={n}, p={p}")
 
-    q, r0 = _orthonormal_basis(x, design.column_names)
-    g, decrement = np.zeros(p), math.inf
+    q, r0 = _orthonormal_basis(design)
+    g, probs, iterations, decrement = _logit_newton(q, y)
+    return LogisticFit(coefficients=np.linalg.solve(r0, g), fitted_probabilities=probs,
+                       iterations=iterations, decrement=decrement)
+
+
+def _logit_newton(q: np.ndarray, y: np.ndarray):
+    """``(g, probs, iterations, decrement)``: Newton's iterations for the
+    logistic coefficients ``g`` of the columns of ``q``, started from zero,
+    with the stopping rule and failures :func:`logistic_fit` documents."""
+    g, decrement = np.zeros(q.shape[1]), math.inf
+    tolerance = _rank_tolerance(q.shape)
     trace: list[tuple[int, float]] = []
     for iteration in range(1, _LOGIT_MAX_ITER + 1):
         eta = q @ g
@@ -339,21 +355,23 @@ def logistic_fit(design: DesignMatrix, response) -> LogisticFit:
                 "fitted log-odds diverged; the classes appear separable", trace)
         probs = 1.0 / (1.0 + np.exp(-eta))
         if decrement < _LOGIT_TOL:
-            return LogisticFit(coefficients=np.linalg.solve(r0, g),
-                               fitted_probabilities=probs,
-                               iterations=iteration, decrement=decrement)
+            return g, probs, iteration, decrement
         # |eta| <= 30 keeps every weight p(1 - p) above 9e-14.
         w = probs * (1.0 - probs)
         score = q.T @ (y - probs)
         # The Cholesky factor of Q^T W Q is the R factor of sqrt(W) Q, so
-        # its diagonal takes the rank test that a weighted QR would.
+        # its diagonal takes the rank test that a weighted QR would
+        # (:func:`_check_rank`'s).
         try:
             chol = np.linalg.cholesky((q.T * w) @ q)
-            _check_rank(chol, x.shape, design.column_names)
-        except (np.linalg.LinAlgError, SingularDesignError):
+            pivots = np.diagonal(chol)
+            singular = pivots.min() <= tolerance * pivots.max()
+        except np.linalg.LinAlgError:
+            singular = True
+        if singular:
             raise ConvergenceError(
                 "weighted design became singular during iteration; "
-                "the classes appear separable", trace) from None
+                "the classes appear separable", trace)
         step = np.linalg.solve(chol.T, np.linalg.solve(chol, score))
         decrement = float(score @ step)
         trace.append((iteration, decrement))
@@ -375,17 +393,31 @@ def propensity_strata(scores) -> np.ndarray:
     probs = finite_array(scores, "propensity scores")
     if probs.size < _N_STRATA:
         raise DataError(f"cannot form {_N_STRATA} strata from {probs.size} rows")
-    cuts = np.quantile(probs, np.arange(1, _N_STRATA) / _N_STRATA)
-    # 1 + the number of cuts strictly below each score: searchsorted's
-    # side="left" rank, from four vectorized comparisons instead of a binary
-    # search per row.
-    labels = 1 + (probs > cuts[:, None]).sum(axis=0)
-    empty = np.flatnonzero(np.bincount(labels, minlength=_N_STRATA + 1)[1:] == 0) + 1
+    labels = _stratum_labels(probs, _stratum_cuts(probs))
+    empty = _empty_strata(labels)
     if empty.size:
         raise StratificationError(
             f"strata {', '.join(map(str, empty))} are empty; "
             "tied propensity scores cannot fill every quantile bin")
     return labels
+
+
+def _stratum_cuts(scores: np.ndarray) -> np.ndarray:
+    """The ``j/5`` quantiles of ``scores`` along its last axis, first axis
+    ``j``: each row of a 2-D ``scores`` gets the cuts it gets alone."""
+    return np.quantile(scores, np.arange(1, _N_STRATA) / _N_STRATA, axis=-1)
+
+
+def _stratum_labels(scores: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """1 + the number of ``cuts`` strictly below each score: searchsorted's
+    side="left" rank, from four vectorized comparisons instead of a binary
+    search per row."""
+    return 1 + (scores > cuts[:, None]).sum(axis=0)
+
+
+def _empty_strata(labels: np.ndarray) -> np.ndarray:
+    """The strata 1..5 that no label falls in."""
+    return np.flatnonzero(np.bincount(labels, minlength=_N_STRATA + 1)[1:] == 0) + 1
 
 
 def _treatment_shifts(dataset: Dataset, model: ModelSpec, treatment: str):
@@ -457,28 +489,45 @@ def _refit_interval(point: float, kept: list[float], b: int,
     return percentile_ci(BootstrapDistribution(point, np.array(kept)), alpha)
 
 
+def _kept_values(dataset: Dataset, rng: RngStream, b: int,
+                 point_fn: Callable[[Dataset], float],
+                 batch: Callable[[np.ndarray], np.ndarray] | None = None) -> list[float]:
+    """The values of the ``b`` replicates that are kept, in order.
+
+    Replicate ``k`` resamples row ``k`` of the :func:`index_blocks` draw.
+    ``batch(idx)`` gives the values of a chunk's replicates at once, NaN
+    for any it leaves to a refit; every replicate without a finite batched
+    value, all of them when ``batch`` is None, is refit on its rows
+    (:func:`_refit`) and dropped if that raises a package error.
+    """
+    n = dataset.n_rows
+    kept = []
+    for start, idx in index_blocks(rng.generator(), n, b, n):
+        values = batch(idx) if batch is not None else np.full(len(idx), np.nan)
+        # No view of ``idx`` outlives the chunk, so the next chunk's batch
+        # does not hold two index blocks.
+        for k, value in enumerate(values, start):
+            if not math.isfinite(value):
+                value = _refit(k, point_fn, dataset, idx[k - start])
+            if value is not None:
+                kept.append(value)
+    return kept
+
+
 def _percentile_over_refits(dataset: Dataset, rng: RngStream, replicates: int,
                             alpha: float, point_fn: Callable[[Dataset], float]
                             ) -> IntervalEstimate:
-    """Percentile interval of ``point_fn`` over bootstrap row resamples.
+    """Percentile interval of ``point_fn`` refit on every bootstrap row
+    resample: the reference the batched bootstraps reproduce.
 
     The point is fitted on the dataset as given: a row copy makes strided
     CSV columns contiguous, and that can move a fit in the last bits.
-    Replicate ``k`` refits on row ``k`` of the :func:`index_blocks` draw
-    (:func:`_refit`), and the interval is read off the kept refits
-    (:func:`_refit_interval`).
+    The interval is read off the kept refits (:func:`_refit_interval`).
     """
     alpha = check_alpha(alpha)
     b = check_count(replicates, "replicates", 2)
     point = point_fn(dataset)
-    n = dataset.n_rows
-    kept = []
-    for start, idx in index_blocks(rng.generator(), n, b, n):
-        for k, rows in enumerate(idx, start):
-            value = _refit(k, point_fn, dataset, rows)
-            if value is not None:
-                kept.append(value)
-    return _refit_interval(point, kept, b, alpha)
+    return _refit_interval(point, _kept_values(dataset, rng, b, point_fn), b, alpha)
 
 
 def _stacked_cholesky(grams: np.ndarray) -> np.ndarray:
@@ -496,10 +545,21 @@ def _stacked_cholesky(grams: np.ndarray) -> np.ndarray:
         return factors
 
 
-def _full_rank(pivots: np.ndarray, share: float) -> np.ndarray:
-    """Whether every pivot in each row of ``pivots`` exceeds ``share`` times
-    the row's largest."""
-    return (pivots > share * pivots.max(axis=-1, keepdims=True)).all(axis=-1)
+def _passes_rank_screen(pivots: np.ndarray, r_pivots: np.ndarray,
+                        tolerance: float) -> np.ndarray:
+    """Whether each resample keeps every direction of the design, from the
+    Cholesky ``pivots`` (last axis) of its Gram matrix in the basis ``Q``.
+
+    A resample that loses a direction leaves a pivot near ``sqrt(eps)`` of
+    the largest, not near ``eps``.  So every pivot must exceed
+    ``sqrt(tolerance)`` times the largest, and the pivots they imply for
+    the resampled ``X``, those times ``r_pivots = |diag R|``, must pass a
+    refit's own rank test at ``tolerance``.
+    """
+    def full_rank(values: np.ndarray, share: float) -> np.ndarray:
+        return (values > share * values.max(axis=-1, keepdims=True)).all(axis=-1)
+
+    return full_rank(pivots, math.sqrt(tolerance)) & full_rank(pivots * r_pivots, tolerance)
 
 
 def standardization_bootstrap_se(dataset: Dataset, model: ModelSpec, treatment: str,
@@ -524,15 +584,12 @@ def standardization_bootstrap_se(dataset: Dataset, model: ModelSpec, treatment: 
     the counts, ``k * n`` doubles: at most ``2**16``, or ``n`` once a
     replicate has more rows.
 
-    The rank test is a screen.  A resample that loses a direction leaves a
-    Cholesky pivot near ``sqrt(eps)`` of the largest, not near ``eps``.
-    So a replicate keeps its batched value only if every pivot of ``G_b``'s
-    factor exceeds ``sqrt(max(n, p) * eps)`` times the largest, the pivots
-    it implies for the resampled ``X`` (those times ``|diag R|``) pass a
-    refit's own rank test, and the value is finite.  Any other
-    replicate is refit on its rows, as :func:`ps_stratified_contrast`'s
-    replicates are.  So the replicates dropped, the 5% budget and the
-    errors raised are those of a refit on every resample.
+    A replicate keeps its batched value only if its Gram matrix passes
+    :func:`_passes_rank_screen` and the value is finite.  Any other
+    replicate is refit on its rows (:func:`_kept_values`), as are
+    :func:`ps_stratified_contrast`'s rejected replicates.  So the
+    replicates dropped, the 5% budget and the errors raised are those of a
+    refit on every resample.
 
     The name is older than the return value, which is an interval and not
     a standard error; it stays because perfbench's tracer wraps this
@@ -542,7 +599,7 @@ def standardization_bootstrap_se(dataset: Dataset, model: ModelSpec, treatment: 
     b = check_count(replicates, "replicates", 2)
     point = standardization_contrast(dataset, model, treatment)
     design, y = build_design(dataset, model)
-    q, r = _orthonormal_basis(design.matrix, design.column_names)
+    q, r = _orthonormal_basis(design)
     n, p = q.shape
     terms, columns = zip(*_treatment_shifts(dataset, model, treatment))
     shifts = np.stack([np.broadcast_to(column, n) for column in columns], axis=1)
@@ -556,8 +613,7 @@ def standardization_bootstrap_se(dataset: Dataset, model: ModelSpec, treatment: 
     def point_fn(ds: Dataset) -> float:
         return standardization_contrast(ds, model, treatment)
 
-    kept = []
-    for start, idx in index_blocks(rng.generator(), n, b, n):
+    def batch(idx: np.ndarray) -> np.ndarray:
         offsets = n * np.arange(len(idx))[:, None]
         counts = np.bincount((idx + offsets).ravel(),
                              minlength=idx.size).reshape(idx.shape).astype(float)
@@ -568,8 +624,7 @@ def standardization_bootstrap_se(dataset: Dataset, model: ModelSpec, treatment: 
             products[:, j] = (counts * q_y[j]) @ q_y.T
         chol = _stacked_cholesky(products[:, :, :p])
         pivots = np.diagonal(chol, axis1=1, axis2=2)
-        ok = np.flatnonzero(_full_rank(pivots, math.sqrt(tolerance))
-                            & _full_rank(pivots * r_pivots, tolerance))
+        ok = np.flatnonzero(_passes_rank_screen(pivots, r_pivots, tolerance))
         values = np.full(len(idx), np.nan)
         if ok.size:
             lower = chol[ok]
@@ -577,12 +632,24 @@ def standardization_bootstrap_se(dataset: Dataset, model: ModelSpec, treatment: 
                                 np.linalg.solve(lower, products[ok, :, p:]))[:, :, 0]
             beta = np.linalg.solve(r, g.T)[list(terms)]
             values[ok] = np.sum(beta.T * (counts[ok] @ shifts), axis=1) / n
-        for k, (rows, value) in enumerate(zip(idx, values), start):
-            if not math.isfinite(value):
-                value = _refit(k, point_fn, dataset, rows)
-            if value is not None:
-                kept.append(value)
-    return _refit_interval(point, kept, b, alpha)
+        return values
+
+    return _refit_interval(point, _kept_values(dataset, rng, b, point_fn, batch), b, alpha)
+
+
+def _resample_scores(q_rows: np.ndarray, y: np.ndarray,
+                     r_pivots: np.ndarray) -> np.ndarray | None:
+    """Fitted probabilities of a resample's logistic model by
+    :func:`_logit_newton` in its rows ``q_rows`` of the basis ``Q`` of
+    ``X = QR``, ``r_pivots = |diag R|``; None when its Gram matrix in
+    ``Q`` fails :func:`_passes_rank_screen` or Newton fails."""
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(q_rows.T @ q_rows))
+        if _passes_rank_screen(pivots, r_pivots, _rank_tolerance(q_rows.shape)):
+            return _logit_newton(q_rows, y)[1]
+    except (np.linalg.LinAlgError, ConvergenceError):
+        pass
+    return None
 
 
 def ps_stratified_contrast(dataset: Dataset, outcome: str, treatment: str,
@@ -591,10 +658,29 @@ def ps_stratified_contrast(dataset: Dataset, outcome: str, treatment: str,
                            alpha: float = 0.05) -> IntervalEstimate:
     """Treatment contrast adjusted by propensity-score quintile strata.
 
-    Pipeline, repeated inside every bootstrap replicate: logistic
-    propensity fit on the plain covariate columns, quintile strata from
-    the fitted scores, OLS of the outcome on treatment plus stratum
-    indicators, then standardization of the treatment contrast.
+    Pipeline: logistic propensity fit on the plain covariate columns,
+    quintile strata from the fitted scores, OLS of the outcome on
+    treatment plus stratum indicators, then standardization of the
+    treatment contrast.  The point runs it on the dataset as given.
+
+    The replicates refit only the outcome model from scratch.  The
+    covariate design is factored once, ``X = QR``, and replicate ``b``
+    fits its propensity model by :func:`logistic_fit`'s Newton iterations
+    from zero in the rows ``Q[rows_b]`` of that basis, which span the
+    columns of ``X[rows_b]``: Newton's method is affine invariant, so the
+    iterates are those of a refit.  The strata of a whole
+    :func:`index_blocks` chunk are cut by one quantile call over its
+    ``(k, n)`` scores, the cuts each row gets alone, and each replicate's
+    outcome model is fitted by :func:`standardization_contrast` on its
+    rows of the outcome and treatment columns.
+
+    A replicate is refit through its whole pipeline instead
+    (:func:`_kept_values`) when its Gram matrix ``Q[rows_b]^T Q[rows_b]``
+    fails :func:`_passes_rank_screen`, when Newton fails (a log-odds past
+    30 on a drawn row, a singular weighted Gram, 50 iterations), when a
+    stratum is empty, or when the outcome fit raises a package error.  So
+    the replicates dropped, the 5% budget and the errors raised are those
+    of a refit on every resample.
     """
     if not covariates:
         raise ParameterError("propensity stratification needs at least one covariate")
@@ -609,14 +695,50 @@ def ps_stratified_contrast(dataset: Dataset, outcome: str, treatment: str,
     model = ModelSpec(outcome, tuple(Term((name,)) for name in
                                      (treatment, *dummy_names)))
 
-    def point_fn(ds: Dataset) -> float:
-        logit_design = design_from_columns(ds, covariates)
-        pfit = logistic_fit(logit_design, ds.column(treatment))
-        labels = propensity_strata(pfit.fitted_probabilities)
+    def stratified(ds: Dataset, labels: np.ndarray) -> float:
         dummies = {name: (labels == s).astype(float)
                    for name, s in zip(dummy_names, strata)}
         return standardization_contrast(
             Dataset({outcome: ds.column(outcome), treatment: ds.column(treatment),
                      **dummies}), model, treatment)
 
-    return _percentile_over_refits(dataset, rng, replicates, alpha, point_fn)
+    def point_fn(ds: Dataset) -> float:
+        pfit = logistic_fit(design_from_columns(ds, covariates), ds.column(treatment))
+        return stratified(ds, propensity_strata(pfit.fitted_probabilities))
+
+    alpha = check_alpha(alpha)
+    b = check_count(replicates, "replicates", 2)
+    point = point_fn(dataset)
+    q, r = _orthonormal_basis(design_from_columns(dataset, covariates))
+    r_pivots = np.abs(np.diag(r))
+    # Q's columns as contiguous rows: a resample's rows of Q are then one
+    # gather per column and a Fortran-ordered view, whose products in the
+    # Newton steps run faster than those of a row-major copy.
+    q_columns = q.T.copy()
+    del q
+    t = dataset.column(treatment)
+    outcome_rows = Dataset({outcome: dataset.column(outcome), treatment: t})
+
+    def batch(idx: np.ndarray) -> np.ndarray:
+        values = np.full(len(idx), np.nan)
+        # A row whose fit failed keeps a constant, which the chunk's one
+        # quantile call cuts like any other row and no label reads.
+        scores = np.full(idx.shape, 0.5)
+        fitted = []
+        for i, rows in enumerate(idx):
+            probs = _resample_scores(q_columns.take(rows, axis=1).T, t[rows], r_pivots)
+            if probs is not None:
+                scores[i] = probs
+                fitted.append(i)
+        cuts = _stratum_cuts(scores)
+        for i in fitted:
+            labels = _stratum_labels(scores[i], cuts[:, i])
+            if _empty_strata(labels).size:
+                continue
+            try:
+                values[i] = stratified(outcome_rows.take(idx[i]), labels)
+            except FuncavgError:
+                pass
+        return values
+
+    return _refit_interval(point, _kept_values(dataset, rng, b, point_fn, batch), b, alpha)

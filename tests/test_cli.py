@@ -176,6 +176,14 @@ INGEST_CORPUS = [
     ("id-unreferenced", "y,t,id\n1,0,p1\n2,1,p2\n", ("y", "t"), False),
     ("arabic-indic-digit", "y,t\n٣,0\n2,1\n", None, False),
     ("fullwidth-digit", "y,t\n１,0\n2,1\n", None, False),
+    # loadtxt reads the bytes as latin-1, so a non-ASCII character in the
+    # body is never part of a number to it.  The loop reads such a cell as
+    # ``float`` does: it strips a no-break space and reads "1٣" as 13.
+    ("no-break-space", "y,t\n2.5\u00a0,0\n\u00a02,1\n", None, False),
+    ("non-ascii-digit-referenced", "y,t,x\n1,0,1٣\n2,1,4\n", ("x", "y"), False),
+    # A non-ASCII column name ("Ņ" is the bytes C5 85) sits in the header,
+    # which loadtxt skips by line count.
+    ("non-ascii-header", "yŅ,t\n1,0\n2,1\n", None, True),
     ("quoted-number", 'y,t\n"2.5",0\n2,1\n', None, False),
     ("blank-line-middle", "y,t\n1,0\n\n2,1\n", None, False),
     ("blank-line-end", "y,t\n1,0\n2,1\n\n", None, False),

@@ -28,9 +28,12 @@ from funcavg.errors import (
 from funcavg.formula import ModelSpec, Term
 from funcavg.regression import (
     DesignMatrix,
+    _empty_strata,
     _percentile_over_refits,
     _qr_solve,
     _r_factor,
+    _stratum_cuts,
+    _stratum_labels,
     build_design,
     design_from_columns,
     logistic_fit,
@@ -722,19 +725,21 @@ def _qr_modes(monkeypatch):
     return modes
 
 
-def test_ps_refits_factor_each_design_twice(monkeypatch):
-    # One QR per logistic fit (the design, factored once before its Newton
-    # steps) and one per OLS fit, for the point and each of the B refits;
-    # each keeps only its triangular factor.  That counts one QR per
-    # factorisation only while a design fits in one row block: above one
-    # block a factorisation makes (blocks + 1) calls.  The widest matrix
-    # factored here is the outcome fit's [X | y], 7 columns at n = 2,000.
+def test_ps_refits_factor_one_outcome_design_per_replicate(monkeypatch):
+    # The point factors three designs: the logistic fit's covariates, the
+    # outcome fit's [X | y], and the covariates again for the basis every
+    # replicate's propensity fit runs in.  Each replicate then factors only
+    # its outcome design.  Each keeps only its triangular factor.  That
+    # counts one QR per factorisation only while a design fits in one row
+    # block: above one block a factorisation makes (blocks + 1) calls.  The
+    # widest matrix factored here is the outcome fit's [X | y], 7 columns
+    # at n = 2,000.
     assert len(list(row_chunks(2000, 7))) == 1
     modes = _qr_modes(monkeypatch)
     ci = ps_stratified_contrast(ps_pipeline_data(2000, seed=71), "y", "t", ["l"],
                                 RngStream(72, (0,)), replicates=20)
     assert math.isfinite(ci.point)
-    assert modes == ["r"] * (2 * (20 + 1))
+    assert modes == ["r"] * (3 + 20)
 
 
 def test_standardization_refits_factor_each_design_once(monkeypatch):
@@ -828,6 +833,130 @@ def test_standardization_batched_replicates_match_refits_on_hard_designs(
     assert got.point == expected.point
     assert got.lower == pytest.approx(expected.lower, rel=rel)
     assert got.upper == pytest.approx(expected.upper, rel=rel)
+
+
+STRATUM_NAMES = tuple(f"stratum_{s}" for s in range(2, 6))
+PS_MODEL = ModelSpec("y", tuple(Term((name,)) for name in ("t", *STRATUM_NAMES)))
+
+
+def _ps_pipeline(ds, covariates):
+    """The PS pipeline on one dataset: propensity fit, quintile strata, then
+    the standardized contrast of the outcome on treatment and strata."""
+    fit = logistic_fit(design_from_columns(ds, covariates), ds.column("t"))
+    labels = propensity_strata(fit.fitted_probabilities)
+    dummies = {name: (labels == s).astype(float) for s, name in enumerate(STRATUM_NAMES, 2)}
+    return standardization_contrast(
+        Dataset({"y": ds.column("y"), "t": ds.column("t"), **dummies}), PS_MODEL, "t")
+
+
+def _tied_score_data():
+    """The failure-budget fixture: coarse covariate values tie the scores,
+    and 2 of its 100 resamples at seed 4 separate the classes."""
+    g = np.random.default_rng([4, 40, 1])
+    x = np.round(g.normal(size=40), 1)
+    t = (g.random(40) < 1 / (1 + np.exp(-2 * x))).astype(float)
+    y = 1 + 2 * t + x + g.normal(size=40)
+    return Dataset({"y": y, "t": t, "x": x})
+
+
+def _coarse_level_data(levels, repeats, seed):
+    """A covariate of ``levels`` values, each on ``repeats`` rows: a tie
+    block can span a whole quintile, so some resamples leave a stratum
+    empty (about 5% at 8 levels of 10 rows, 1% at 12 of 5)."""
+    g = np.random.default_rng(seed)
+    x = np.repeat(np.arange(levels, dtype=float), repeats)
+    t = (g.random(x.size) < expit((x - levels / 2) / levels)).astype(float)
+    y = 1 + 2 * t + x + g.normal(size=x.size)
+    return Dataset({"y": y, "t": t, "x": x})
+
+
+def _rare_level_data(seed):
+    """c is 1 except on 3 rows, so about 5% of resamples make it a copy of
+    the intercept and a refit of the propensity design is singular."""
+    g = np.random.default_rng(seed)
+    n = 60
+    c = np.ones(n)
+    c[:3] = 0.0
+    x = g.uniform(size=n)
+    t = (g.random(n) < expit(-1 + 2 * x)).astype(float)
+    y = 1 + 2 * t + c + 3 * x + g.normal(size=n)
+    return Dataset({"y": y, "t": t, "c": c, "x": x})
+
+
+def _shifted_data(offset, scale):
+    ds = ps_pipeline_data(500, seed=91)
+    return Dataset({"y": ds.column("y"), "t": ds.column("t"),
+                    "l": offset + scale * ds.column("l")})
+
+
+@pytest.mark.parametrize("make, covariates, seed", [
+    (_tied_score_data, ["x"], 4),
+    (functools.partial(_coarse_level_data, 8, 10, 0), ["x"], 0),
+    (functools.partial(_coarse_level_data, 12, 5, 2), ["x"], 2),
+    *[(functools.partial(_rare_level_data, seed), ["c", "x"], seed)
+      for seed in range(10)],
+    (functools.partial(_shifted_data, 1e6, 1.0), ["l"], 5),
+    (functools.partial(_shifted_data, 1e8, 1.0), ["l"], 5),
+    (functools.partial(_shifted_data, 0.0, 4e-13), ["l"], 5),
+], ids=["tied-scores", "empty-strata-8", "empty-strata-12",
+        *[f"rare-level-{seed}" for seed in range(10)],
+        "offset-1e6", "offset-1e8", "tiny-scale"])
+def test_ps_drops_the_replicates_a_refit_drops(make, covariates, seed):
+    # A replicate's propensity fit runs in the rows of the point fit's
+    # basis, and its strata are cut with its chunk's.  A resample the rank
+    # screen rejects, whose Newton iterations fail, that leaves a stratum
+    # empty or whose outcome fit fails is refit through the whole pipeline.
+    # So the interval, or the error, is that of a refit on every resample.
+    # At scale 4e-13 the covariate just passes the rank test at n = 500.
+    ds = make()
+    expected = _outcome(lambda: _percentile_over_refits(
+        ds, RngStream(seed, (1,)), 100, 0.05, lambda d: _ps_pipeline(d, covariates)))
+    got = _outcome(lambda: ps_stratified_contrast(ds, "y", "t", covariates,
+                                                  RngStream(seed, (1,)), replicates=100))
+    if isinstance(expected, Exception):
+        assert type(got) is type(expected) and str(got) == str(expected)
+    else:
+        assert got == expected
+
+
+@pytest.mark.parametrize("ds, covariates", [
+    (_tied_score_data(), ["x"]),
+    (ps_pipeline_data(2000, seed=71), ["l"]),
+], ids=["tied-scores", "continuous"])
+def test_ps_chunking_does_not_change_results(monkeypatch, ds, covariates):
+    # Seven replicates a chunk instead of all of them at once.  The chunk
+    # size also bounds the row blocks of a factorisation; at 7 * n cells
+    # every design here, 7 columns at most, still fits in one block.
+    import funcavg.bootstrap as bs
+
+    def run():
+        return ps_stratified_contrast(ds, "y", "t", covariates, RngStream(4, (1,)),
+                                      replicates=100)
+
+    whole = run()
+    monkeypatch.setattr(bs, "_CHUNK_CELLS", 7 * ds.n_rows)
+    assert len(list(row_chunks(100, ds.n_rows))) == 15
+    assert run() == whole
+
+
+def test_chunk_strata_cuts_match_each_row_alone():
+    # One quantile call over a chunk's (k, n) scores gives each row the
+    # cuts it gets alone, tied scores and empty strata included.
+    g = np.random.default_rng(12)
+    scores = np.concatenate([g.uniform(size=(4, 50)),
+                             np.round(g.uniform(size=(8, 50)), 1),
+                             np.where(g.random((4, 50)) < 0.7, 0.25, 0.75)])
+    cuts = _stratum_cuts(scores)
+    assert cuts.shape == (4, len(scores))
+    for row, row_cuts in zip(scores, cuts.T):
+        labels = _stratum_labels(row, row_cuts)
+        try:
+            expected = propensity_strata(row)
+        except StratificationError:
+            assert _empty_strata(labels).size
+        else:
+            assert np.array_equal(labels, expected)
+            assert not _empty_strata(labels).size
 
 
 def test_bootstrap_se_errors_when_refits_keep_failing():
