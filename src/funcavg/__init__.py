@@ -37,7 +37,6 @@ from .distributions import (
     sample_bernoulli_probs,
     sample_binomial,
     sample_truncated_normal,
-    true_functional_average,
 )
 from .errors import (
     ConvergenceError,
@@ -150,7 +149,6 @@ __all__ = [
     "sum_symmetry_gap",
     "support_areas",
     "t_ci",
-    "true_functional_average",
     "u_concentration_ci",
     "variant_labels",
     "write_report",

@@ -34,6 +34,7 @@ import numpy as np
 
 from .bootstrap import BootstrapConfig, hoeffding_ci, resample
 from .dataset import Dataset, TwoArmSample
+# perfbench wraps sum_symmetry_gap and mean_midrange_distance here; cli calls neither.
 from .diagnostics import (ecdf, mean_midrange_distance, residual_support_symmetry,
                           sum_symmetry_gap, support_areas)
 from .errors import CsvParseError, DataError, FuncavgError, SchemaError, check_count
@@ -452,11 +453,12 @@ def diagnose(input_path, treatment, outcome, covariates, out):
                            "skipped", err=True)
                 continue
             kept[label] = sample
-            gap = sum_symmetry_gap(sample)
+            # One call gives every gauge: the gap is sum_symmetry_gap's and
+            # half its size mean_midrange_distance's.
             below, above = support_areas(sample)
+            gap = below - above
             lines.append((label, str(sample.size), f"{gap:.4f}",
-                          f"{gap / width:.4f}",
-                          f"{mean_midrange_distance(sample):.4f}",
+                          f"{gap / width:.4f}", f"{abs(gap) / 2.0:.4f}",
                           f"{below:.4f}", f"{above:.4f}"))
         rendered = aligned_table(lines)
         if covariates:

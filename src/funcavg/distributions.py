@@ -26,7 +26,6 @@ __all__ = [
     "sample_bernoulli",
     "sample_bernoulli_probs",
     "sample_binomial",
-    "true_functional_average",
     "round_to_integers",
 ]
 
@@ -168,20 +167,6 @@ def sample_binomial(spec: BinomialSpec, n, rng: RngStream) -> np.ndarray:
     """Draw ``n`` Binomial(trials, p) counts as an integer array."""
     n = check_count(n, "n", 1)
     return rng.generator().binomial(spec.trials, spec.p, size=n).astype(np.int64)
-
-
-def true_functional_average(lower: float, upper: float) -> float:
-    """Uniform average of a regular support: the midpoint of its endpoints.
-
-    For an interval, or for any grid of evenly spaced values, averaging the
-    support uniformly gives ``(lower + upper) / 2`` regardless of how the
-    probability mass is distributed over it.
-    """
-    if not (np.isfinite(lower) and np.isfinite(upper)):
-        raise ParameterError(f"support endpoints must be finite, got ({lower}, {upper})")
-    if lower > upper:
-        raise ParameterError(f"support endpoints out of order: ({lower}, {upper})")
-    return (lower + upper) / 2.0
 
 
 def round_to_integers(values) -> np.ndarray:

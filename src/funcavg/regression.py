@@ -22,6 +22,11 @@ its Newton steps for the coefficients of the orthonormal basis ``Q``:
 each step solves a p-by-p system in the weighted Gram matrix ``Q^T W Q``
 instead of factoring an n-by-p weighted copy of the design.
 
+Each numerical rule is stated once: :func:`_r_factor` checks the size and
+rank of every design, :func:`_full_rank` is the rank rule that it, Newton
+and both bootstraps' Gram screens read, and :func:`_stacked_cholesky` is
+the one path on which a Cholesky factorisation may fail.
+
 The causal helpers bootstrap every estimated stage.
 :func:`standardization_contrast` owns both the fit and the contrast: it
 takes a dataset and a model built from :class:`~funcavg.formula.Term`
@@ -134,9 +139,28 @@ class RegressionFit:
         return float(self.coefficients[self.coefficient_index(coefficient)])
 
 
-def _r_factor(matrix: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
+def _rank_tolerance(shape: tuple[int, int]) -> float:
+    """``max(shape) * eps``: the smallest share of the largest pivot that a
+    pivot of a full-rank matrix of ``shape`` may hold."""
+    return max(shape) * np.finfo(float).eps
+
+
+def _full_rank(pivots: np.ndarray, share: float) -> np.ndarray:
+    """Which pivots (last axis) exceed ``share`` times the largest of
+    theirs: the one rank rule, and a factor is full rank when all do."""
+    return pivots > share * pivots.max(axis=-1, keepdims=True)
+
+
+def _r_factor(matrix: np.ndarray, names: tuple[str, ...],
+              rhs: np.ndarray | None = None) -> np.ndarray:
     """Triangular factor of ``[matrix | rhs]`` (of ``matrix`` alone when
     ``rhs`` is None), factored by row blocks (TSQR).
+
+    The one place the size and rank of a design are checked: a ``matrix``
+    without more rows than columns is a :class:`~funcavg.errors.DataError`,
+    and :class:`~funcavg.errors.SingularDesignError` names the column of
+    its first pivot that fails :func:`_full_rank` at
+    :func:`_rank_tolerance`.
 
     Each :func:`~funcavg.bootstrap.row_chunks` block of at most ``2**16``
     cells is copied into one small Fortran-ordered buffer and reduced to
@@ -147,6 +171,9 @@ def _r_factor(matrix: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
     exactly the one QR of it, with no second factorisation.
     """
     n, p = matrix.shape
+    if n <= p:
+        raise DataError(f"need more observations than design columns, "
+                        f"got n={n}, p={p}")
     width = p + (rhs is not None)
     chunks = list(row_chunks(n, width))
     block = np.empty((chunks[0][1], width), order="F")
@@ -157,53 +184,30 @@ def _r_factor(matrix: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
         if rhs is not None:
             rows[:, p] = rhs[start:stop]
         factors.append(np.linalg.qr(rows, mode="r"))
-    if len(factors) == 1:
-        return factors[0]
-    return np.linalg.qr(np.concatenate(factors), mode="r")
+    r = factors[0] if len(factors) == 1 else np.linalg.qr(np.concatenate(factors), mode="r")
+    kept = _full_rank(np.abs(np.diagonal(r)[:p]), _rank_tolerance((n, p)))
+    if not kept.all():
+        raise SingularDesignError(names[int(np.argmin(kept))])
+    return r
 
 
 def _qr_solve(matrix: np.ndarray, rhs: np.ndarray, names: tuple[str, ...]):
     """``(b, R)``: least squares ``matrix @ b ~ rhs`` from the triangular
-    factor of ``[matrix | rhs]`` (:func:`_r_factor`, by row blocks), whose
-    leading block is ``R`` and whose last column holds ``Q^T rhs``.
-
-    Requires strictly more rows than columns, and raises
-    :class:`~funcavg.errors.SingularDesignError` at the first dependent
-    column.
+    factor of ``[matrix | rhs]``, whose leading block is ``R`` and whose
+    last column holds ``Q^T rhs``.  :func:`_r_factor` factors it by row
+    blocks and checks the size and rank of ``matrix``.
     """
-    n, p = matrix.shape
-    if n <= p:
-        raise DataError(f"need more observations than design columns, "
-                        f"got n={n}, p={p}")
-    r = _r_factor(matrix, rhs)
+    p = matrix.shape[1]
+    r = _r_factor(matrix, names, rhs)
     r_x = r[:p, :p]
-    _check_rank(r_x, (n, p), names)
     return np.linalg.solve(r_x, r[:p, p]), r_x
-
-
-def _rank_tolerance(shape: tuple[int, int]) -> float:
-    """``max(shape) * eps``: the smallest share of the largest pivot that a
-    pivot of a full-rank matrix of ``shape`` may hold."""
-    return max(shape) * np.finfo(float).eps
-
-
-def _check_rank(r: np.ndarray, shape: tuple[int, int], names: tuple[str, ...]) -> None:
-    """Raise :class:`~funcavg.errors.SingularDesignError` at the first column
-    whose pivot in ``r``, the triangular factor of a matrix of ``shape``, is
-    at most :func:`_rank_tolerance` times the largest pivot."""
-    diag = np.abs(np.diag(r))
-    tol = _rank_tolerance(shape) * (diag.max() if diag.size else 0.0)
-    bad = np.flatnonzero(diag <= tol)
-    if bad.size:
-        raise SingularDesignError(names[int(bad[0])])
 
 
 def _orthonormal_basis(design: DesignMatrix):
     """``(Q, R)`` with ``X = QR``: ``R`` from :func:`_r_factor` of the
-    design, rank-checked by :func:`_check_rank`, and ``Q = X R^-1``."""
+    design, which checks its size and rank, and ``Q = X R^-1``."""
     x = design.matrix
-    r = _r_factor(x)
-    _check_rank(r, x.shape, design.column_names)
+    r = _r_factor(x, design.column_names)
     return x @ np.linalg.inv(r), r
 
 
@@ -326,14 +330,11 @@ def logistic_fit(design: DesignMatrix, response) -> LogisticFit:
     """
     y = np.asarray(response, dtype=float)
     x = design.matrix
-    n, p = x.shape
+    n = x.shape[0]
     if y.shape != (n,):
         raise DataError(f"response shape {y.shape} does not match design rows {n}")
     if not np.isin(y, (0.0, 1.0)).all():
         raise DataError("logistic response must be coded 0/1")
-    if n <= p:
-        raise DataError(f"need more observations than design columns, "
-                        f"got n={n}, p={p}")
 
     q, r0 = _orthonormal_basis(design)
     g, probs, iterations, decrement = _logit_newton(q, y)
@@ -346,7 +347,6 @@ def _logit_newton(q: np.ndarray, y: np.ndarray):
     logistic coefficients ``g`` of the columns of ``q``, started from zero,
     with the stopping rule and failures :func:`logistic_fit` documents."""
     g, decrement = np.zeros(q.shape[1]), math.inf
-    tolerance = _rank_tolerance(q.shape)
     trace: list[tuple[int, float]] = []
     for iteration in range(1, _LOGIT_MAX_ITER + 1):
         eta = q @ g
@@ -360,15 +360,9 @@ def _logit_newton(q: np.ndarray, y: np.ndarray):
         w = probs * (1.0 - probs)
         score = q.T @ (y - probs)
         # The Cholesky factor of Q^T W Q is the R factor of sqrt(W) Q, so
-        # its diagonal takes the rank test that a weighted QR would
-        # (:func:`_check_rank`'s).
-        try:
-            chol = np.linalg.cholesky((q.T * w) @ q)
-            pivots = np.diagonal(chol)
-            singular = pivots.min() <= tolerance * pivots.max()
-        except np.linalg.LinAlgError:
-            singular = True
-        if singular:
+        # its diagonal takes the rank test that a weighted QR would.
+        chol = _stacked_cholesky((q.T * w) @ q)
+        if not _full_rank(np.diagonal(chol), _rank_tolerance(q.shape)).all():
             raise ConvergenceError(
                 "weighted design became singular during iteration; "
                 "the classes appear separable", trace)
@@ -491,19 +485,19 @@ def _refit_interval(point: float, kept: list[float], b: int,
 
 def _kept_values(dataset: Dataset, rng: RngStream, b: int,
                  point_fn: Callable[[Dataset], float],
-                 batch: Callable[[np.ndarray], np.ndarray] | None = None) -> list[float]:
+                 batch: Callable[[np.ndarray], np.ndarray]) -> list[float]:
     """The values of the ``b`` replicates that are kept, in order.
 
     Replicate ``k`` resamples row ``k`` of the :func:`index_blocks` draw.
     ``batch(idx)`` gives the values of a chunk's replicates at once, NaN
     for any it leaves to a refit; every replicate without a finite batched
-    value, all of them when ``batch`` is None, is refit on its rows
-    (:func:`_refit`) and dropped if that raises a package error.
+    value is refit on its rows (:func:`_refit`) and dropped if that raises
+    a package error.
     """
     n = dataset.n_rows
     kept = []
     for start, idx in index_blocks(rng.generator(), n, b, n):
-        values = batch(idx) if batch is not None else np.full(len(idx), np.nan)
+        values = batch(idx)
         # No view of ``idx`` outlives the chunk, so the next chunk's batch
         # does not hold two index blocks.
         for k, value in enumerate(values, start):
@@ -514,35 +508,17 @@ def _kept_values(dataset: Dataset, rng: RngStream, b: int,
     return kept
 
 
-def _percentile_over_refits(dataset: Dataset, rng: RngStream, replicates: int,
-                            alpha: float, point_fn: Callable[[Dataset], float]
-                            ) -> IntervalEstimate:
-    """Percentile interval of ``point_fn`` refit on every bootstrap row
-    resample: the reference the batched bootstraps reproduce.
-
-    The point is fitted on the dataset as given: a row copy makes strided
-    CSV columns contiguous, and that can move a fit in the last bits.
-    The interval is read off the kept refits (:func:`_refit_interval`).
-    """
-    alpha = check_alpha(alpha)
-    b = check_count(replicates, "replicates", 2)
-    point = point_fn(dataset)
-    return _refit_interval(point, _kept_values(dataset, rng, b, point_fn), b, alpha)
-
-
 def _stacked_cholesky(grams: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factors of a ``(k, p, p)`` stack; a matrix that
-    cannot be factored gets zeros, whose pivots pass no rank screen."""
+    """Lower Cholesky factors of a ``(..., p, p)`` stack, one matrix
+    included; a matrix that cannot be factored gets zeros, whose pivots
+    are not :func:`_full_rank`.  The one Cholesky-failure path of the
+    logistic fit and of both bootstraps."""
     try:
         return np.linalg.cholesky(grams)
     except np.linalg.LinAlgError:
-        factors = np.zeros_like(grams)
-        for i, gram in enumerate(grams):
-            try:
-                factors[i] = np.linalg.cholesky(gram)
-            except np.linalg.LinAlgError:
-                pass
-        return factors
+        if grams.ndim == 2:
+            return np.zeros_like(grams)
+        return np.stack([_stacked_cholesky(gram) for gram in grams])
 
 
 def _passes_rank_screen(pivots: np.ndarray, r_pivots: np.ndarray,
@@ -551,15 +527,13 @@ def _passes_rank_screen(pivots: np.ndarray, r_pivots: np.ndarray,
     Cholesky ``pivots`` (last axis) of its Gram matrix in the basis ``Q``.
 
     A resample that loses a direction leaves a pivot near ``sqrt(eps)`` of
-    the largest, not near ``eps``.  So every pivot must exceed
-    ``sqrt(tolerance)`` times the largest, and the pivots they imply for
-    the resampled ``X``, those times ``r_pivots = |diag R|``, must pass a
-    refit's own rank test at ``tolerance``.
+    the largest, not near ``eps``.  So every pivot must be
+    :func:`_full_rank` at ``sqrt(tolerance)``, and the pivots they imply
+    for the resampled ``X``, those times ``r_pivots = |diag R|``, must pass
+    a refit's own rank test at ``tolerance``.
     """
-    def full_rank(values: np.ndarray, share: float) -> np.ndarray:
-        return (values > share * values.max(axis=-1, keepdims=True)).all(axis=-1)
-
-    return full_rank(pivots, math.sqrt(tolerance)) & full_rank(pivots * r_pivots, tolerance)
+    return (_full_rank(pivots, math.sqrt(tolerance))
+            & _full_rank(pivots * r_pivots, tolerance)).all(axis=-1)
 
 
 def standardization_bootstrap_se(dataset: Dataset, model: ModelSpec, treatment: str,
@@ -643,12 +617,12 @@ def _resample_scores(q_rows: np.ndarray, y: np.ndarray,
     :func:`_logit_newton` in its rows ``q_rows`` of the basis ``Q`` of
     ``X = QR``, ``r_pivots = |diag R|``; None when its Gram matrix in
     ``Q`` fails :func:`_passes_rank_screen` or Newton fails."""
-    try:
-        pivots = np.diagonal(np.linalg.cholesky(q_rows.T @ q_rows))
-        if _passes_rank_screen(pivots, r_pivots, _rank_tolerance(q_rows.shape)):
+    pivots = np.diagonal(_stacked_cholesky(q_rows.T @ q_rows))
+    if _passes_rank_screen(pivots, r_pivots, _rank_tolerance(q_rows.shape)):
+        try:
             return _logit_newton(q_rows, y)[1]
-    except (np.linalg.LinAlgError, ConvergenceError):
-        pass
+        except ConvergenceError:
+            pass
     return None
 
 

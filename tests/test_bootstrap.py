@@ -18,8 +18,8 @@ from funcavg.dataset import Dataset, TwoArmSample
 from funcavg.distributions import TruncatedNormalSpec, sample_truncated_normal
 from funcavg.errors import DataError, ParameterError, ResampleError
 from funcavg.estimators import midrange, sample_mean
-from funcavg.regression import _percentile_over_refits
 from funcavg.rng import RngStream
+from refit_reference import percentile_over_refits
 
 # Frozen closed-form multipliers at alpha = 0.05.
 HOEFFDING_MULT = 1.3581015157406195      # sqrt(log(40) / 2)
@@ -125,7 +125,7 @@ def numbered(n, **columns):
 
 
 def refit(dataset, point_fn, replicates, seed=(3,)):
-    return _percentile_over_refits(dataset, RngStream(*seed), replicates, 0.05, point_fn)
+    return percentile_over_refits(dataset, RngStream(*seed), replicates, 0.05, point_fn)
 
 
 def test_resample_chunking_does_not_change_results(monkeypatch):

@@ -15,7 +15,6 @@ from funcavg.distributions import (
     sample_bernoulli_probs,
     sample_binomial,
     sample_truncated_normal,
-    true_functional_average,
 )
 from funcavg.errors import ParameterError
 from funcavg.rng import RngStream
@@ -146,14 +145,6 @@ def test_binomial_moments_and_support():
         BinomialSpec(0, 0.5)
     with pytest.raises(ParameterError):
         BinomialSpec(10, 1.5)
-
-
-def test_true_functional_average():
-    assert true_functional_average(0, 20) == 10.0
-    assert true_functional_average(0, 15) == 7.5
-    assert true_functional_average(-3, -3) == -3.0
-    with pytest.raises(ParameterError):
-        true_functional_average(5, 1)
 
 
 def test_round_to_integers_half_away_from_zero():

@@ -1,12 +1,15 @@
-"""Every name a module imports is used in it, and no module imports scipy
-when it is imported.
+"""Every name a module imports is used in it, every private function or
+class the package defines is read in it, and no module imports scipy when
+it is imported.
 
-There is no linter in the toolchain, so these tests stand in for two rules
-of one: they parse each module with ``ast`` and fail on an imported name
-that no expression in the module reads and ``__all__`` does not export, and
-on a ``scipy`` import that runs at import time rather than inside a
-function.  ``scipy.special`` alone costs about 0.3 s, which every command,
-``--help`` included, would pay.
+There is no linter in the toolchain, so these tests stand in for three
+rules of one: they parse each module with ``ast`` and fail on an imported
+name that no expression in the module reads and ``__all__`` does not
+export, on a module-level private function or class that no module of the
+package reads (code only tests call belongs in ``tests/``), and on a
+``scipy`` import that runs at import time rather than inside a function.
+``scipy.special`` alone costs about 0.3 s, which every command, ``--help``
+included, would pay.
 """
 
 import ast
@@ -58,6 +61,34 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports(source) == ["pi", "DataError"]
 
 
+def unread_private_definitions(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each module-level private function or class in
+    ``sources`` (module name -> source) that no expression in any of them
+    reads, by name or as an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.endswith("__")
+            and node.name not in read]
+
+
+def test_the_check_finds_an_unread_private_definition():
+    sources = {"a": ("def _used(): pass\ndef _only_named(): pass\nclass _Unread: pass\n"
+                     "def _read_elsewhere(): pass\ndef __getattr__(name): pass\n"
+                     "def public(): return _used()\n"),
+               "b": ("from . import a\ndef _stored(): pass\nx = a._read_elsewhere\n"
+                     "def f():\n    \"Calls :func:`_only_named`.\"\n    _stored = 1\n")}
+    assert unread_private_definitions(sources) == ["a._only_named", "a._Unread",
+                                                   "b._stored"]
+
+
 def import_time_scipy_imports(source: str) -> list[int]:
     """Lines of the ``scipy`` imports in ``source`` that run when it is
     imported: every one outside a function body (class bodies run too)."""
@@ -103,6 +134,11 @@ def test_module_imports_scipy_only_inside_functions(path):
 def test_module_uses_every_name_it_imports(path):
     unused = set(unused_imports((PACKAGE / path).read_text(encoding="utf-8")))
     assert unused - perfbench_wraps().get(path[:-3], set()) == set()
+
+
+def test_package_reads_every_private_definition():
+    sources = {path[:-3]: (PACKAGE / path).read_text(encoding="utf-8") for path in MODULES}
+    assert unread_private_definitions(sources) == []
 
 
 def test_perfbench_wraps_are_read_from_the_tracer():

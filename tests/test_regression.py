@@ -29,7 +29,6 @@ from funcavg.formula import ModelSpec, Term
 from funcavg.regression import (
     DesignMatrix,
     _empty_strata,
-    _percentile_over_refits,
     _qr_solve,
     _r_factor,
     _stratum_cuts,
@@ -46,6 +45,7 @@ from funcavg.regression import (
     u_concentration_ci,
 )
 from funcavg.rng import RngStream
+from refit_reference import percentile_over_refits
 
 U_SCALE = 0.7841002756996854  # sqrt(log(40) / 6)
 ARM_MODEL = ModelSpec("y", (Term(("t",)),))  # y ~ t
@@ -109,6 +109,9 @@ def test_ols_requires_more_rows_than_columns():
     ds = Dataset({"y": np.array([1.0, 2.0]), "t": np.array([0.0, 1.0])})
     with pytest.raises(DataError, match="need more observations"):
         standardization_contrast(ds, ARM_MODEL, "t")
+    # The logistic fit's design is held to the same rule.
+    with pytest.raises(DataError, match="need more observations"):
+        logistic_fit(DesignMatrix(np.ones((2, 2)), ("intercept", "x")), np.array([0.0, 1.0]))
 
 
 def _exact_least_squares(rows, response):
@@ -179,19 +182,20 @@ def test_blocked_r_factor_matches_one_qr(rows, p):
     x, y = _tall_design(n, p, seed=5)
     augmented = np.column_stack([x, y])
     reference = np.linalg.qr(augmented, mode="r")
-    r = _r_factor(x, y)
+    names = tuple(f"x{j}" for j in range(p))
+    r = _r_factor(x, names, y)
     assert r.shape == (p + 1, p + 1)
     scale = np.abs(np.diag(reference)).max()
     assert np.abs(_sign_normalised(r) - _sign_normalised(reference)).max() <= 1e-12 * scale
     # The coefficients read off the blocked factor are least squares, to
     # 1e-12 of the largest (about 2e-15 on these designs).
-    beta, _ = _qr_solve(x, y, tuple(f"x{j}" for j in range(p)))
+    beta, _ = _qr_solve(x, y, names)
     expected = np.linalg.lstsq(x, y, rcond=None)[0]
     assert np.abs(beta - expected).max() <= 1e-12 * np.abs(expected).max()
     if rows == "one-block":
         # One block is exactly the one QR, with no second factorisation.
         assert np.array_equal(r, reference)
-        assert np.array_equal(_r_factor(x), np.linalg.qr(x, mode="r"))
+        assert np.array_equal(_r_factor(x, names), np.linalg.qr(x, mode="r"))
 
 
 def test_blocked_r_factor_names_the_dependent_column_of_a_tall_design():
@@ -692,9 +696,9 @@ def test_ps_stratified_requires_covariates():
 
 
 def test_ps_refits_drop_failures_within_the_budget(monkeypatch):
-    # Coarse covariate values tie the propensity scores, so some resamples
-    # cannot fill five strata: 2 of these 100 refits fail, within the 5%
-    # budget, and the interval is read off the other 98.
+    # 2 of these 100 resamples separate the classes, so their propensity
+    # refits raise ConvergenceError: within the 5% budget, and the interval
+    # is read off the other 98.
     import funcavg.regression as regression
 
     g = np.random.default_rng([4, 40, 1])
@@ -759,8 +763,8 @@ def test_standardization_refits_factor_each_design_once(monkeypatch):
 
 def _refit_on_every_resample(ds, model, stream):
     """The S interval as a refit on each of 200 resamples gives it."""
-    return _percentile_over_refits(ds, stream, 200, 0.05,
-                                   lambda d: standardization_contrast(d, model, "t"))
+    return percentile_over_refits(ds, stream, 200, 0.05,
+                                  lambda d: standardization_contrast(d, model, "t"))
 
 
 def _outcome(fit):
@@ -909,7 +913,7 @@ def test_ps_drops_the_replicates_a_refit_drops(make, covariates, seed):
     # So the interval, or the error, is that of a refit on every resample.
     # At scale 4e-13 the covariate just passes the rank test at n = 500.
     ds = make()
-    expected = _outcome(lambda: _percentile_over_refits(
+    expected = _outcome(lambda: percentile_over_refits(
         ds, RngStream(seed, (1,)), 100, 0.05, lambda d: _ps_pipeline(d, covariates)))
     got = _outcome(lambda: ps_stratified_contrast(ds, "y", "t", covariates,
                                                   RngStream(seed, (1,)), replicates=100))
