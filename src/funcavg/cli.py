@@ -347,7 +347,9 @@ def _estimate_csv(rows) -> str:
 @click.option("--alpha", type=_ALPHA, callback=_reject_nan, default=0.05,
               show_default=True)
 @click.option("--b", "replicates", type=_REPLICATES, default=DEFAULT_REPLICATES,
-              show_default=True, help="Bootstrap replicates for S, PS, Av.")
+              show_default=True, help="Bootstrap replicates for S, PS, Av. The Av "
+              "interval widens with B, and its coverage rises with it: table 2's mean "
+              "widths are 2.73 / 3.24 / 3.65 at B = 100 / 500 / 2000.")
 @click.option("--seed", type=_SEED, default=None, help="Base seed (default 0 "
               "or FUNCAVG_SEED).")
 @click.option("--out", default=None, callback=_check_out_dir,

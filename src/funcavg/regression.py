@@ -19,8 +19,8 @@ estimate involved.
 
 The logistic fit factors its design once as well, ``X = QR``, and takes
 its Newton steps for the coefficients of the orthonormal basis ``Q``:
-each step solves a p-by-p system in the weighted Gram matrix ``Q^T W Q``
-instead of factoring an n-by-p weighted copy of the design.
+each step solves a p-by-p system in the weighted Gram matrix ``Q^T W Q``,
+read off a table of ``Q``'s column products, for a stack of fits at once.
 
 Each numerical rule is stated once: :func:`_r_factor` checks the size and
 rank of every design, :func:`_full_rank` is the rank rule that it, Newton
@@ -35,9 +35,9 @@ over the fitted predictions.  Its bootstrap does not refit a resampled
 dataset: a row resample is the dataset weighted by row counts, so each
 replicate is a p-by-p weighted solve in the basis ``Q`` of the design,
 factored once.  Propensity-score stratification factors its covariate
-design once as well: each replicate runs the logistic fit's Newton
-iterations in its rows of that basis, the strata of a chunk of replicates
-are cut together, and only the outcome model is refit per replicate.  A
+design once as well: a chunk of replicates fits its propensity models in
+one lockstep Newton loop over its row counts, its strata are cut
+together, and only the outcome model is refit per replicate.  A
 replicate that either shortcut cannot vouch for is refit on its resampled
 rows, so both bootstraps drop the replicates a refit on every resample
 drops.
@@ -303,9 +303,10 @@ def logistic_fit(design: DesignMatrix, response) -> LogisticFit:
     step then solves a p-by-p system in the weighted Gram matrix
     ``Q^T W Q`` rather than refactoring an n-by-p weighted copy of the
     design; Newton's method is affine invariant, so the iterates are those
-    of the fit on ``X`` itself.  A rank-deficient design raises
-    :class:`~funcavg.errors.SingularDesignError` naming the first column
-    that adds no new direction, before any step.
+    of the fit on ``X`` itself.  The loop is :func:`_newton_stack`, which
+    a PS bootstrap chunk runs, on a stack of one with unit counts.  A
+    rank-deficient design raises :class:`~funcavg.errors.SingularDesignError`
+    naming the first column that adds no new direction, before any step.
 
     Stops once the Newton decrement of the last step, ``score . step``,
     drops below ``1e-8``: the log-likelihood gain that step predicted.
@@ -329,50 +330,95 @@ def logistic_fit(design: DesignMatrix, response) -> LogisticFit:
     the probabilities themselves are read.
     """
     y = np.asarray(response, dtype=float)
-    x = design.matrix
-    n = x.shape[0]
+    n = design.matrix.shape[0]
     if y.shape != (n,):
         raise DataError(f"response shape {y.shape} does not match design rows {n}")
     if not np.isin(y, (0.0, 1.0)).all():
         raise DataError("logistic response must be coded 0/1")
 
-    q, r0 = _orthonormal_basis(design)
-    g, probs, iterations, decrement = _logit_newton(q, y)
-    return LogisticFit(coefficients=np.linalg.solve(r0, g), fitted_probabilities=probs,
-                       iterations=iterations, decrement=decrement)
+    q_columns, grams, r0 = _newton_basis(design)
+    g, probs, decrements, fates = _newton_stack(q_columns, grams, y, np.ones((1, n)))
+    trace = [(i, float(d)) for i, d in enumerate(decrements[0][~np.isnan(decrements[0])], 1)]
+    if fates[0]:
+        raise ConvergenceError(fates[0], trace)
+    return LogisticFit(coefficients=np.linalg.solve(r0, g[0]), fitted_probabilities=probs[0],
+                       iterations=len(trace) + 1, decrement=trace[-1][1])
 
 
-def _logit_newton(q: np.ndarray, y: np.ndarray):
-    """``(g, probs, iterations, decrement)``: Newton's iterations for the
-    logistic coefficients ``g`` of the columns of ``q``, started from zero,
-    with the stopping rule and failures :func:`logistic_fit` documents."""
-    g, decrement = np.zeros(q.shape[1]), math.inf
-    trace: list[tuple[int, float]] = []
+def _newton_basis(design: DesignMatrix):
+    """``(Q^T, grams, R)`` from ``X = QR``: ``Q``'s columns as contiguous
+    rows, the faster operand of each product, and ``grams(v)``, the
+    ``(k, p, p)`` stack of ``Q^T diag(v_b) Q`` over the rows of ``(k, n)``
+    weights ``v``: one product with a table of ``Q[:, i] * Q[:, j]``,
+    ``i <= j``, the symmetric half of a Gram's terms (``n p (p+1) / 2``)."""
+    q, r = _orthonormal_basis(design)
+    q_columns = q.T.copy()
+    del q
+    p, n = q_columns.shape
+    i, j = np.triu_indices(p)
+    products = np.empty((len(i), n))
+    for row, a, b in zip(products, i, j):
+        np.multiply(q_columns[a], q_columns[b], out=row)
+
+    def grams(weights: np.ndarray) -> np.ndarray:
+        stack = np.empty((len(weights), p, p))
+        stack[:, i, j] = stack[:, j, i] = weights @ products.T
+        return stack
+
+    return q_columns, grams, r
+
+
+def _newton_stack(q_columns: np.ndarray, grams: Callable[[np.ndarray], np.ndarray],
+                  y: np.ndarray, counts: np.ndarray):
+    """``(g, probs, decrements, fates)``: :func:`logistic_fit`'s Newton
+    iterations from zero, in lockstep, for fits in the basis of
+    :func:`_newton_basis`, fit ``b`` weighting row ``i`` by ``counts[b, i]``.
+    Each leaves once it converges, with ``probs`` for every row and ``""``
+    in ``fates``, or fails, with the reason in ``fates``.  Row ``b`` of
+    ``decrements`` holds fit ``b``'s steps, then NaN."""
+    (k, n), p = counts.shape, len(q_columns)
+    g, probs = np.zeros((k, p)), np.empty((k, n))
+    decrements = np.full((k, _LOGIT_MAX_ITER), np.nan)
+    fates = np.full(k, f"no convergence after {_LOGIT_MAX_ITER} iterations", dtype=object)
+    # Every step reuses two (k, n) buffers: fresh ones cost page faults.
+    live, c, work, exps = np.arange(k), counts, np.empty((k, n)), np.empty((k, n))
     for iteration in range(1, _LOGIT_MAX_ITER + 1):
-        eta = q @ g
-        if np.abs(eta).max() > _LOGIT_ETA_LIMIT:
-            raise ConvergenceError(
-                "fitted log-odds diverged; the classes appear separable", trace)
-        probs = 1.0 / (1.0 + np.exp(-eta))
-        if decrement < _LOGIT_TOL:
-            return g, probs, iteration, decrement
-        # |eta| <= 30 keeps every weight p(1 - p) above 9e-14.
-        w = probs * (1.0 - probs)
-        score = q.T @ (y - probs)
-        # The Cholesky factor of Q^T W Q is the R factor of sqrt(W) Q, so
-        # its diagonal takes the rank test that a weighted QR would.
-        chol = _stacked_cholesky((q.T * w) @ q)
-        if not _full_rank(np.diagonal(chol), _rank_tolerance(q.shape)).all():
-            raise ConvergenceError(
-                "weighted design became singular during iteration; "
-                "the classes appear separable", trace)
-        step = np.linalg.solve(chol.T, np.linalg.solve(chol, score))
-        decrement = float(score @ step)
-        trace.append((iteration, decrement))
-        g = g + step
-
-    raise ConvergenceError(
-        f"no convergence after {_LOGIT_MAX_ITER} iterations", trace)
+        neg_eta = np.matmul(-g[live], q_columns, out=work[:len(live)])
+        # A row the fit never draws enters no sum, and cannot diverge.
+        with np.errstate(over="ignore"):
+            live_probs = np.exp(neg_eta, out=exps[:len(live)])
+        np.divide(1.0, np.add(live_probs, 1.0, out=live_probs), out=live_probs)
+        diverged = ((np.abs(neg_eta, out=neg_eta) > _LOGIT_ETA_LIMIT) & (c > 0)).any(axis=1)
+        converged = (decrements[live, iteration - 2] < _LOGIT_TOL) & ~diverged
+        fates[live[diverged]] = "fitted log-odds diverged; the classes appear separable"
+        fates[live[converged]] = ""
+        probs[live[converged]] = live_probs[converged]
+        stepping = ~(converged | diverged)
+        if not stepping.any():
+            break
+        # |eta| <= 30 keeps every weight p(1 - p) above 9e-14.  The
+        # Cholesky factor of Q^T W Q is the R factor of sqrt(W) Q, so its
+        # diagonal takes the rank test that a weighted QR would.
+        residuals = np.subtract(y, live_probs, out=work[:len(live)])
+        residuals *= c
+        score = (residuals @ q_columns.T)[stepping]
+        weights = np.subtract(1.0, live_probs, out=residuals)
+        weights *= live_probs
+        weights *= c
+        chol = _stacked_cholesky(grams(weights)[stepping])
+        if not stepping.all():  # after the products, so live_probs is never copied
+            live, c = live[stepping], c[stepping]
+        singular = ~_full_rank(np.diagonal(chol, axis1=1, axis2=2),
+                               _rank_tolerance((n, p))).all(axis=1)
+        if singular.any():
+            fates[live[singular]] = ("weighted design became singular during iteration; "
+                                     "the classes appear separable")
+            live, c, chol, score = (a[~singular] for a in (live, c, chol, score))
+        step = np.linalg.solve(chol.transpose(0, 2, 1),
+                               np.linalg.solve(chol, score[:, :, None]))[:, :, 0]
+        decrements[live, iteration - 1] = np.sum(score * step, axis=1)
+        g[live] += step
+    return g, probs, decrements, fates
 
 
 def propensity_strata(scores) -> np.ndarray:
@@ -388,7 +434,7 @@ def propensity_strata(scores) -> np.ndarray:
     if probs.size < _N_STRATA:
         raise DataError(f"cannot form {_N_STRATA} strata from {probs.size} rows")
     labels = _stratum_labels(probs, _stratum_cuts(probs))
-    empty = _empty_strata(labels)
+    empty = np.flatnonzero(np.bincount(labels, minlength=_N_STRATA + 1)[1:] == 0) + 1
     if empty.size:
         raise StratificationError(
             f"strata {', '.join(map(str, empty))} are empty; "
@@ -405,13 +451,8 @@ def _stratum_cuts(scores: np.ndarray) -> np.ndarray:
 def _stratum_labels(scores: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     """1 + the number of ``cuts`` strictly below each score: searchsorted's
     side="left" rank, from four vectorized comparisons instead of a binary
-    search per row."""
-    return 1 + (scores > cuts[:, None]).sum(axis=0)
-
-
-def _empty_strata(labels: np.ndarray) -> np.ndarray:
-    """The strata 1..5 that no label falls in."""
-    return np.flatnonzero(np.bincount(labels, minlength=_N_STRATA + 1)[1:] == 0) + 1
+    search per row; a ``(k, n)`` ``scores`` takes ``(4, k)`` cuts."""
+    return 1 + (scores > cuts[..., None]).sum(axis=0)
 
 
 def _treatment_shifts(dataset: Dataset, model: ModelSpec, treatment: str):
@@ -508,23 +549,29 @@ def _kept_values(dataset: Dataset, rng: RngStream, b: int,
     return kept
 
 
+def _offset_bincount(values: np.ndarray, width: int) -> np.ndarray:
+    """``(k, width)``: how often each row of ``(k, m)`` ``values`` holds each
+    value below ``width``, from one ``bincount`` of the rows offset apiece."""
+    offset = values + width * np.arange(len(values))[:, None]
+    return np.bincount(offset.ravel(), minlength=len(values) * width).reshape(-1, width)
+
+
 def _stacked_cholesky(grams: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factors of a ``(..., p, p)`` stack, one matrix
-    included; a matrix that cannot be factored gets zeros, whose pivots
-    are not :func:`_full_rank`.  The one Cholesky-failure path of the
-    logistic fit and of both bootstraps."""
+    """Lower Cholesky factors of a ``(k, p, p)`` stack; a matrix that
+    cannot be factored gets zeros, whose pivots are not :func:`_full_rank`.
+    A stack of one is factored as its matrix, which ends the retry of a
+    failed stack one matrix at a time.  The one Cholesky-failure path."""
     try:
-        return np.linalg.cholesky(grams)
+        return np.linalg.cholesky(grams[0] if len(grams) == 1 else grams).reshape(grams.shape)
     except np.linalg.LinAlgError:
-        if grams.ndim == 2:
-            return np.zeros_like(grams)
-        return np.stack([_stacked_cholesky(gram) for gram in grams])
+        return (np.zeros_like(grams) if len(grams) == 1 else
+                np.concatenate([_stacked_cholesky(gram[None]) for gram in grams]))
 
 
-def _passes_rank_screen(pivots: np.ndarray, r_pivots: np.ndarray,
+def _passes_rank_screen(chol: np.ndarray, r_pivots: np.ndarray,
                         tolerance: float) -> np.ndarray:
     """Whether each resample keeps every direction of the design, from the
-    Cholesky ``pivots`` (last axis) of its Gram matrix in the basis ``Q``.
+    ``(k, p, p)`` Cholesky factors ``chol`` of its Gram matrix in ``Q``.
 
     A resample that loses a direction leaves a pivot near ``sqrt(eps)`` of
     the largest, not near ``eps``.  So every pivot must be
@@ -532,6 +579,7 @@ def _passes_rank_screen(pivots: np.ndarray, r_pivots: np.ndarray,
     for the resampled ``X``, those times ``r_pivots = |diag R|``, must pass
     a refit's own rank test at ``tolerance``.
     """
+    pivots = np.diagonal(chol, axis1=1, axis2=2)
     return (_full_rank(pivots, math.sqrt(tolerance))
             & _full_rank(pivots * r_pivots, tolerance)).all(axis=-1)
 
@@ -588,17 +636,14 @@ def standardization_bootstrap_se(dataset: Dataset, model: ModelSpec, treatment: 
         return standardization_contrast(ds, model, treatment)
 
     def batch(idx: np.ndarray) -> np.ndarray:
-        offsets = n * np.arange(len(idx))[:, None]
-        counts = np.bincount((idx + offsets).ravel(),
-                             minlength=idx.size).reshape(idx.shape).astype(float)
+        counts = _offset_bincount(idx, n).astype(float)
         # Row j of every replicate's [G_b | Q^T diag(c_b) y] at once, so the
         # one temporary is a weighted copy of the counts, not of k Q's.
         products = np.empty((len(idx), p, p + 1))
         for j in range(p):
             products[:, j] = (counts * q_y[j]) @ q_y.T
         chol = _stacked_cholesky(products[:, :, :p])
-        pivots = np.diagonal(chol, axis1=1, axis2=2)
-        ok = np.flatnonzero(_passes_rank_screen(pivots, r_pivots, tolerance))
+        ok = np.flatnonzero(_passes_rank_screen(chol, r_pivots, tolerance))
         values = np.full(len(idx), np.nan)
         if ok.size:
             lower = chol[ok]
@@ -609,21 +654,6 @@ def standardization_bootstrap_se(dataset: Dataset, model: ModelSpec, treatment: 
         return values
 
     return _refit_interval(point, _kept_values(dataset, rng, b, point_fn, batch), b, alpha)
-
-
-def _resample_scores(q_rows: np.ndarray, y: np.ndarray,
-                     r_pivots: np.ndarray) -> np.ndarray | None:
-    """Fitted probabilities of a resample's logistic model by
-    :func:`_logit_newton` in its rows ``q_rows`` of the basis ``Q`` of
-    ``X = QR``, ``r_pivots = |diag R|``; None when its Gram matrix in
-    ``Q`` fails :func:`_passes_rank_screen` or Newton fails."""
-    pivots = np.diagonal(_stacked_cholesky(q_rows.T @ q_rows))
-    if _passes_rank_screen(pivots, r_pivots, _rank_tolerance(q_rows.shape)):
-        try:
-            return _logit_newton(q_rows, y)[1]
-        except ConvergenceError:
-            pass
-    return None
 
 
 def ps_stratified_contrast(dataset: Dataset, outcome: str, treatment: str,
@@ -638,20 +668,21 @@ def ps_stratified_contrast(dataset: Dataset, outcome: str, treatment: str,
     treatment contrast.  The point runs it on the dataset as given.
 
     The replicates refit only the outcome model from scratch.  The
-    covariate design is factored once, ``X = QR``, and replicate ``b``
-    fits its propensity model by :func:`logistic_fit`'s Newton iterations
-    from zero in the rows ``Q[rows_b]`` of that basis, which span the
-    columns of ``X[rows_b]``: Newton's method is affine invariant, so the
-    iterates are those of a refit.  The strata of a whole
-    :func:`index_blocks` chunk are cut by one quantile call over its
-    ``(k, n)`` scores, the cuts each row gets alone, and each replicate's
-    outcome model is fitted by :func:`standardization_contrast` on its
-    rows of the outcome and treatment columns.
+    covariate design is factored once, ``X = QR``.  Each
+    :func:`index_blocks` chunk takes its ``(k, n)`` row counts ``c`` from
+    one ``bincount``, and its propensity fits run :func:`logistic_fit`'s
+    Newton iterations in lockstep in ``Q`` (:func:`_newton_stack`), replicate
+    ``b`` with Gram matrix ``Q^T diag(c_b) Q`` and Hessian
+    ``Q^T diag(c_b w_b) Q``: by affine invariance, the iterates of a refit.
+    A replicate's scores are its probabilities at its drawn rows; one
+    quantile call and one comparison cut and label the chunk's strata,
+    each row's as alone.  Only the outcome model is fitted per replicate,
+    by :func:`standardization_contrast` on its outcome and treatment rows.
 
     A replicate is refit through its whole pipeline instead
-    (:func:`_kept_values`) when its Gram matrix ``Q[rows_b]^T Q[rows_b]``
-    fails :func:`_passes_rank_screen`, when Newton fails (a log-odds past
-    30 on a drawn row, a singular weighted Gram, 50 iterations), when a
+    (:func:`_kept_values`) when its Gram matrix fails
+    :func:`_passes_rank_screen`, when Newton fails (a log-odds past 30 on
+    a row it drew, a singular weighted Gram, 50 iterations), when a
     stratum is empty, or when the outcome fit raises a package error.  So
     the replicates dropped, the 5% budget and the errors raised are those
     of a refit on every resample.
@@ -683,34 +714,26 @@ def ps_stratified_contrast(dataset: Dataset, outcome: str, treatment: str,
     alpha = check_alpha(alpha)
     b = check_count(replicates, "replicates", 2)
     point = point_fn(dataset)
-    q, r = _orthonormal_basis(design_from_columns(dataset, covariates))
-    r_pivots = np.abs(np.diag(r))
-    # Q's columns as contiguous rows: a resample's rows of Q are then one
-    # gather per column and a Fortran-ordered view, whose products in the
-    # Newton steps run faster than those of a row-major copy.
-    q_columns = q.T.copy()
-    del q
+    q_columns, grams, r = _newton_basis(design_from_columns(dataset, covariates))
+    r_pivots, tolerance = np.abs(np.diag(r)), _rank_tolerance(q_columns.shape)
     t = dataset.column(treatment)
     outcome_rows = Dataset({outcome: dataset.column(outcome), treatment: t})
 
     def batch(idx: np.ndarray) -> np.ndarray:
         values = np.full(len(idx), np.nan)
-        # A row whose fit failed keeps a constant, which the chunk's one
-        # quantile call cuts like any other row and no label reads.
-        scores = np.full(idx.shape, 0.5)
-        fitted = []
-        for i, rows in enumerate(idx):
-            probs = _resample_scores(q_columns.take(rows, axis=1).T, t[rows], r_pivots)
-            if probs is not None:
-                scores[i] = probs
-                fitted.append(i)
-        cuts = _stratum_cuts(scores)
-        for i in fitted:
-            labels = _stratum_labels(scores[i], cuts[:, i])
-            if _empty_strata(labels).size:
-                continue
+        counts = _offset_bincount(idx, len(t)).astype(float)
+        screened = np.flatnonzero(_passes_rank_screen(_stacked_cholesky(grams(counts)),
+                                                      r_pivots, tolerance))
+        counts = counts[screened]
+        _, probs, _, fates = _newton_stack(q_columns, grams, t, counts)
+        fitted = screened[fates == ""]
+        scores = np.take_along_axis(probs[fates == ""], idx[fitted], axis=1)
+        labels = _stratum_labels(scores, _stratum_cuts(scores))
+        filled = (_offset_bincount(labels, _N_STRATA + 1)[:, 1:] > 0).all(axis=1)
+        del counts, probs, scores  # the outcome refits hold the chunk's labels alone
+        for i, row_labels in zip(fitted[filled], labels[filled]):
             try:
-                values[i] = stratified(outcome_rows.take(idx[i]), labels)
+                values[i] = stratified(outcome_rows.take(idx[i]), row_labels)
             except FuncavgError:
                 pass
         return values

@@ -28,7 +28,9 @@ from funcavg.errors import (
 from funcavg.formula import ModelSpec, Term
 from funcavg.regression import (
     DesignMatrix,
-    _empty_strata,
+    _newton_basis,
+    _newton_stack,
+    _offset_bincount,
     _qr_solve,
     _r_factor,
     _stratum_cuts,
@@ -378,16 +380,22 @@ def _weighted_qr_logistic_fit(x, y):
     raise AssertionError("the reference fit did not converge")
 
 
-def _benchmark_resample():
-    # The shape of the benchmark's synthetic CSV (a binary confounder and two
-    # uniform covariates written to 6 decimals, 20,000 rows), rows resampled.
+def _benchmark_design():
+    """The shape of the benchmark's synthetic CSV (a binary confounder and
+    two uniform covariates written to 6 decimals, 20,000 rows): the design,
+    the treatment and the generator, ready to draw resamples."""
     g = np.random.default_rng([1, 20_000])
     n = 20_000
     c = (g.random(n) < 0.6).astype(float)
     x1, x2 = np.round(g.random(n), 6), np.round(g.random(n), 6)
     t = (g.random(n) < 0.3 + 0.4 * c).astype(float)
-    rows = g.integers(0, n, n)
-    return np.column_stack([np.ones(n), c, x1, x2])[rows], t[rows]
+    return np.column_stack([np.ones(n), c, x1, x2]), t, g
+
+
+def _benchmark_resample():
+    x, t, g = _benchmark_design()
+    rows = g.integers(0, len(t), len(t))
+    return x[rows], t[rows]
 
 
 def _near_collinear_case(digits):
@@ -422,6 +430,59 @@ def test_logistic_fit_matches_the_weighted_qr_reference(case):
     cond = np.linalg.cond(x / np.linalg.norm(x, axis=0))
     np.testing.assert_allclose(fit.fitted_probabilities, probs, rtol=0,
                                atol=8 * cond * np.finfo(float).eps)
+
+
+def _design(x):
+    return DesignMatrix(x, tuple(f"x{j}" for j in range(x.shape[1])))
+
+
+def _lockstep_fits(x, t, idx):
+    """``(probs, iterations, fates)`` of the lockstep Newton loop for the
+    row resamples ``idx`` of the design ``x``, each fit weighting a row by
+    how often its resample draws it."""
+    q_columns, grams, _ = _newton_basis(_design(x))
+    counts = _offset_bincount(idx, len(t)).astype(float)
+    _, probs, decrements, fates = _newton_stack(q_columns, grams, t, counts)
+    return probs, np.sum(~np.isnan(decrements), axis=1) + 1, fates
+
+
+def _assert_each_fit_matches_its_refit(x, t, idx):
+    # A fit on a resample's rows takes the same Newton steps in exact
+    # arithmetic; the two round differently, within the weighted QR
+    # reference's slack of 8 * cond * eps.
+    probs, iterations, fates = _lockstep_fits(x, t, idx)
+    assert list(fates) == [""] * len(idx)
+    for rows, row_probs, row_iterations in zip(idx, probs, iterations):
+        fit = logistic_fit(_design(x[rows]), t[rows])
+        assert row_iterations == fit.iterations
+        cond = np.linalg.cond(x[rows] / np.linalg.norm(x[rows], axis=0))
+        np.testing.assert_allclose(row_probs[rows], fit.fitted_probabilities, rtol=0,
+                                   atol=8 * cond * np.finfo(float).eps)
+
+
+def test_lockstep_newton_matches_a_fit_per_replicate():
+    # Four resamples of the benchmark-shaped design, fitted together from
+    # their row counts: a chunk of the PS bootstrap at this size holds 3.
+    x, t, g = _benchmark_design()
+    _assert_each_fit_matches_its_refit(x, t, g.integers(0, len(t), (4, len(t))))
+
+
+def test_lockstep_newton_ignores_a_row_it_never_draws():
+    # The last row's covariate is so far out that the fitted log-odds there
+    # pass 30, which fails any fit that draws it.  Resamples that never draw
+    # it converge, as their refits do.
+    g = np.random.default_rng(17)
+    z = np.append(g.normal(size=300), 1e3)
+    t = (g.random(z.size) < expit(z)).astype(float)
+    t[-1] = 1.0
+    x = np.column_stack([np.ones(z.size), z])
+    idx = g.integers(0, z.size - 1, (3, z.size))
+    _assert_each_fit_matches_its_refit(x, t, idx)
+    for rows in idx:
+        beta = logistic_fit(_design(x[rows]), t[rows]).coefficients
+        assert abs(x[-1] @ beta) > 30
+    with pytest.raises(ConvergenceError, match="diverged"):
+        logistic_fit(_design(x), t)
 
 
 def test_logistic_names_a_repeated_column_before_any_step(monkeypatch):
@@ -930,8 +991,11 @@ def test_ps_drops_the_replicates_a_refit_drops(make, covariates, seed):
 def test_ps_chunking_does_not_change_results(monkeypatch, ds, covariates):
     # Seven replicates a chunk instead of all of them at once.  The chunk
     # size also bounds the row blocks of a factorisation; at 7 * n cells
-    # every design here, 7 columns at most, still fits in one block.
+    # every design here, 7 columns at most, still fits in one block.  Then
+    # each of those chunks is handed over one replicate at a time, which
+    # leaves the blocks alone: a stack of one gives the same values.
     import funcavg.bootstrap as bs
+    import funcavg.regression as regression
 
     def run():
         return ps_stratified_contrast(ds, "y", "t", covariates, RngStream(4, (1,)),
@@ -941,26 +1005,147 @@ def test_ps_chunking_does_not_change_results(monkeypatch, ds, covariates):
     monkeypatch.setattr(bs, "_CHUNK_CELLS", 7 * ds.n_rows)
     assert len(list(row_chunks(100, ds.n_rows))) == 15
     assert run() == whole
+    blocks, handed = regression.index_blocks, []
+
+    def one_at_a_time(*args):
+        for start, idx in blocks(*args):
+            for k, rows in enumerate(idx, start):
+                handed.append(k)
+                yield k, rows[None]
+
+    monkeypatch.setattr(regression, "index_blocks", one_at_a_time)
+    assert run() == whole
+    assert handed == list(range(100))
+
+
+def _mixed_fate_data():
+    """63 rows: ``x`` has 9 levels of 7 rows, so tied scores can leave a
+    stratum empty; ``c`` is 1 except on 4 rows, so a resample that misses
+    them fails the rank screen; ``d`` is 1 on 10 rows, 4 of them
+    untreated, so a resample that misses those 4 separates the classes."""
+    g = np.random.default_rng(44)
+    x = np.repeat(np.arange(9, dtype=float), 7)
+    t = (g.random(x.size) < expit((x - 4.5) / 9)).astype(float)
+    c = np.ones(x.size)
+    c[g.choice(x.size, 4, replace=False)] = 0.0
+    d = np.zeros(x.size)
+    rows = g.choice(x.size, 10, replace=False)
+    d[rows], t[rows[:4]], t[rows[4:]] = 1.0, 0.0, 1.0
+    y = 1 + 2 * t + c + x + g.normal(size=x.size)
+    return Dataset({"y": y, "t": t, "c": c, "d": d, "x": x})
+
+
+def test_ps_chunk_of_mixed_fates_matches_refits(monkeypatch):
+    # All 100 replicates in one chunk, whose lockstep fits meet every fate:
+    # some fail the rank screen, one diverges, the rest converge after
+    # different numbers of steps (2 to 21), and one leaves a stratum empty.
+    # Each failure is refit through the whole pipeline, so the interval is
+    # that of a refit on every resample, and 4 of 100 are dropped.
+    import funcavg.bootstrap as bs
+    import funcavg.regression as regression
+
+    ds, covariates = _mixed_fate_data(), ["c", "d", "x"]
+    expected = percentile_over_refits(ds, RngStream(44, (1,)), 100, 0.05,
+                                      lambda d: _ps_pipeline(d, covariates))
+    monkeypatch.setattr(bs, "_CHUNK_CELLS", 100 * ds.n_rows)
+    assert len(list(row_chunks(100, ds.n_rows))) == 1
+    chunk = {}
+
+    def record(name, is_chunk):
+        original = getattr(regression, name)
+
+        def recorded(*args):
+            out = original(*args)
+            if is_chunk(*args):
+                chunk[name] = out
+            return out
+
+        monkeypatch.setattr(regression, name, recorded)
+
+    record("_passes_rank_screen", lambda *args: True)
+    record("_newton_stack", lambda q_columns, grams, y, counts: len(counts) > 1)
+    record("_stratum_labels", lambda scores, cuts: scores.ndim == 2)
+    got = ps_stratified_contrast(ds, "y", "t", covariates, RngStream(44, (1,)),
+                                 replicates=100)
+    _, _, decrements, fates = chunk["_newton_stack"]
+    assert 0 < np.sum(~chunk["_passes_rank_screen"]) == 100 - len(fates)
+    assert "fitted log-odds diverged; the classes appear separable" in fates
+    assert len(set(np.sum(~np.isnan(decrements[fates == ""]), axis=1))) > 5
+    assert (_offset_bincount(chunk["_stratum_labels"], 6)[:, 1:] == 0).any()
+    assert got == expected
 
 
 def test_chunk_strata_cuts_match_each_row_alone():
     # One quantile call over a chunk's (k, n) scores gives each row the
-    # cuts it gets alone, tied scores and empty strata included.
+    # cuts it gets alone, and one comparison its labels, tied scores and
+    # empty strata included; one offset bincount finds the empty strata.
     g = np.random.default_rng(12)
     scores = np.concatenate([g.uniform(size=(4, 50)),
                              np.round(g.uniform(size=(8, 50)), 1),
                              np.where(g.random((4, 50)) < 0.7, 0.25, 0.75)])
     cuts = _stratum_cuts(scores)
     assert cuts.shape == (4, len(scores))
-    for row, row_cuts in zip(scores, cuts.T):
-        labels = _stratum_labels(row, row_cuts)
+    labels = _stratum_labels(scores, cuts)
+    sizes = _offset_bincount(labels, 6)[:, 1:]
+    for row, row_cuts, row_labels, row_sizes in zip(scores, cuts.T, labels, sizes):
+        assert np.array_equal(row_labels, _stratum_labels(row, row_cuts))
+        assert np.array_equal(row_sizes, np.bincount(row_labels, minlength=6)[1:])
         try:
             expected = propensity_strata(row)
         except StratificationError:
-            assert _empty_strata(labels).size
+            assert (row_sizes == 0).any()
         else:
-            assert np.array_equal(labels, expected)
-            assert not _empty_strata(labels).size
+            assert np.array_equal(row_labels, expected)
+            assert (row_sizes > 0).all()
+
+
+def test_ps_propensity_half_keeps_its_memory_bound(monkeypatch):
+    # At n = 50,000 a chunk holds one replicate.  In units of n * p doubles
+    # (p = 4 here), the whole B = 4 call peaks at 7.92 while its outcome
+    # refits run beside the covariate basis Q (1) and the half table of
+    # Q's column products (2.5); a full p^2 table would add 1.5.  Each
+    # Newton loop rises 1.0 above what it is handed: three (k, n) arrays
+    # (the probabilities and two buffers) and its temporaries.  A (k, p, n)
+    # temporary for the Hessians would add 0.75.
+    import tracemalloc
+
+    import funcavg.regression as regression
+
+    n = 50_000
+    g = np.random.default_rng([1, n])
+    c = (g.random(n) < 0.6).astype(float)
+    x1, x2 = np.round(g.random(n), 6), np.round(g.random(n), 6)
+    t = (g.random(n) < 0.3 + 0.4 * c).astype(float)
+    y = 100.0 + 4.0 * t + 5.0 * c + 2.0 * x1 - x2 + g.uniform(-10.0, 10.0, n)
+    ds = Dataset({"y": y, "t": t, "c": c, "x1": x1, "x2": x2})
+    unit = 8 * n * 4
+    stack, rises, peaks = regression._newton_stack, [], []
+
+    def traced(*args):
+        entry, peak = tracemalloc.get_traced_memory()
+        peaks.append(peak)
+        tracemalloc.reset_peak()
+        out = stack(*args)
+        rises.append(tracemalloc.get_traced_memory()[1] - entry)
+        return out
+
+    def run():
+        ps_stratified_contrast(ds, "y", "t", ["c", "x1", "x2"], RngStream(1, (4,)),
+                               replicates=4)
+
+    monkeypatch.setattr(regression, "_newton_stack", traced)
+    run()
+    rises.clear()
+    peaks.clear()
+    tracemalloc.start()
+    try:
+        run()
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert len(rises) == 1 + 4  # the point's fit, then one chunk per replicate
+    assert max(peaks) < 8.5 * unit
+    assert max(rises) < 1.4 * unit
 
 
 def test_bootstrap_se_errors_when_refits_keep_failing():
